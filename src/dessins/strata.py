@@ -2,16 +2,24 @@
 
 A stratum is a connected stable tree whose tails are labelled bijectively by a
 finite set S; its codimension is the edge count and its dimension is
-|S| - 3 - codim.  Strata are identified up to label-respecting isomorphism via
-a canonical encoding rooted at the tree centroid.
+|S| - 3 - codim.  Cutting an edge splits S in two, and the set of these
+label bipartitions ("splits") fixes the tree up to label-respecting
+isomorphism (Keel 1992).  A `StableSTree` stores exactly that set: each split
+is the side without the anchor (the least label), as a bitmask over the
+labels in `_labelkey` order.  Two splits lie in one tree exactly when they are
+disjoint or nested, so enumeration, contraction, projection, grafting and the
+substratum order are set operations.  The string-flag graph of a tree is
+built on first access and kept on the instance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import sys
+from collections import Counter
+from dataclasses import dataclass
 
-from dessins import graphs, operads
+from dessins import graphs
 from dessins.graphs import CombinatorialGraph, structure_report, validate
 
 
@@ -55,60 +63,87 @@ def _labelkey(x):
     return (type(x).__name__, x)
 
 
-@dataclass(frozen=True, eq=False)
+def _mask(order, side) -> int:
+    """Bitmask over `order` of a bipartition, as the side without order[0]."""
+    bits = sum(1 << i for i, lab in enumerate(order) if lab in side)
+    return bits ^ ((1 << len(order)) - 1) if bits & 1 else bits
+
+
+def _side(order, mask) -> frozenset:
+    return frozenset(lab for i, lab in enumerate(order) if mask >> i & 1)
+
+
 class StableSTree:
-    """Connected stable tree with tails labelled bijectively by a set S."""
+    """Connected stable tree with tails labelled bijectively by a set S.
 
-    graph: CombinatorialGraph
-    tail_labels: dict[str, object]
+    `order` lists S by `_labelkey`; `splits` holds, for each edge, the side
+    of its label bipartition without order[0] as a bitmask over `order`, in
+    ascending order.  The constructor trusts its input: `s_tree` checks an
+    explicit graph.
+    """
 
-    def __post_init__(self):
-        g = self.graph
-        rep = structure_report(g)
-        if rep.n_components != 1:
-            raise StrataError("tree must be connected")
-        if not rep.is_stable:
-            raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
-        if sorted(self.tail_labels) != list(g.tails):
-            raise StrataError("tail_labels must be defined exactly on the tails")
-        if len(set(self.tail_labels.values())) != len(self.tail_labels):
-            raise StrataError("tail labels must be pairwise distinct")
+    __slots__ = ("order", "splits", "_hash", "_flag_view", "_build")
+
+    def __init__(self, order: tuple, splits: tuple, build=None):
+        self.order = order
+        self.splits = splits
+        self._hash = hash((order, splits))
+        self._flag_view = None
+        self._build = build     # makes the flag graph when it is not built from splits
 
     @property
     def labels(self) -> frozenset:
-        return frozenset(self.tail_labels.values())
+        return frozenset(self.order)
 
     @property
     def n_edges(self) -> int:
-        return self.graph.n_edges
+        return len(self.splits)
+
+    @property
+    def graph(self) -> CombinatorialGraph:
+        return self._view()[0]
+
+    @property
+    def tail_labels(self) -> dict:
+        return self._view()[1]
+
+    def _view(self):
+        """(flag graph, tail labels, split of each flag edge), built once."""
+        if self._flag_view is None:
+            build, self._build = self._build, None
+            self._flag_view = build() if build else _flags_from_splits(self.order, self.splits)
+        return self._flag_view
+
+    def label_splits(self) -> frozenset:
+        """The splits as label sets (the sides without the least label)."""
+        return frozenset(_side(self.order, m) for m in self.splits)
 
     def canonical_key(self):
-        key = getattr(self, "_key", None)
-        if key is None:
-            key = _canonical_key(self)
-            object.__setattr__(self, "_key", key)
-        return key
+        return self.order, self.splits
 
     def __eq__(self, other):
-        return isinstance(other, StableSTree) and self.canonical_key() == other.canonical_key()
+        return (isinstance(other, StableSTree) and self._hash == other._hash
+                and self.order == other.order and self.splits == other.splits)
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return self._hash
+
+    def __repr__(self):
+        sides = [sorted(_side(self.order, m), key=_labelkey) for m in self.splits]
+        return f"StableSTree(labels={list(self.order)!r}, splits={sides!r})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Stratum:
     tree: StableSTree
-    codim: int = field(init=False)
-    dim: int = field(init=False)
 
-    def __post_init__(self):
-        codim = self.tree.n_edges
-        dim = len(self.tree.labels) - 3 - codim
-        if dim < 0:
-            raise StrataError(f"negative dimension: |S|={len(self.tree.labels)}, codim={codim}")
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "dim", dim)
+    @property
+    def codim(self) -> int:
+        return len(self.tree.splits)
+
+    @property
+    def dim(self) -> int:
+        return len(self.tree.order) - 3 - len(self.tree.splits)
 
     def canonical_key(self):
         return self.tree.canonical_key()
@@ -118,6 +153,160 @@ class Stratum:
 
     def __hash__(self):
         return hash(self.tree)
+
+
+# --- trees of splits ---------------------------------------------------------
+
+def _tree(n, masks):
+    """Vertices of the tree with ascending split masks over n labels.
+
+    Vertex 0 holds the anchor label and vertex i + 1 lies just below
+    masks[i].  Returns the vertex above each split and the vertex of each
+    label: the smallest split holding it, else vertex 0.
+    """
+    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+
+    def above(x):
+        for i in by_size:
+            if masks[i] != x and masks[i] & x == x:
+                return i + 1
+        return 0
+
+    return [above(m) for m in masks], [0] + [above(1 << i) for i in range(1, n)]
+
+
+def _flags_from_splits(order, splits):
+    """Flag graph of a split system: tail t{i} carries order[i], vertex v0
+    the anchor, and edge e{i} joins vertex v{i+1} to the vertex above it.
+    Names are interned, so that the graphs of many strata share them."""
+    up, at = _tree(len(order), splits)
+    tails = [sys.intern(f"t{i}") for i in range(len(order))]
+    vertices = [sys.intern(f"v{i}") for i in range(len(splits) + 1)]
+    boundary = {f: vertices[v] for f, v in zip(tails, at)}
+    involution = {f: f for f in tails}
+    edge_split = {}
+    for i, (v, m) in enumerate(zip(up, splits)):
+        a, b = sys.intern(f"e{i}.a"), sys.intern(f"e{i}.b")
+        boundary[a], boundary[b] = vertices[v], vertices[i + 1]
+        involution[a], involution[b] = b, a
+        edge_split[frozenset((a, b))] = m
+    g = CombinatorialGraph(tuple(sorted(boundary)), tuple(sorted(vertices)), boundary, involution,
+                           frozenset(edge_split), tuple(sorted(tails)))
+    return g, dict(zip(tails, order)), edge_split
+
+
+def _order(labels, least) -> tuple:
+    order = tuple(sorted(set(labels), key=_labelkey))
+    if len(order) < least:
+        raise TooSmall(f"need at least {least} labels")
+    return order
+
+
+# --- constructors -----------------------------------------------------------
+
+def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
+    """Stable S-tree of an explicit flag graph, which must be connected and
+    stable with its tails labelled bijectively by distinct labels."""
+    tail_labels = dict(tail_labels)
+    rep = structure_report(graph)
+    if rep.n_components != 1:
+        raise StrataError("tree must be connected")
+    if not rep.is_stable:
+        raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
+    if sorted(tail_labels) != list(graph.tails):
+        raise StrataError("tail_labels must be defined exactly on the tails")
+    if len(set(tail_labels.values())) != len(tail_labels):
+        raise StrataError("tail labels must be pairwise distinct")
+    order = tuple(sorted(tail_labels.values(), key=_labelkey))
+    bit = {lab: 1 << i for i, lab in enumerate(order)}
+    below = dict.fromkeys(graph.vertices, 0)
+    for f, lab in tail_labels.items():
+        below[graph.boundary[f]] |= bit[lab]
+    nbrs = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        a, b = e
+        nbrs[graph.boundary[a]].append((graph.boundary[b], e))
+        nbrs[graph.boundary[b]].append((graph.boundary[a], e))
+    edge_split = {}
+
+    def side(v, parent):
+        m = below[v]
+        for w, e in nbrs[v]:
+            if w != parent:
+                edge_split[e] = side(w, v)
+                m |= edge_split[e]
+        return m
+
+    (anchor,) = [f for f, lab in tail_labels.items() if lab == order[0]]
+    side(graph.boundary[anchor], None)
+    t = StableSTree(order, tuple(sorted(edge_split.values())))
+    t._flag_view = (graph, tail_labels, edge_split)
+    return t
+
+
+def s_corolla(labels) -> StableSTree:
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise LabelCollision("corolla labels must be pairwise distinct")
+    return StableSTree(_order(labels, 3), ())
+
+
+def stratum(tree: StableSTree) -> Stratum:
+    return Stratum(tree)
+
+
+def two_part_tree(part1, part2) -> StableSTree:
+    """One-edge tree for a 2-partition of S, both parts of size >= 2."""
+    part1, part2 = set(part1), set(part2)
+    if len(part1) < 2 or len(part2) < 2:
+        raise TooSmall("both parts of a divisorial partition need >= 2 labels")
+    if part1 & part2:
+        raise LabelCollision("partition parts overlap")
+    order = _order(part1 | part2, 4)
+    return StableSTree(order, (_mask(order, part1),))
+
+
+@dataclass(frozen=True)
+class CurveCombinatorics:
+    """Components, double points and marked points of a stable genus-zero curve."""
+
+    components: tuple
+    double_points: tuple        # pairs (component, component)
+    marked: dict                # label -> component
+
+
+def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
+    """Dual tree: vertices are components, edges are double points, tails are
+    labelled marked points.  Raises if a component carries fewer than three
+    special points or the components fail to form a tree.
+    """
+    comps = [str(c) for c in curve.components]
+    flags, boundary, involution, tail_labels = [], {}, {}, {}
+    for i, (ca, cb) in enumerate(curve.double_points):
+        ca, cb = str(ca), str(cb)
+        if ca not in comps or cb not in comps:
+            raise StrataError(f"double point on unknown component {(ca, cb)!r}")
+        ha, hb = f"dp{i}.a", f"dp{i}.b"
+        flags += [ha, hb]
+        boundary[ha], boundary[hb] = ca, cb
+        involution[ha], involution[hb] = hb, ha
+    for j, (lab, comp) in enumerate(sorted(curve.marked.items(), key=lambda kv: _labelkey(kv[0]))):
+        comp = str(comp)
+        if comp not in comps:
+            raise StrataError(f"marked point {lab!r} on unknown component {comp!r}")
+        f = f"m{j}"
+        flags.append(f)
+        boundary[f] = comp
+        involution[f] = f
+        tail_labels[f] = lab
+    g = validate(flags, comps, boundary, involution)
+    rep = structure_report(g)
+    unstable = [v for v, m in rep.vertex_multiplicities.items() if m < 3]
+    if unstable:
+        raise UnstableComponent(f"components with < 3 special points: {sorted(unstable)}")
+    if rep.n_components != 1 or not rep.is_tree:
+        raise NotATreeOfComponents("component graph must be a connected tree")
+    return s_tree(g, tail_labels)
 
 
 # --- canonical form ---------------------------------------------------------
@@ -171,98 +360,6 @@ def _canonical_key(t: StableSTree):
     return min(_encode_from(t, r, nbrs, tails_at) for r in _centroids(t))
 
 
-# --- constructors -----------------------------------------------------------
-
-def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
-    return StableSTree(graph, dict(tail_labels))
-
-
-def s_corolla(labels) -> StableSTree:
-    labels = sorted(labels, key=_labelkey)
-    if len(labels) < 3:
-        raise TooSmall("a stable corolla needs at least 3 labels")
-    names = {lab: f"t{i}" for i, lab in enumerate(labels)}
-    g = graphs.corolla("v0", list(names.values()))
-    return StableSTree(g, {names[lab]: lab for lab in labels})
-
-
-def stratum(tree: StableSTree) -> Stratum:
-    return Stratum(tree)
-
-
-def two_part_tree(part1, part2) -> StableSTree:
-    """One-edge tree for a 2-partition of S, both parts of size >= 2."""
-    part1 = sorted(part1, key=_labelkey)
-    part2 = sorted(part2, key=_labelkey)
-    if len(part1) < 2 or len(part2) < 2:
-        raise TooSmall("both parts of a divisorial partition need >= 2 labels")
-    if set(part1) & set(part2):
-        raise LabelCollision("partition parts overlap")
-    flags, boundary, involution, tail_labels = [], {}, {}, {}
-    for i, lab in enumerate(part1):
-        f = f"a{i}"
-        flags.append(f)
-        boundary[f] = "v0"
-        involution[f] = f
-        tail_labels[f] = lab
-    for i, lab in enumerate(part2):
-        f = f"b{i}"
-        flags.append(f)
-        boundary[f] = "v1"
-        involution[f] = f
-        tail_labels[f] = lab
-    flags += ["h0", "h1"]
-    boundary.update({"h0": "v0", "h1": "v1"})
-    involution.update({"h0": "h1", "h1": "h0"})
-    g = validate(flags, ["v0", "v1"], boundary, involution)
-    return StableSTree(g, tail_labels)
-
-
-@dataclass(frozen=True)
-class CurveCombinatorics:
-    """Components, double points and marked points of a stable genus-zero curve."""
-
-    components: tuple
-    double_points: tuple        # pairs (component, component)
-    marked: dict                # label -> component
-
-
-def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
-    """Dual tree: vertices are components, edges are double points, tails are
-    labelled marked points.  Raises if a component carries fewer than three
-    special points or the components fail to form a tree.
-    """
-    comps = [str(c) for c in curve.components]
-    flags, boundary, involution, tail_labels = [], {}, {}, {}
-    for i, (ca, cb) in enumerate(curve.double_points):
-        ca, cb = str(ca), str(cb)
-        if ca not in comps or cb not in comps:
-            raise StrataError(f"double point on unknown component {(ca, cb)!r}")
-        ha, hb = f"dp{i}.a", f"dp{i}.b"
-        flags += [ha, hb]
-        boundary[ha], boundary[hb] = ca, cb
-        involution[ha], involution[hb] = hb, ha
-    for j, (lab, comp) in enumerate(sorted(curve.marked.items(), key=lambda kv: _labelkey(kv[0]))):
-        comp = str(comp)
-        if comp not in comps:
-            raise StrataError(f"marked point {lab!r} on unknown component {comp!r}")
-        f = f"m{j}"
-        flags.append(f)
-        boundary[f] = comp
-        involution[f] = f
-        tail_labels[f] = lab
-    g = validate(flags, comps, boundary, involution)
-    rep = structure_report(g)
-    unstable = [v for v, m in rep.vertex_multiplicities.items() if m < 3]
-    if unstable:
-        raise UnstableComponent(f"components with < 3 special points: {sorted(unstable)}")
-    if rep.n_components != 1 or not rep.is_tree:
-        raise NotATreeOfComponents("component graph must be a connected tree")
-    return StableSTree(g, tail_labels)
-
-
-# --- enumeration ------------------------------------------------------------
-
 def _fresh_names(g: CombinatorialGraph, count, kind):
     used = set(g.flags) | set(g.vertices)
     out, i = [], 0
@@ -311,63 +408,61 @@ def _insert_label(t: StableSTree, label):
     return out
 
 
-def enumerate_strata(labels) -> dict[int, list[Stratum]]:
-    """One representative per isomorphism class of stable S-tree, by codim.
+# --- enumeration ------------------------------------------------------------
 
-    Built by inserting labels one at a time into every vertex, edge and tail
-    of the smaller trees, with canonical-form deduplication at each step.
-    """
-    labels = sorted(set(labels), key=_labelkey)
-    if len(labels) < 3:
-        raise TooSmall("need at least 3 labels")
-    current = {_canonical_key(t): t for t in [s_corolla(labels[:3])]}
-    for lab in labels[3:]:
-        nxt: dict = {}
-        for t in current.values():
-            for t2 in _insert_label(t, lab):
-                nxt.setdefault(t2.canonical_key(), t2)
-        current = nxt
+def _all_splits(n) -> list[int]:
+    """Every split over n labels, ascending: masks without bit 0 whose two
+    sides both hold >= 2 labels."""
+    return [m for m in range(2, 1 << n, 2) if 2 <= m.bit_count() <= n - 2]
+
+
+def _families(n, size=None) -> list[tuple]:
+    """Pairwise compatible (disjoint or nested) sets of splits over n labels,
+    as ascending tuples in lexicographic order; only those of `size` splits
+    when it is given.  Backtracks over a compatibility bitmask per split."""
+    splits = _all_splits(n)
+    later = []                      # compatible splits after each one
+    for i, a in enumerate(splits):
+        later.append(sum(1 << j for j in range(i + 1, len(splits))
+                         if a & splits[j] in (0, a, splits[j])))
+    out = []
+
+    def walk(family, candidates):
+        if size is None or len(family) == size:
+            out.append(family)
+        if len(family) == size or len(family) + candidates.bit_count() < (size or 0):
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            walk(family + (splits[j],), candidates & later[j])
+
+    walk((), (1 << len(splits)) - 1)
+    return out
+
+
+def enumerate_strata(labels) -> dict[int, list[Stratum]]:
+    """One stratum per stable S-tree, grouped by codimension, each group in
+    lexicographic order of the ascending split masks."""
+    order = _order(labels, 3)
     grouped: dict[int, list[Stratum]] = {}
-    for key in sorted(current):
-        s = Stratum(current[key])
-        grouped.setdefault(s.codim, []).append(s)
+    for family in _families(len(order)):
+        grouped.setdefault(len(family), []).append(Stratum(StableSTree(order, family)))
     return dict(sorted(grouped.items()))
 
 
 def divisorial_strata(labels) -> list[Stratum]:
     """Codimension-one strata, one per unordered stable 2-partition of S."""
-    labels = sorted(set(labels), key=_labelkey)
-    if len(labels) < 4:
-        raise TooSmall("divisorial strata need at least 4 labels")
-    out = []
-    seen = set()
-    n = len(labels)
-    for r in range(2, n - 1):
-        for part1 in itertools.combinations(labels, r):
-            part2 = tuple(l for l in labels if l not in part1)
-            key = frozenset((frozenset(part1), frozenset(part2)))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Stratum(two_part_tree(part1, part2)))
-    return sorted(out, key=lambda s: s.canonical_key())
+    order = _order(labels, 4)
+    return [Stratum(StableSTree(order, (m,))) for m in _all_splits(len(order))]
 
 
 def trivalent_strata(labels) -> list[Stratum]:
-    """Dimension-zero strata, enumerated by inserting each new label into an
-    edge or tail of the smaller trivalent trees (never at a vertex)."""
-    labels = sorted(set(labels), key=_labelkey)
-    if len(labels) < 4:
-        raise TooSmall("need at least 4 labels")
-    current = {_canonical_key(t): t for t in [s_corolla(labels[:3])]}
-    for lab in labels[3:]:
-        nxt: dict = {}
-        for t in current.values():
-            for t2 in _insert_label(t, lab):
-                if all(t2.graph.multiplicity(v) == 3 for v in t2.graph.vertices):
-                    nxt.setdefault(t2.canonical_key(), t2)
-        current = nxt
-    return [Stratum(current[k]) for k in sorted(current)]
+    """Dimension-zero strata: the families of |S| - 3 compatible splits."""
+    order = _order(labels, 4)
+    return [Stratum(StableSTree(order, family))
+            for family in _families(len(order), len(order) - 3)]
 
 
 def maximal_codim_strata(labels) -> list[tuple[Stratum, bool]]:
@@ -378,42 +473,34 @@ def maximal_codim_strata(labels) -> list[tuple[Stratum, bool]]:
 def is_caterpillar(t: StableSTree) -> bool:
     """True when the vertices form a linear chain (every vertex bounds at most
     two edges); single-vertex trees count as caterpillars."""
-    g = t.graph
-    edge_degree = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        for f in e:
-            edge_degree[g.boundary[f]] += 1
-    return all(d <= 2 for d in edge_degree.values())
+    up, _ = _tree(len(t.order), t.splits)
+    below = Counter(up)     # edges hanging below each vertex
+    return below[0] <= 2 and all(below[v] <= 1 for v in range(1, len(up) + 1))
 
 
 # --- poset operations -------------------------------------------------------
 
-def contract_edge(t: StableSTree, edge) -> StableSTree:
-    """Blow down one edge: its endpoints merge into one vertex."""
-    e = frozenset(edge)
-    if e not in t.graph.edges:
-        raise NoSuchEdge(f"{sorted(edge)} is not an edge of the tree")
-    g = t.graph
-    a, b = sorted(e)
-    u, w = g.boundary[a], g.boundary[b]
-    keep = min(u, w)
+def _contracted(view, e):
+    """Flag view with edge e blown down into the lesser of its two vertices."""
+    g, tail_labels, edge_split = view
+    keep, gone = sorted(g.boundary[f] for f in e)
     flags = tuple(f for f in g.flags if f not in e)
-    vertices = tuple(v for v in g.vertices if v != max(u, w)) if u != w else g.vertices
-    boundary = {f: keep if g.boundary[f] in (u, w) else g.boundary[f] for f in flags}
-    involution = {f: g.involution[f] for f in flags}
-    gg = validate(flags, vertices, boundary, involution)
-    return StableSTree(gg, dict(t.tail_labels))
+    boundary = {f: keep if g.boundary[f] == gone else g.boundary[f] for f in flags}
+    graph = CombinatorialGraph(flags, tuple(v for v in g.vertices if v != gone), boundary,
+                               {f: g.involution[f] for f in flags}, g.edges - {e}, g.tails)
+    return graph, dict(tail_labels), {k: m for k, m in edge_split.items() if k != e}
 
 
-def _contract_edges(t: StableSTree, edges):
-    """Contract a set of edges; order independent, smallest-first for determinism."""
-    remaining = [tuple(sorted(e)) for e in edges]
-    cur = t
-    while remaining:
-        remaining.sort()
-        e = remaining.pop(0)
-        cur = contract_edge(cur, frozenset(e))
-    return cur
+def contract_edge(t: StableSTree, edge) -> StableSTree:
+    """Blow down one flag edge of `t.graph`: its split is dropped.  The
+    result's graph, built on first access, merges the edge's endpoints into
+    the lesser vertex name and keeps every other flag and vertex name."""
+    e = frozenset(edge)
+    view = t._view()
+    if e not in view[2]:
+        raise NoSuchEdge(f"{sorted(edge)} is not an edge of the tree")
+    splits = tuple(m for m in t.splits if m != view[2][e])
+    return StableSTree(t.order, splits, lambda: _contracted(view, e))
 
 
 @dataclass(frozen=True)
@@ -426,68 +513,59 @@ class SubstratumWitness:
 
 
 def is_substratum(inner: Stratum, outer: Stratum) -> SubstratumWitness:
-    """Whether contracting some edge subset of `inner` gives `outer`.
+    """Whether contracting some edge subset of `inner` gives `outer`, that is,
+    whether every split of `outer` is a split of `inner`.
 
-    The witness is the lexicographically least such subset (edges as sorted
-    flag pairs); contraction order does not matter.
+    The witness is the only such subset: the edges of `inner.tree.graph`
+    whose splits `outer` lacks, as ascending sorted flag pairs.
     """
-    if inner.tree.labels != outer.tree.labels:
+    a, b = inner.tree, outer.tree
+    if a.order != b.order:
         raise LabelSetMismatch("strata live over different label sets")
-    d = inner.codim - outer.codim
-    if d < 0:
+    kept = set(b.splits)
+    if not kept.issubset(a.splits):
         return SubstratumWitness(False, None)
-    target = outer.canonical_key()
-    all_edges = sorted(tuple(sorted(e)) for e in inner.tree.graph.edges)
-    for subset in itertools.combinations(all_edges, d):
-        if _contract_edges(inner.tree, subset).canonical_key() == target:
-            return SubstratumWitness(True, subset)
-    return SubstratumWitness(False, None)
+    edges = sorted(tuple(sorted(e)) for e, m in a._view()[2].items() if m not in kept)
+    return SubstratumWitness(True, tuple(edges))
 
 
 def open_stratum_boundary(s: Stratum) -> list[Stratum]:
-    """Codimension-one substrata of the closed stratum: insert one edge at a
-    vertex, distributing its flags along a 2-partition with parts of size >= 2."""
-    g = s.tree.graph
-    out: dict = {}
-    for v in g.vertices:
-        fl = sorted(g.flags_at(v))
-        for r in range(2, len(fl) - 1):
-            for part1 in itertools.combinations(fl, r):
-                part2 = [f for f in fl if f not in part1]
-                if part1[0] != fl[0]:
-                    continue  # unordered partitions: keep the side with the least flag
-                (nv,) = _fresh_names(g, 1, "v")
-                ha, hb = _fresh_names(g, 2, "h")
-                boundary = dict(g.boundary)
-                involution = dict(g.involution)
-                for f in part2:
-                    boundary[f] = nv
-                boundary[ha], boundary[hb] = v, nv
-                involution[ha], involution[hb] = hb, ha
-                gg = validate(g.flags + (ha, hb), g.vertices + (nv,), boundary, involution)
-                t2 = StableSTree(gg, dict(s.tree.tail_labels))
-                out.setdefault(t2.canonical_key(), Stratum(t2))
-    return [out[k] for k in sorted(out)]
+    """Codimension-one substrata of the closed stratum: split one vertex in
+    two, each part keeping >= 2 of its flags.  The new split is the union of
+    at least two, but not all, of the branches below that vertex."""
+    t = s.tree
+    up, at = _tree(len(t.order), t.splits)
+    branches = [[] for _ in range(len(t.splits) + 1)]
+    for v, m in zip(up, t.splits):
+        branches[v].append(m)
+    for i in range(1, len(t.order)):
+        branches[at[i]].append(1 << i)
+    out = [tuple(sorted(t.splits + (sum(part),)))      # branches are disjoint
+           for below in branches
+           for r in range(2, len(below))
+           for part in itertools.combinations(below, r)]
+    return [Stratum(StableSTree(t.order, splits)) for splits in sorted(out)]
 
 
 def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     """Graft two strata at the tails carrying the given labels.
 
     The composite is labelled by (S1 - {label1}) + (S2 - {label2}); its
-    codimension is codim1 + codim2 + 1.
+    splits are the new edge's and those of both strata, with each grafting
+    label replaced by the other stratum's labels.  Its codimension is
+    codim1 + codim2 + 1.
     """
     rest1 = s1.tree.labels - {label1}
     rest2 = s2.tree.labels - {label2}
     if rest1 & rest2:
         raise LabelCollision(f"shared labels {sorted(rest1 & rest2, key=_labelkey)}")
-    (t1,) = [f for f, lab in s1.tree.tail_labels.items() if lab == label1] or [None]
-    (t2,) = [f for f, lab in s2.tree.tail_labels.items() if lab == label2] or [None]
-    if t1 is None or t2 is None:
+    if label1 not in s1.tree.labels or label2 not in s2.tree.labels:
         raise StrataError("label not present on the stratum")
-    g, fmap1, fmap2 = operads.graft_with_maps(s1.tree.graph, t1, s2.tree.graph, t2)
-    tail_labels = {fmap1[f]: lab for f, lab in s1.tree.tail_labels.items() if f != t1}
-    tail_labels.update({fmap2[f]: lab for f, lab in s2.tree.tail_labels.items() if f != t2})
-    return Stratum(StableSTree(g, tail_labels))
+    order = _order(rest1 | rest2, 4)
+    sides = [rest2]
+    for t, site, other in ((s1.tree, label1, rest2), (s2.tree, label2, rest1)):
+        sides += [side - {site} | other if site in side else side for side in t.label_splits()]
+    return Stratum(StableSTree(order, tuple(sorted({_mask(order, side) for side in sides}))))
 
 
 # --- admissible projections -------------------------------------------------
@@ -495,45 +573,25 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
 def admissible_projection(s: Stratum, target_labels) -> Stratum:
     """Forget the tails outside `target_labels`, then stabilize.
 
-    Stabilization repeatedly contracts an edge at a vertex bounding fewer than
-    three flags (smallest edge first, order independent).
+    Each split is restricted to the target and kept when both of its sides
+    still hold >= 2 labels; this is the split system of the tree left after
+    contracting every edge at a vertex with fewer than three flags.
     """
     target = set(target_labels)
     if len(target) < 3:
         raise TargetTooSmall("target label set needs at least 3 labels")
-    if not target <= s.tree.labels:
+    if not target.issubset(s.tree.order):
         raise LabelSetMismatch("target labels must be a subset of the stratum labels")
-    g = s.tree.graph
-    drop = {f for f, lab in s.tree.tail_labels.items() if lab not in target}
-    flags = tuple(f for f in g.flags if f not in drop)
-    boundary = {f: g.boundary[f] for f in flags}
-    involution = {f: g.involution[f] for f in flags}
-    vertices = g.vertices
-    tail_labels = {f: lab for f, lab in s.tree.tail_labels.items() if f not in drop}
-
-    while True:
-        mult = {v: 0 for v in vertices}
-        for f in flags:
-            mult[boundary[f]] += 1
-        unstable = sorted(v for v in vertices if mult[v] < 3)
-        if not unstable:
-            break
-        incident_edges = sorted(
-            tuple(sorted((f, involution[f])))
-            for f in flags
-            if involution[f] != f and (boundary[f] in unstable or boundary[involution[f]] in unstable)
-        )
-        if not incident_edges:
-            raise StrataError("unstable vertex with no incident edge")
-        a, b = incident_edges[0]
-        u, w = boundary[a], boundary[b]
-        keep = min(u, w)
-        flags = tuple(f for f in flags if f not in (a, b))
-        vertices = tuple(v for v in vertices if v != max(u, w))
-        boundary = {f: keep if boundary[f] in (u, w) else boundary[f] for f in flags}
-        involution = {f: involution[f] for f in flags}
-    gg = validate(flags, vertices, boundary, involution)
-    return Stratum(StableSTree(gg, tail_labels))
+    keep = [i for i, lab in enumerate(s.tree.order) if lab in target]
+    full = (1 << len(keep)) - 1
+    splits = set()
+    for m in s.tree.splits:
+        bits = sum(1 << j for j, i in enumerate(keep) if m >> i & 1)
+        if bits & 1:
+            bits ^= full
+        if 2 <= bits.bit_count() <= len(keep) - 2:
+            splits.add(bits)
+    return Stratum(StableSTree(tuple(s.tree.order[i] for i in keep), tuple(sorted(splits))))
 
 
 def project_divisor_check(parts_big, parts_small) -> bool:
@@ -631,17 +689,18 @@ def clean_dessin_is_connected(d: CleanDessin) -> bool:
 # --- serialization ----------------------------------------------------------
 
 def stratum_to_json(s: Stratum) -> dict:
+    """Labels stay native JSON values (ints stay ints), in `_labelkey` order."""
+    g, tail_labels, _ = s.tree._view()
     return {
-        "labels": sorted((str(l) for l in s.tree.labels)),
-        "tree": graphs.graph_to_json(s.tree.graph),
-        "tail_labels": {f: str(lab) for f, lab in sorted(s.tree.tail_labels.items())},
+        "labels": list(s.tree.order),
+        "tree": graphs.graph_to_json(g),
+        "tail_labels": dict(sorted(tail_labels.items())),
         "codim": s.codim,
     }
 
 
 def stratum_from_json(obj) -> Stratum:
-    g = graphs.graph_from_json(obj["tree"])
-    return Stratum(StableSTree(g, dict(obj["tail_labels"])))
+    return Stratum(s_tree(graphs.graph_from_json(obj["tree"]), obj["tail_labels"]))
 
 
 def stratum_to_dot(s: Stratum, name="stratum") -> str:
