@@ -309,105 +309,6 @@ def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
     return s_tree(g, tail_labels)
 
 
-# --- canonical form ---------------------------------------------------------
-
-def _adjacency(t: StableSTree):
-    g = t.graph
-    nbrs: dict[str, list[tuple[str, frozenset]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        a, b = sorted(e)
-        u, w = g.boundary[a], g.boundary[b]
-        nbrs[u].append((w, e))
-        nbrs[w].append((u, e))
-    tails_at: dict[str, list] = {v: [] for v in g.vertices}
-    for f in g.tails:
-        tails_at[g.boundary[f]].append(t.tail_labels[f])
-    return nbrs, tails_at
-
-
-def _centroids(t: StableSTree):
-    g = t.graph
-    verts = list(g.vertices)
-    if len(verts) == 1:
-        return verts
-    nbrs, _ = _adjacency(t)
-    n = len(verts)
-
-    def subtree_size(v, parent):
-        return 1 + sum(subtree_size(w, v) for w, _ in nbrs[v] if w != parent)
-
-    best, out = None, []
-    for v in verts:
-        heaviest = max(subtree_size(w, v) for w, _ in nbrs[v])
-        if best is None or heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
-
-
-def _encode_from(t: StableSTree, root, nbrs, tails_at):
-    def enc(v, parent):
-        children = sorted(enc(w, v) for w, _ in nbrs[v] if w != parent)
-        labels = tuple(sorted(_labelkey(x) for x in tails_at[v]))
-        return (labels, tuple(children))
-
-    return enc(root, None)
-
-
-def _canonical_key(t: StableSTree):
-    nbrs, tails_at = _adjacency(t)
-    return min(_encode_from(t, r, nbrs, tails_at) for r in _centroids(t))
-
-
-def _fresh_names(g: CombinatorialGraph, count, kind):
-    used = set(g.flags) | set(g.vertices)
-    out, i = [], 0
-    while len(out) < count:
-        name = f"{kind}{i}"
-        if name not in used:
-            out.append(name)
-            used.add(name)
-        i += 1
-    return out
-
-
-def _insert_label(t: StableSTree, label):
-    """All stable trees obtained by adding one labelled tail to t."""
-    g = t.graph
-    out = []
-    # (1) new tail at an existing vertex
-    for v in g.vertices:
-        (f,) = _fresh_names(g, 1, "t")
-        gg = validate(g.flags + (f,), g.vertices,
-                      {**g.boundary, f: v}, {**g.involution, f: f})
-        out.append(StableSTree(gg, {**t.tail_labels, f: label}))
-    # (2) split an edge with a new trivalent vertex carrying the tail
-    for e in sorted(g.edges, key=sorted):
-        a, b = sorted(e)
-        (v,) = _fresh_names(g, 1, "v")
-        f, ha, hb = _fresh_names(g, 3, "f")
-        boundary = dict(g.boundary)
-        involution = dict(g.involution)
-        boundary.update({f: v, ha: v, hb: v})
-        involution.update({a: ha, ha: a, b: hb, hb: b, f: f})
-        gg = validate(g.flags + (f, ha, hb), g.vertices + (v,), boundary, involution)
-        out.append(StableSTree(gg, {**t.tail_labels, f: label}))
-    # (3) split a tail: the old tail moves to a new trivalent vertex
-    for tf in g.tails:
-        (v,) = _fresh_names(g, 1, "v")
-        f, ha, hb = _fresh_names(g, 3, "f")
-        boundary = dict(g.boundary)
-        involution = dict(g.involution)
-        old_vertex = g.boundary[tf]
-        boundary[tf] = v
-        boundary.update({f: v, hb: v, ha: old_vertex})
-        involution.update({ha: hb, hb: ha, f: f})
-        gg = validate(g.flags + (f, ha, hb), g.vertices + (v,), boundary, involution)
-        out.append(StableSTree(gg, {**t.tail_labels, f: label}))
-    return out
-
-
 # --- enumeration ------------------------------------------------------------
 
 def _all_splits(n) -> list[int]:
