@@ -1,4 +1,6 @@
 import itertools
+import json
+
 import pytest
 
 from dessins import strata
@@ -453,4 +455,15 @@ def test_project_divisor_check():
 def test_stratum_json_round_trip():
     for s in divisorial_strata(labels(5))[:3]:
         s2 = stratum_from_json(stratum_to_json(s))
+        assert s2 == s and s2.codim == s.codim
+
+
+def test_stratum_json_round_trip_integer_labels():
+    flat = [s for group in enumerate_strata([1, 2, 3, 4, 5]).values() for s in group]
+    assert len(flat) == 26
+    for s in flat:
+        obj = json.loads(json.dumps(stratum_to_json(s)))
+        assert obj["labels"] == [1, 2, 3, 4, 5]
+        assert sorted(obj["tail_labels"].values()) == [1, 2, 3, 4, 5]
+        s2 = stratum_from_json(obj)
         assert s2 == s and s2.codim == s.codim
