@@ -22,6 +22,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
+# `strata --n 9 --counts` lists 660,032 strata in about 3 s with a peak RSS of
+# about 200 MiB on a 2-vCPU x86-64 machine; n = 10 has 12,818,912, which would
+# need about 4 GiB.
+MAX_STRATA_LABELS = 9
+
 
 def _labels(n):
     return [str(i) for i in range(1, n + 1)]
@@ -52,8 +57,9 @@ def _write(path, text):
 # --- strata ------------------------------------------------------------------
 
 def cmd_strata(args) -> int:
-    if not (3 <= args.n <= 8):
-        print(f"error: --n must be between 3 and 8, got {args.n}", file=sys.stderr)
+    if not (3 <= args.n <= MAX_STRATA_LABELS):
+        print(f"error: --n must be between 3 and {MAX_STRATA_LABELS}, got {args.n}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     grouped = strata.enumerate_strata(_labels(args.n))
     flat = [s for group in grouped.values() for s in group]
@@ -318,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_strata = sub.add_parser("strata", help="enumerate boundary strata")
-    p_strata.add_argument("--n", type=int, required=True, help="number of labels (3..8)")
+    p_strata.add_argument("--n", type=int, required=True,
+                          help=f"number of labels (3..{MAX_STRATA_LABELS}); n = 9 gives 660,032 "
+                               "strata in about 3 s and 200 MiB")
     p_strata.add_argument("--counts", action="store_true", help="print counts by codimension")
     p_strata.add_argument("--csv", help="write a codim,count table (path or -)")
     p_strata.add_argument("--json", help="write all strata as JSON (path or -)")

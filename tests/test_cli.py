@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dessins import strata
 from dessins.cli import main
 
 
@@ -20,7 +21,16 @@ def test_strata_counts(capsys):
 
 def test_strata_validation_error(capsys):
     assert run_cli("strata", "--n", "2") == 1
-    assert "between 3 and 8" in capsys.readouterr().err
+    assert "between 3 and 9" in capsys.readouterr().err
+
+
+def test_strata_n_above_cap_exits_before_enumerating(monkeypatch, capsys):
+    def refuse(labels):
+        raise AssertionError("enumerated strata for a refused --n")
+
+    monkeypatch.setattr(strata, "enumerate_strata", refuse)
+    assert run_cli("strata", "--n", "10") == 1
+    assert "between 3 and 9, got 10" in capsys.readouterr().err
 
 
 def test_strata_dot_files(tmp_path):
