@@ -18,6 +18,7 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from dessins import graphs
 from dessins.graphs import CombinatorialGraph, structure_report, validate
@@ -401,7 +402,7 @@ def contract_edge(t: StableSTree, edge) -> StableSTree:
     if e not in view[2]:
         raise NoSuchEdge(f"{sorted(edge)} is not an edge of the tree")
     splits = tuple(m for m in t.splits if m != view[2][e])
-    return StableSTree(t.order, splits, lambda: _contracted(view, e))
+    return StableSTree(t.order, splits, partial(_contracted, view, e))
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,20 @@ graphs: trees are built by inserting one labelled tail at a time into every
 vertex, edge and tail; they are identified by a nested-tuple encoding rooted
 at the tree centroid; projection forgets tails and then contracts, smallest
 edge first, an edge at a vertex with fewer than three flags until none is
-left; the substratum test tries every edge subset of the right size.  Every
-check runs over all strata of a small label set.
+left; the substratum test tries every edge subset of the right size; and
+composition grafts the two flag graphs.  Every check runs over all strata of
+a small label set.
 """
 
 import itertools
 
 import pytest
 
+from dessins import operads
 from dessins.graphs import structure_report, validate
 from dessins.strata import (
     admissible_projection,
+    compose_strata,
     contract_edge,
     enumerate_strata,
     is_caterpillar,
@@ -160,6 +163,15 @@ def old_is_substratum(inner, outer):
     return None
 
 
+def old_compose(s1, label1, s2, label2):
+    (t1,) = [f for f, lab in s1.tree.tail_labels.items() if lab == label1]
+    (t2,) = [f for f, lab in s2.tree.tail_labels.items() if lab == label2]
+    g, fmap1, fmap2 = operads.graft_with_maps(s1.tree.graph, t1, s2.tree.graph, t2)
+    tail_labels = {fmap1[f]: lab for f, lab in s1.tree.tail_labels.items() if f != t1}
+    tail_labels.update({fmap2[f]: lab for f, lab in s2.tree.tail_labels.items() if f != t2})
+    return g, tail_labels
+
+
 def old_is_caterpillar(g):
     degree = {v: 0 for v in g.vertices}
     for e in g.edges:
@@ -262,3 +274,17 @@ def test_is_substratum_agrees_on_all_pairs_at_five_labels():
         assert witness.edges == want
         holding += witness.holds
     assert len(flat) ** 2 == 676 and holding == 26 + 10 + 15 * 3
+
+
+def test_compose_agrees_with_grafting_on_every_pair_and_site():
+    left = [s for group in enumerate_strata(["1", "2", "3", "4", "x"]).values() for s in group]
+    right = [s for group in enumerate_strata(["5", "6", "7", "y"]).values() for s in group]
+    cases = 0
+    for s1, s2 in itertools.product(left, right):
+        for label1, label2 in itertools.product(s1.tree.order, s2.tree.order):
+            got = compose_strata(s1, label1, s2, label2)
+            g, tail_labels = old_compose(s1, label1, s2, label2)
+            assert got.tree == s_tree(g, tail_labels)
+            assert old_key(got.tree.graph, got.tree.tail_labels) == old_key(g, tail_labels)
+            cases += 1
+    assert cases == 26 * 5 * 4 * 4
