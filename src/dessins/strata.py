@@ -97,10 +97,6 @@ class StableSTree:
         return frozenset(self.order)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.splits)
-
-    @property
     def graph(self) -> CombinatorialGraph:
         return self._view()[0]
 
@@ -484,16 +480,10 @@ def admissible_projection(s: Stratum, target_labels) -> Stratum:
         raise TargetTooSmall("target label set needs at least 3 labels")
     if not target.issubset(s.tree.order):
         raise LabelSetMismatch("target labels must be a subset of the stratum labels")
-    keep = [i for i, lab in enumerate(s.tree.order) if lab in target]
-    full = (1 << len(keep)) - 1
-    splits = set()
-    for m in s.tree.splits:
-        bits = sum(1 << j for j, i in enumerate(keep) if m >> i & 1)
-        if bits & 1:
-            bits ^= full
-        if 2 <= bits.bit_count() <= len(keep) - 2:
-            splits.add(bits)
-    return Stratum(StableSTree(tuple(s.tree.order[i] for i in keep), tuple(sorted(splits))))
+    order = tuple(lab for lab in s.tree.order if lab in target)
+    splits = {_mask(order, _side(s.tree.order, m)) for m in s.tree.splits}
+    kept = sorted(m for m in splits if 2 <= m.bit_count() <= len(order) - 2)
+    return Stratum(StableSTree(order, tuple(kept)))
 
 
 def project_divisor_check(parts_big, parts_small) -> bool:
