@@ -1,11 +1,17 @@
 """The commutative Hopf algebra of labelled rooted trees over exact rationals.
 
-Trees are non-planar (children unordered) and represented as canonical nested
-tuples (label, children); forests are sorted tuples of trees; algebra elements
-are sparse maps forest -> exact coefficient.  The coproduct runs over
-admissible cuts (edge sets meeting each root-to-leaf path at most once)
-together with a distinguished full cut contributing 1 (x) X_t, so counit and
-antipode satisfy the usual Hopf identities.
+Trees are non-planar (children unordered).  At the public boundary they are
+canonical nested tuples (label, children), forests are sorted tuples of trees
+and algebra elements are sparse maps forest -> exact coefficient.  Inside,
+each tree is hash-consed to an integer id and a forest is the sorted tuple of
+its ids (a "forest key").
+
+The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
+sets meeting each root-to-leaf path at most once), plus the full cut
+1 (x) X_t, so counit and antipode satisfy the usual Hopf identities.  It is
+computed by the Connes-Kreimer 1-cocycle recursion through the grafting
+operator B+ (see `_delta`), not by enumerating edge sets.  All memo tables
+live in one bounded `HopfCache`.
 
 Coefficients are Python ints or fractions.Fraction; both are exact and mix
 freely.
@@ -132,6 +138,15 @@ def format_forest(f) -> str:
 
 # --- polynomials ------------------------------------------------------------
 
+def _add(terms: dict, key, coeff):
+    """Add coeff to terms[key], dropping the key when the sum is zero."""
+    s = terms.get(key, 0) + coeff
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class ForestPolynomial:
     """Finite exact linear combination of forests (monomials in trees)."""
 
@@ -172,12 +187,8 @@ class ForestPolynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for f, c in other.terms.items():
-            s = out.get(f, 0) + c
-            if s:
-                out[f] = s
-            else:
-                out.pop(f, None)
-        return ForestPolynomial(out) if out else ForestPolynomial()
+            _add(out, f, c)
+        return ForestPolynomial(out)
 
     def __neg__(self):
         return ForestPolynomial({f: -c for f, c in self.terms.items()})
@@ -196,12 +207,7 @@ class ForestPolynomial:
         out: dict = {}
         for f1, c1 in self.terms.items():
             for f2, c2 in other.terms.items():
-                f = tuple(sorted(f1 + f2))
-                s = out.get(f, 0) + c1 * c2
-                if s:
-                    out[f] = s
-                else:
-                    out.pop(f, None)
+                _add(out, tuple(sorted(f1 + f2)), c1 * c2)
         return ForestPolynomial(out)
 
     __rmul__ = scale
@@ -238,23 +244,14 @@ class PairPolynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _add(out, k, c)
         return PairPolynomial(out)
 
     def __mul__(self, other):
         out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                k = (tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2)))
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                _add(out, (tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2))), c1 * c2)
         return PairPolynomial(out)
 
     def scale(self, scalar):
@@ -268,12 +265,128 @@ class PairPolynomial:
         return " + ".join(bits) or "0"
 
 
+# --- interned trees and the cache ----------------------------------------------
+
+class _TreeTable:
+    """Hash-consed trees: equal trees get the same integer id.
+
+    Entry i holds the root label, the sorted ids of the children (the forest
+    key of the tree minus its root) and the canonical nested tuple.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}        # (label, sorted child ids) -> id
+        self.by_tuple: dict = {}   # nested tuple -> id
+        self.label: list = []
+        self.children: list = []
+        self.tuple: list = []
+
+    def intern(self, label, child_ids: tuple) -> int:
+        """Id of the tree with this root label over children with sorted ids."""
+        key = (label, child_ids)
+        tid = self.ids.get(key)
+        if tid is None:
+            tid = self.ids[key] = len(self.tuple)
+            t = (label, tuple(sorted(self.tuple[c] for c in child_ids)))
+            self.label.append(label)
+            self.children.append(child_ids)
+            self.tuple.append(t)
+            self.by_tuple[t] = tid
+        return tid
+
+    def of(self, t) -> int:
+        """Id of a nested-tuple tree."""
+        tid = self.by_tuple.get(t)
+        if tid is None:
+            label, children = t
+            tid = self.intern(label, tuple(sorted(self.of(c) for c in children)))
+            self.by_tuple[t] = tid
+        return tid
+
+
+class HopfCache:
+    """The one memo store of this module: the tree table and every memo table.
+
+    `size` counts interned trees plus memo entries.  Each public function that
+    memoises calls `trim()` on entry, which drops the table and all memos at
+    once when `size` is above `max_entries`, so no tree id outlives its
+    table; one call may overshoot the bound by what it adds itself.  `hits`
+    and `misses` count memo lookups and `trims` counts the drops.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self.clear()
+
+    def clear(self):
+        self.hits = self.misses = self.trims = 0
+        self._drop()
+
+    def _drop(self):
+        self.entries = 0
+        self.trees = _TreeTable()
+        self.cuts: dict = {}         # nested tuple -> admissible cuts
+        self.coproduct: dict = {}    # forest key -> {(left key, right key): coeff}
+        self.antipode: dict = {}     # forest key -> {forest key: coeff}
+        self.relabel: dict = {}      # group element -> {tree id: relabelled tree id}
+        self.enumeration: dict = {}  # (kind, labels, vertices) -> list of trees or forests
+
+    @property
+    def size(self) -> int:
+        return self.entries + len(self.trees.tuple)
+
+    def trim(self):
+        if self.size > self.max_entries:
+            self.trims += 1
+            self._drop()
+
+    def get(self, memo: dict, key):
+        value = memo.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, memo: dict, key, value):
+        memo[key] = value
+        self.entries += 1
+        return value
+
+    def stats(self) -> dict:
+        return {"size": self.size, "max_entries": self.max_entries,
+                "hits": self.hits, "misses": self.misses, "trims": self.trims}
+
+
+# Checking every Hopf identity on the trees with <= 6 vertices over 3 labels
+# (as `dessins hopf --verify --max-vertices 6` does) fills about 26,000
+# entries; the hopf-identities benchmark workload fills about 56,000, 49 MiB
+# at about 0.9 KiB each.  So the bound keeps the cache under about 200 MiB.
+CACHE = HopfCache(max_entries=200_000)
+
+
+def clear_caches():
+    CACHE.clear()
+
+
+def _forest_key(f) -> tuple:
+    """Sorted id tuple of a forest of nested-tuple trees."""
+    of = CACHE.trees.of
+    return tuple(sorted(of(t) for t in f))
+
+
+def _forest_tuple(key) -> tuple:
+    """The nested-tuple forest of a sorted id tuple."""
+    tuples = CACHE.trees.tuple
+    return tuple(sorted(tuples[i] for i in key))
+
+
+def _join(f, g) -> tuple:
+    """Product of two forest keys."""
+    return tuple(sorted(f + g)) if f and g else f or g
+
+
 # --- admissible cuts --------------------------------------------------------
-
-FULL_CUT = "full-cut"
-
-_cuts_cache: dict = {}
-
 
 def admissible_cuts(t):
     """All edge-subset cuts of a tree, with multiplicity.
@@ -283,73 +396,97 @@ def admissible_cuts(t):
     component containing the root, `pruned` the forest of removed branches.
     The empty cut (t, empty forest) is included; the full cut is not.
     """
-    cached = _cuts_cache.get(t)
-    if cached is not None:
-        return cached
+    CACHE.trim()
+    return _cuts(t)
 
+
+def _cuts(t):
+    out = CACHE.get(CACHE.cuts, t)
+    if out is not None:
+        return out
     label, children = t
-    options_per_child = []
+    # (edges, trunk children, pruned trees) for each choice of cuts below the
+    # children seen so far; a child's edge is either cut or cut inside
+    combos = [(frozenset(), (), ())]
     for i, c in enumerate(children):
-        opts = [(frozenset(((i,),)), None, (c,))]  # cut the edge to child i
-        for edges, trunk_c, pruned_c in admissible_cuts(c):
-            shifted = frozenset((i,) + p for p in edges)
-            opts.append((shifted, trunk_c, pruned_c))
-        options_per_child.append(opts)
-
-    out = []
-
-    def combine(i, edges, trunks, pruned):
-        if i == len(children):
-            out.append((edges, (label, tuple(sorted(trunks))), tuple(sorted(pruned))))
-            return
-        for e, trunk_c, pruned_c in options_per_child[i]:
-            combine(i + 1, edges | e, trunks + (() if trunk_c is None else (trunk_c,)),
-                    pruned + pruned_c)
-
-    combine(0, frozenset(), (), ())
-    out = tuple(out)
-    _cuts_cache[t] = out
-    return out
+        opts = [(frozenset(((i,),)), None, (c,))]
+        opts += [(frozenset([(i,) + p for p in edges]), trunk, pruned)
+                 for edges, trunk, pruned in _cuts(c)]
+        combos = [(e0 | e, tr0 if tr is None else tr0 + (tr,), pr0 + pr)
+                  for e0, tr0, pr0 in combos for e, tr, pr in opts]
+    out = tuple((edges, (label, tuple(sorted(trunks))), tuple(sorted(pruned)))
+                for edges, trunks, pruned in combos)
+    return CACHE.put(CACHE.cuts, t, out)
 
 
-_coproduct_tree_cache: dict = {}
-_coproduct_forest_cache: dict = {}
+# --- coproduct, counit and antipode on forest keys ---------------------------
+
+def _delta(f) -> dict:
+    """Coproduct of the forest key f as {(left key, right key): coefficient}.
+
+    A tree B_j(F) with root label j over the forest F of its children follows
+    the 1-cocycle recursion Delta(B_j(F)) = (B_j (x) id) Delta(F) + 1 (x) B_j(F):
+    the left factors are the trunks and the right ones the pruned forests of
+    its admissible cuts.  A forest's coproduct is the product of its trees'.
+    """
+    out = CACHE.get(CACHE.coproduct, f)
+    if out is not None:
+        return out
+    if len(f) == 1:
+        table = CACHE.trees
+        tid = f[0]
+        label = table.label[tid]
+        # B_j is injective, so distinct left forests give distinct keys
+        out = {((table.intern(label, a),), b): c
+               for (a, b), c in _delta(table.children[tid]).items()}
+        out[((), f)] = 1
+    else:
+        out = {((), ()): 1}
+        for tid in f:
+            factor = _delta((tid,))
+            product: dict = {}
+            for (a1, b1), c1 in out.items():
+                for (a2, b2), c2 in factor.items():
+                    k = (_join(a1, a2), _join(b1, b2))
+                    product[k] = product.get(k, 0) + c1 * c2
+            out = product
+    return CACHE.put(CACHE.coproduct, f, out)
 
 
-def _coproduct_tree(t) -> PairPolynomial:
-    cached = _coproduct_tree_cache.get(t)
-    if cached is not None:
-        return cached
-    terms: dict = {}
-    for _, trunk, pruned in admissible_cuts(t):
-        k = ((trunk,), pruned)
-        terms[k] = terms.get(k, 0) + 1
-    full = (EMPTY_FOREST, (t,))
-    terms[full] = terms.get(full, 0) + 1
-    out = PairPolynomial(terms)
-    _coproduct_tree_cache[t] = out
-    return out
+def _antipode(f) -> dict:
+    """Antipode of the forest key f as {forest key: coefficient}.
 
-
-def _coproduct_forest(f) -> PairPolynomial:
-    if not f:
-        return PairPolynomial.of(EMPTY_FOREST, EMPTY_FOREST)
-    cached = _coproduct_forest_cache.get(f)
-    if cached is not None:
-        return cached
-    out = _coproduct_tree(f[0])
-    for t in f[1:]:
-        out = out * _coproduct_tree(t)
-    _coproduct_forest_cache[f] = out
-    return out
+    S(X_t) = -X_t - sum over nonempty cuts of S(X_trunk) X_pruned, read off
+    the coproduct; S is multiplicative on forests.
+    """
+    out = CACHE.get(CACHE.antipode, f)
+    if out is not None:
+        return out
+    if len(f) == 1:
+        out = {f: -1}
+        for (a, b), c in _delta(f).items():
+            if a and b:
+                for g, s in _antipode(a).items():
+                    _add(out, _join(g, b), -c * s)
+    else:
+        out = {(): 1}
+        for tid in f:
+            product: dict = {}
+            for g1, s1 in out.items():
+                for g2, s2 in _antipode((tid,)).items():
+                    _add(product, _join(g1, g2), s1 * s2)
+            out = product
+    return CACHE.put(CACHE.antipode, f, out)
 
 
 def coproduct(x: ForestPolynomial) -> PairPolynomial:
     """Cut coproduct, an algebra morphism to the pair algebra."""
-    out = PairPolynomial()
+    CACHE.trim()
+    out: dict = {}
     for f, c in x.terms.items():
-        out = out + _coproduct_forest(f).scale(c)
-    return out
+        for (a, b), c2 in _delta(_forest_key(f)).items():
+            _add(out, (_forest_tuple(a), _forest_tuple(b)), c * c2)
+    return PairPolynomial(out)
 
 
 def counit(x: ForestPolynomial):
@@ -357,97 +494,65 @@ def counit(x: ForestPolynomial):
     return x.terms.get(EMPTY_FOREST, 0)
 
 
-_antipode_tree_cache: dict = {}
-
-
-def _antipode_tree(t) -> ForestPolynomial:
-    cached = _antipode_tree_cache.get(t)
-    if cached is not None:
-        return cached
-    # S(X_t) = -X_t - sum over nonempty cuts of S(X_trunk) * X_pruned
-    acc = ForestPolynomial({(t,): -1})
-    for edges, trunk, pruned in admissible_cuts(t):
-        if not edges:
-            continue
-        acc = acc - _antipode_tree(trunk) * ForestPolynomial({pruned: 1})
-    _antipode_tree_cache[t] = acc
-    return acc
-
-
 def antipode(x: ForestPolynomial) -> ForestPolynomial:
     """Hopf antipode: S(1) = 1, multiplicative on forests, linear."""
-    out = ForestPolynomial()
+    CACHE.trim()
+    out: dict = {}
     for f, c in x.terms.items():
-        term = ForestPolynomial.one()
-        for t in f:
-            term = term * _antipode_tree(t)
-        out = out + term.scale(c)
-    return out
-
-
-def clear_caches():
-    _cuts_cache.clear()
-    _coproduct_tree_cache.clear()
-    _coproduct_forest_cache.clear()
-    _antipode_tree_cache.clear()
+        for g, s in _antipode(_forest_key(f)).items():
+            _add(out, _forest_tuple(g), c * s)
+    return ForestPolynomial(out)
 
 
 # --- Hopf identity checks (used by tests and the command line) --------------
 
 def coassociativity_holds(t) -> bool:
     """(coproduct (x) id) coproduct == (id (x) coproduct) coproduct on X_t."""
-    delta = _coproduct_tree(t)
+    CACHE.trim()
     left: dict = {}
     right: dict = {}
-    for (a, b), c in delta.terms.items():
-        for (a1, a2), c2 in _coproduct_forest(a).terms.items():
+    for (a, b), c in _delta((CACHE.trees.of(t),)).items():
+        for (a1, a2), c2 in _delta(a).items():
             k = (a1, a2, b)
-            s = left.get(k, 0) + c * c2
-            if s:
-                left[k] = s
-            else:
-                left.pop(k, None)
-        for (b1, b2), c2 in _coproduct_forest(b).terms.items():
+            left[k] = left.get(k, 0) + c * c2
+        for (b1, b2), c2 in _delta(b).items():
             k = (a, b1, b2)
-            s = right.get(k, 0) + c * c2
-            if s:
-                right[k] = s
-            else:
-                right.pop(k, None)
+            right[k] = right.get(k, 0) + c * c2
     return left == right
 
 
 def counit_axioms_hold(t) -> bool:
-    x = ForestPolynomial.generator(t)
-    delta = coproduct(x)
-    left = ForestPolynomial()
-    right = ForestPolynomial()
-    for (a, b), c in delta.terms.items():
-        if a == EMPTY_FOREST:
-            left = left + ForestPolynomial({b: c})
-        if b == EMPTY_FOREST:
-            right = right + ForestPolynomial({a: c})
-    return left == x and right == x
+    """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t."""
+    CACHE.trim()
+    f = (CACHE.trees.of(t),)
+    delta = _delta(f)
+    left = {b: c for (a, b), c in delta.items() if not a}
+    right = {a: c for (a, b), c in delta.items() if not b}
+    return left == right == {f: 1}
 
 
 def antipode_identity_holds(t) -> bool:
     """m(S (x) id) coproduct == unit . counit == m(id (x) S) coproduct on X_t."""
-    x = ForestPolynomial.generator(t)
-    delta = coproduct(x)
-    left = ForestPolynomial()
-    right = ForestPolynomial()
-    for (a, b), c in delta.terms.items():
-        left = left + (antipode(ForestPolynomial({a: 1})) * ForestPolynomial({b: 1})).scale(c)
-        right = right + (ForestPolynomial({a: 1}) * antipode(ForestPolynomial({b: 1}))).scale(c)
-    target = ForestPolynomial.one().scale(counit(x))
-    return left == target and right == target
+    CACHE.trim()
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in _delta((CACHE.trees.of(t),)).items():
+        for g, s in _antipode(a).items():
+            _add(left, _join(g, b), c * s)
+        for g, s in _antipode(b).items():
+            _add(right, _join(a, g), c * s)
+    return not left and not right      # the counit of a tree is 0
 
 
 # --- relabelling and the group action ----------------------------------------
 
 def relabel_tree(t, fn):
     label, children = t
-    return (fn(label), tuple(sorted(relabel_tree(c, fn) for c in children)))
+    if not children:
+        return (fn(label), ())
+    if len(children) == 1:
+        return (fn(label), (relabel_tree(children[0], fn),))
+    return (fn(label), tuple(sorted([relabel_tree(c, fn) for c in children])))
 
 
 def relabel(x: ForestPolynomial, fn) -> ForestPolynomial:
@@ -468,26 +573,43 @@ def g_act(gamma, x):
     return relabel(x, gamma.on_label)
 
 
+def _relabel(tid: int, memo: dict, fn) -> int:
+    """Id of the tree relabelled by fn; memo holds the ids relabelled so far."""
+    out = CACHE.get(memo, tid)
+    if out is None:
+        table = CACHE.trees
+        children = tuple(sorted(_relabel(c, memo, fn) for c in table.children[tid]))
+        out = CACHE.put(memo, tid, table.intern(fn(table.label[tid]), children))
+    return out
+
+
 def balanced_cuts(t, group):
     """Admissible cuts whose trunk/pruned pair stays an admissible cut of the
     relabelled tree for every group element.
 
-    For label-only actions this is all of admissible_cuts(t)."""
-    cuts = admissible_cuts(t)
-    out = []
-    for edges, trunk, pruned in cuts:
-        ok = True
-        for a in group.elements:
-            gamma = group.element(a)
-            gt = relabel_tree(t, gamma.on_label)
-            pair = (relabel_tree(trunk, gamma.on_label),
-                    tuple(sorted(relabel_tree(p, gamma.on_label) for p in pruned)))
-            if pair not in {(tr, pr) for _, tr, pr in admissible_cuts(gt)}:
-                ok = False
-                break
-        if ok:
-            out.append((edges, trunk, pruned))
-    return out
+    Per element, the tree is relabelled once and its cut pairs are the keys of
+    the relabelled tree's coproduct.  For label-only actions this is all of
+    admissible_cuts(t)."""
+    CACHE.trim()
+    of = CACHE.trees.of
+    cuts = _cuts(t)
+    pairs = [(of(trunk), _forest_key(pruned)) for _, trunk, pruned in cuts]
+    keep = [True] * len(cuts)
+    tid = of(t)
+    for a in group.elements:
+        gamma = group.element(a)
+        memo = CACHE.get(CACHE.relabel, gamma)
+        if memo is None:
+            memo = CACHE.put(CACHE.relabel, gamma, {})
+
+        def act(u):
+            return _relabel(u, memo, gamma.on_label)
+
+        cut_pairs = _delta((act(tid),))
+        for i, (trunk, pruned) in enumerate(pairs):
+            if keep[i]:
+                keep[i] = ((act(trunk),), tuple(sorted(map(act, pruned)))) in cut_pairs
+    return [cut for cut, ok in zip(cuts, keep) if ok]
 
 
 # --- grafting of rooted trees ------------------------------------------------
@@ -633,8 +755,8 @@ def _reachable_by_grafts(start, target) -> bool:
 
 def trees_with_n_nodes(labels, n: int) -> list:
     """All canonical labelled rooted trees with exactly n vertices."""
-    labels = tuple(labels)
-    return _trees_cached(labels, n)
+    CACHE.trim()
+    return _trees_cached(tuple(labels), n)
 
 
 def enumerate_trees(labels, max_nodes: int) -> list:
@@ -644,47 +766,35 @@ def enumerate_trees(labels, max_nodes: int) -> list:
     return out
 
 
-_trees_cache: dict = {}
-_forest_lists_cache: dict = {}
-
-
 def _trees_cached(labels, n):
-    key = (labels, n)
-    if key in _trees_cache:
-        return _trees_cache[key]
-    if n < 1:
-        out = []
-    else:
-        out = [(lab, f) for lab in labels for f in _forest_lists(labels, n - 1)]
-    _trees_cache[key] = out
+    key = ("trees", labels, n)
+    out = CACHE.get(CACHE.enumeration, key)
+    if out is None:
+        out = [(lab, f) for lab in labels for f in _forest_lists(labels, n - 1)] if n >= 1 else []
+        CACHE.put(CACHE.enumeration, key, out)
     return out
 
 
 def _forest_lists(labels, total):
     """All canonical forests (sorted tuples of trees) with `total` vertices."""
-    key = (labels, total)
-    if key in _forest_lists_cache:
-        return _forest_lists_cache[key]
-    if total == 0:
-        out = [()]
-    else:
-        out = []
-        # choose the minimal tree of the forest first, never exceeding the rest
-        def build(remaining, min_tree):
-            if remaining == 0:
-                yield ()
-                return
-            for size in range(1, remaining + 1):
-                for t in _trees_cached(labels, size):
-                    if min_tree is not None and t < min_tree:
-                        continue
-                    for rest in build(remaining - size, t):
-                        yield (t,) + rest
+    key = ("forests", labels, total)
+    out = CACHE.get(CACHE.enumeration, key)
+    if out is not None:
+        return out
 
-        out = [tuple(f) for f in build(total, None)]
-        out = [f for f in out]
-    _forest_lists_cache[key] = out
-    return out
+    # choose the minimal tree of the forest first, never exceeding the rest
+    def build(remaining, min_tree):
+        if remaining == 0:
+            yield ()
+            return
+        for size in range(1, remaining + 1):
+            for t in _trees_cached(labels, size):
+                if min_tree is not None and t < min_tree:
+                    continue
+                for rest in build(remaining - size, t):
+                    yield (t,) + rest
+
+    return CACHE.put(CACHE.enumeration, key, list(build(total, None)))
 
 
 # --- serialization -------------------------------------------------------------

@@ -283,3 +283,37 @@ def test_polynomial_json_round_trip():
         ForestPolynomial.one().scale(2)
     y = polynomial_from_json(polynomial_to_json(x))
     assert x == y
+
+
+def test_one_bounded_cache_and_no_module_dicts():
+    assert not [name for name, v in vars(hopf).items()
+                if isinstance(v, (dict, list, set)) and not name.startswith("__")]
+    assert isinstance(hopf.CACHE, hopf.HopfCache) and hopf.CACHE.max_entries > 0
+
+
+def test_cache_reports_size_hits_and_misses():
+    hopf.clear_caches()
+    assert hopf.CACHE.stats() == {"size": 0, "max_entries": hopf.CACHE.max_entries,
+                                  "hits": 0, "misses": 0, "trims": 0}
+    x = ForestPolynomial.generator(chain(0, 1, 2))
+    first = coproduct(x)
+    stats = hopf.CACHE.stats()
+    assert stats["size"] > 0 and stats["misses"] > 0
+    assert coproduct(x) == first
+    assert hopf.CACHE.stats()["hits"] > stats["hits"]
+    assert hopf.CACHE.stats()["misses"] == stats["misses"]
+
+
+def test_cache_bound_drops_entries_between_calls(monkeypatch):
+    hopf.clear_caches()
+    monkeypatch.setattr(hopf.CACHE, "max_entries", 40)
+    trees = enumerate_trees((0, 1), 4)
+    for t in trees:
+        assert coassociativity_holds(t) and antipode_identity_holds(t)
+        assert hopf.CACHE.size <= 40 + 60      # one call adds fewer than 60 here
+    assert hopf.CACHE.stats()["trims"] > 0
+    monkeypatch.undo()
+    hopf.clear_caches()
+    for t in trees:
+        assert coassociativity_holds(t) and antipode_identity_holds(t)
+    assert hopf.CACHE.stats()["trims"] == 0
