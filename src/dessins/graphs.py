@@ -12,6 +12,7 @@ outputs are deterministic across runs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -302,19 +303,18 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     verts1 = list(g1.vertices)
     vmap: dict[str, str] = {}
     used: set[str] = set()
+    # edge multiplicity of each endpoint pair (sorted; loops are (v, v))
+    pairs1 = Counter(g1.edge_endpoints(e) for e in g1.edges)
+    pairs2 = Counter(g2.edge_endpoints(e) for e in g2.edges)
 
     def vertex_ok(v, w):
         if sig1[v] != sig2[w]:
             return False
         # edge counts towards already-assigned vertices must agree
         for u, x in vmap.items():
-            n1 = sum(1 for e in g1.edges if g1.edge_endpoints(e) == tuple(sorted((v, u))))
-            n2 = sum(1 for e in g2.edges if g2.edge_endpoints(e) == tuple(sorted((w, x))))
-            if n1 != n2:
+            if pairs1[(v, u) if v < u else (u, v)] != pairs2[(w, x) if w < x else (x, w)]:
                 return False
-        loops1 = sum(1 for e in g1.edges if g1.edge_endpoints(e) == (v, v))
-        loops2 = sum(1 for e in g2.edges if g2.edge_endpoints(e) == (w, w))
-        return loops1 == loops2
+        return pairs1[(v, v)] == pairs2[(w, w)]
 
     def assign(i):
         if i == len(verts1):

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from dessins import graphs
+from dessins import graphs, strata
 from dessins.graphs import (
     BoundaryNotTotal,
     DanglingFlagReference,
@@ -229,3 +230,71 @@ def test_json_round_trip():
     g = two_vertex_tree()
     g2 = graph_from_json(graph_to_json(g))
     assert g == g2
+
+
+def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
+    """Test-local copy of the search that recounted edges per candidate."""
+    if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
+            or g1.n_edges != g2.n_edges):
+        return None
+    sig1 = {v: graphs._vertex_signature(g1, v, labels1) for v in g1.vertices}
+    sig2 = {v: graphs._vertex_signature(g2, v, labels2) for v in g2.vertices}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+    verts1 = list(g1.vertices)
+    vmap, used = {}, set()
+
+    def vertex_ok(v, w):
+        if sig1[v] != sig2[w]:
+            return False
+        for u, x in vmap.items():
+            n1 = sum(1 for e in g1.edges if g1.edge_endpoints(e) == tuple(sorted((v, u))))
+            n2 = sum(1 for e in g2.edges if g2.edge_endpoints(e) == tuple(sorted((w, x))))
+            if n1 != n2:
+                return False
+        loops1 = sum(1 for e in g1.edges if g1.edge_endpoints(e) == (v, v))
+        loops2 = sum(1 for e in g2.edges if g2.edge_endpoints(e) == (w, w))
+        return loops1 == loops2
+
+    def assign(i):
+        if i == len(verts1):
+            return graphs._match_flags(g1, g2, vmap, labels1, labels2)
+        v = verts1[i]
+        for w in g2.vertices:
+            if w in used or not vertex_ok(v, w):
+                continue
+            vmap[v] = w
+            used.add(w)
+            witness = assign(i + 1)
+            if witness is not None:
+                return witness
+            del vmap[v]
+            used.remove(w)
+        return None
+
+    return assign(0)
+
+
+def _renamed(g, labels, rng):
+    """A copy of g with vertex and flag names shuffled, and its tail labels."""
+    vnames = dict(zip(g.vertices, rng.sample(range(len(g.vertices)), len(g.vertices))))
+    fnames = dict(zip(g.flags, rng.sample(range(len(g.flags)), len(g.flags))))
+    v = {old: f"w{i}" for old, i in vnames.items()}
+    f = {old: f"g{i}" for old, i in fnames.items()}
+    h = validate(f.values(), v.values(), {f[x]: v[g.boundary[x]] for x in g.flags},
+                 {f[x]: f[g.involution[x]] for x in g.flags})
+    return h, {f[x]: lab for x, lab in labels.items()}
+
+
+def test_find_isomorphism_keeps_its_witness_on_renamed_strata():
+    rng = random.Random(6)
+    all_strata = [s for group in strata.enumerate_strata([1, 2, 3, 4, 5, 6]).values()
+                  for s in group]
+    assert len(all_strata) == 236
+    for s in all_strata:
+        g, labels = s.tree.graph, s.tree.tail_labels
+        h, h_labels = _renamed(g, labels, rng)
+        for args in ((g, h, labels, h_labels), (g, h), (h, g)):
+            witness = find_isomorphism(*args)
+            assert witness is not None and is_valid_iso(*args[:2], witness, *args[2:])
+            assert witness == reference_find_isomorphism(*args)
