@@ -312,22 +312,25 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class GaloisGroup:
-    """A subgroup of (Z/m)* acting on Z/m labels and on Q(zeta_m) values."""
+    """A subgroup of (Z/m)* acting on Z/m labels and on Q(zeta_m) values.
+
+    Elements are residues in range(m), so for m = 1 the group is (0,).
+    """
 
     m: int
     elements: tuple[int, ...]
 
     @staticmethod
     def full(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, tuple(a for a in range(1, m + 1) if gcd(a, m) == 1))
+        return GaloisGroup(m, tuple(a % m for a in range(1, m + 1) if gcd(a, m) == 1))
 
     @staticmethod
     def generated(m: int, generators) -> "GaloisGroup":
         for a in generators:
             if gcd(a, m) != 1:
                 raise NotCoprime(f"{a} is not invertible modulo {m}")
-        elems = {1}
-        frontier = [1]
+        elems = {1 % m}
+        frontier = [1 % m]
         while frontier:
             x = frontier.pop()
             for g in generators:
@@ -339,10 +342,10 @@ class GaloisGroup:
 
     @staticmethod
     def trivial(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, (1,))
+        return GaloisGroup(m, (1 % m,))
 
     def __post_init__(self):
-        if 1 not in self.elements:
+        if 1 % self.m not in self.elements:
             raise ValueError("group must contain 1")
         elems = set(self.elements)
         for a in elems:

@@ -128,6 +128,16 @@ def test_generated_subgroup():
     assert set(g.fixed_labels()) == {0, 3, 6, 9}
 
 
+@pytest.mark.parametrize("build", [GaloisGroup.full, GaloisGroup.trivial,
+                                   lambda m: GaloisGroup.generated(m, [1])],
+                         ids=["full", "trivial", "generated"])
+def test_group_modulo_one_is_the_one_element_group(build):
+    g = build(1)
+    assert g.elements == (0,)
+    assert g.element(1).on_label(0) == 0
+    assert g.fixed_labels() == (0,)
+
+
 def test_unknown_group_element():
     g = GaloisGroup.generated(12, [5])
     with pytest.raises(UnknownGroupElement):
