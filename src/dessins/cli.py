@@ -27,6 +27,10 @@ EXIT_VERIFICATION = 2
 # need about 4 GiB.
 MAX_STRATA_LABELS = 9
 
+# `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
+# 2 s; 7 vertices would mean 73,845 trees.
+MAX_HOPF_VERTICES = 6
+
 
 def _labels(n):
     return [str(i) for i in range(1, n + 1)]
@@ -113,6 +117,10 @@ def cmd_strata(args) -> int:
 # --- hopf --------------------------------------------------------------------
 
 def cmd_hopf(args) -> int:
+    if not (1 <= args.max_vertices <= MAX_HOPF_VERTICES):
+        print(f"error: --max-vertices must be between 1 and {MAX_HOPF_VERTICES}, "
+              f"got {args.max_vertices}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.verify:
         rng = random.Random(args.seed)
         labels = tuple(range(3))
@@ -133,6 +141,9 @@ def cmd_hopf(args) -> int:
             for a, b in zip(sample[::2], sample[1::2]))
         print(f"coproduct is an algebra morphism on sampled products: "
               f"{'ok' if morphism_ok else 'FAIL'}")
+        stats = hopf.CACHE.stats()
+        print(f"cache: {stats['size']} entries (bound {stats['max_entries']}), "
+              f"{stats['hits']} hits, {stats['misses']} misses, {stats['trims']} trims")
         if bad or bad_anti or bad_counit or not morphism_ok:
             return EXIT_VERIFICATION
         return EXIT_OK
@@ -340,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hopf.add_argument("--antipode", action="store_true")
     p_hopf.add_argument("--counit", action="store_true")
     p_hopf.add_argument("--verify", action="store_true", help="run the identity suites")
-    p_hopf.add_argument("--max-vertices", type=int, default=5)
+    p_hopf.add_argument("--max-vertices", type=int, default=5,
+                        help=f"largest tree checked by --verify (1..{MAX_HOPF_VERTICES})")
     p_hopf.add_argument("--seed", type=int, default=0)
 
     p_qsm = sub.add_parser("qsm", help="representation, partition data, Gibbs states")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dessins import strata
+from dessins import hopf, strata
 from dessins.cli import main
 
 
@@ -74,6 +74,18 @@ def test_hopf_parse_error(capsys):
 
 def test_hopf_verify_exit_zero():
     assert run_cli("hopf", "--verify", "--max-vertices", "4") == 0
+
+
+@pytest.mark.parametrize("value", ["0", "7"])
+def test_hopf_max_vertices_out_of_range_exits_before_enumerating(capsys, monkeypatch, value):
+    def refuse(*args):
+        raise AssertionError("enumerated trees for a refused --max-vertices")
+
+    monkeypatch.setattr(hopf, "enumerate_trees", refuse)
+    assert run_cli("hopf", "--verify", "--max-vertices", value) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --max-vertices must be between 1 and 6")
+    assert captured.out == ""
 
 
 def test_qsm_build(capsys):
