@@ -372,15 +372,5 @@ def graft_magma(t1: OrientedBinaryTree, t2: OrientedBinaryTree, leaf_label) -> O
     return OrientedBinaryTree(g, orientation, fmap2[t2.root_flag], tuple(leaf_order))
 
 
-def enumeration_to_json(items) -> list[str]:
-    """Words or oriented trees as a list of parenthesized word texts."""
-    out = []
-    for item in items:
-        if isinstance(item, OrientedBinaryTree):
-            item = tree_to_word(item)
-        out.append(word_to_text(item))
-    return out
-
-
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)

@@ -69,10 +69,6 @@ def compose_words(w1, w2, alphabet=None) -> tuple:
     return tuple(w1) + tuple(w2)
 
 
-def word_length(word) -> int:
-    return len(word)
-
-
 def chain_graft(word, tree):
     """Graft a chain of word labels above the root of a tree.
 
