@@ -756,14 +756,13 @@ def _reachable_by_grafts(start, target) -> bool:
 def trees_with_n_nodes(labels, n: int) -> list:
     """All canonical labelled rooted trees with exactly n vertices."""
     CACHE.trim()
-    return _trees_cached(tuple(labels), n)
+    return list(_trees_cached(tuple(labels), n))
 
 
 def enumerate_trees(labels, max_nodes: int) -> list:
-    out = []
-    for n in range(1, max_nodes + 1):
-        out.extend(trees_with_n_nodes(labels, n))
-    return out
+    CACHE.trim()
+    labels = tuple(labels)
+    return [t for n in range(1, max_nodes + 1) for t in _trees_cached(labels, n)]
 
 
 def _trees_cached(labels, n):
