@@ -322,7 +322,7 @@ class GaloisGroup:
 
     @staticmethod
     def full(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, tuple(a % m for a in range(1, m + 1) if gcd(a, m) == 1))
+        return GaloisGroup(m, tuple(a for a in range(m) if gcd(a, m) == 1))
 
     @staticmethod
     def generated(m: int, generators) -> "GaloisGroup":
