@@ -286,8 +286,9 @@ class _TreeTable:
         key = (label, child_ids)
         tid = self.ids.get(key)
         if tid is None:
-            tid = self.ids[key] = len(self.tuple)
+            # sort before taking an id: unorderable labels raise here
             t = (label, tuple(sorted(self.tuple[c] for c in child_ids)))
+            tid = self.ids[key] = len(self.tuple)
             self.label.append(label)
             self.children.append(child_ids)
             self.tuple.append(t)

@@ -317,3 +317,16 @@ def test_cache_bound_drops_entries_between_calls(monkeypatch):
     for t in trees:
         assert coassociativity_holds(t) and antipode_identity_holds(t)
     assert hopf.CACHE.stats()["trims"] == 0
+
+
+def test_unsortable_children_raise_every_time():
+    # an int and a str label among siblings cannot be put in canonical order;
+    # the failed attempt must not leave a half-made entry behind
+    bad = ForestPolynomial({((0, ((1, ()), ("b", ()))),): 1})
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            coproduct(bad)
+    assert coproduct(ForestPolynomial.generator(chain(0, 1))) == (
+        PairPolynomial.of((chain(0, 1),), EMPTY_FOREST)
+        + PairPolynomial.of(EMPTY_FOREST, (chain(0, 1),))
+        + PairPolynomial.of((leaf(0),), (leaf(1),)))
