@@ -589,7 +589,8 @@ def balanced_cuts(t, group):
     relabelled tree for every group element.
 
     Per element, the tree is relabelled once and its cut pairs are the keys of
-    the relabelled tree's coproduct.  For label-only actions this is all of
+    the relabelled tree's coproduct; elements must be hashable, since they
+    key the relabelling memo.  For label-only actions this is all of
     admissible_cuts(t)."""
     CACHE.trim()
     of = CACHE.trees.of
