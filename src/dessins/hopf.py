@@ -359,11 +359,12 @@ class HopfCache:
                 "hits": self.hits, "misses": self.misses, "trims": self.trims}
 
 
-# Checking every Hopf identity on the trees with <= 6 vertices over 3 labels
-# (as `dessins hopf --verify --max-vertices 6` does) fills about 26,000
-# entries; the hopf-identities benchmark workload fills about 56,000, 49 MiB
-# at about 0.9 KiB each.  So the bound keeps the cache under about 200 MiB.
-CACHE = HopfCache(max_entries=200_000)
+# `dessins hopf --verify --max-vertices 6` fills about 26,000 entries and the
+# hopf-identities benchmark workload about 56,000 (49 MiB: coproducts and
+# antipodes take about 0.9 KiB an entry).  Cut lists are heavier, about
+# 3.4 KiB each for trees with 4 or 5 vertices, so the bound keeps the cache
+# under about 350 MiB.
+CACHE = HopfCache(max_entries=100_000)
 
 
 def clear_caches():
