@@ -2,9 +2,12 @@
 acting on labels and on values, and multiplicative characters on labelled
 rooted trees that intertwine the two actions.
 
-Elements of Q(zeta_m) are coefficient vectors over the power basis
-1, zeta, ..., zeta^(d-1) reduced modulo the m-th cyclotomic polynomial, with
-Fraction coefficients throughout.
+Elements of Q(zeta_m) are integer coordinate vectors over the power basis
+1, zeta, ..., zeta^(d-1), reduced modulo the m-th cyclotomic polynomial, with
+one positive denominator.  Phi_m is monic, so every power of zeta has integer
+coordinates; one table of them serves products and the Galois action, and
+inverses are taken through the norm.  Fractions appear only at the boundary:
+rational operands, `repr` and JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from dessins import hopf
 from dessins.hopf import ForestPolynomial, label_sum, relabel_tree, tree_nodes
@@ -70,51 +73,99 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_tables(m: int):
-    """Power basis data: zeta^e as a coefficient vector for e = 0..m-1."""
+def _powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_m^e in integer power-basis coordinates for e = 0..m-1."""
     phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    # x^d = -(phi[0] + phi[1] x + ... + phi[d-1] x^(d-1)), phi monic
-    top = tuple(Fraction(-phi[i]) for i in range(d))
+    cur = [1] + [0] * (len(phi) - 2)
     powers = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
     for _ in range(m):
         powers.append(tuple(cur))
-        # multiply by x
-        carry = cur[d - 1]
-        cur = [Fraction(0)] + cur[: d - 1]
+        # multiply by x; x^d = -(phi[0] + ... + phi[d-1] x^(d-1)), phi monic
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
         if carry:
-            cur = [c + carry * t for c, t in zip(cur, top)]
-    return d, tuple(powers)
+            cur = [c - carry * p for c, p in zip(cur, phi)]
+    return tuple(powers)
+
+
+def _fold(m: int, terms) -> list[int]:
+    """Integer coordinates of the sum of c * zeta^e over (e, c) pairs."""
+    powers = _powers(m)
+    out = [0] * len(powers[0])
+    for e, c in terms:
+        if c:
+            for k, v in enumerate(powers[e % m]):
+                if v:
+                    out[k] += c * v
+    return out
+
+
+def _mul(m: int, a, b) -> list[int]:
+    """Product of two integer coordinate vectors, reduced modulo Phi_m."""
+    conv = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return _fold(m, enumerate(conv))
+
+
+def _act(m: int, a: int, vec) -> list[int]:
+    """sigma_a on integer coordinates: zeta^e goes to zeta^(a*e)."""
+    return _fold(m, ((a * e, c) for e, c in enumerate(vec)))
+
+
+def _reduced(m: int, num, den: int) -> "CyclotomicNumber":
+    """num/den with a positive denominator and the common gcd divided out."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = gcd(*num, den)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return CyclotomicNumber(m, tuple(num), den)
 
 
 @dataclass(frozen=True)
 class CyclotomicNumber:
-    """Exact element of the m-th cyclotomic field."""
+    """Exact element of the m-th cyclotomic field: the integer power-basis
+    coordinates `num` over one positive denominator `den`, in lowest terms,
+    so equal values have equal fields.  Build values with the constructors
+    below, `zeta` and the ring operations."""
 
     m: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        d, _ = _reduction_tables(self.m)
-        if len(self.coeffs) != d:
-            raise CyclotomicError(f"expected {d} coefficients for conductor {self.m}")
+    num: tuple[int, ...]
+    den: int = 1
 
     # -- constructors
     @staticmethod
     def zero(m: int) -> "CyclotomicNumber":
-        d, _ = _reduction_tables(m)
-        return CyclotomicNumber(m, (Fraction(0),) * d)
+        return CyclotomicNumber.from_rational(m, 0)
 
     @staticmethod
     def from_rational(m: int, q) -> "CyclotomicNumber":
-        d, _ = _reduction_tables(m)
-        return CyclotomicNumber(m, (Fraction(q),) + (Fraction(0),) * (d - 1))
+        q = Fraction(q)
+        d = len(_powers(m)[0])
+        return CyclotomicNumber(m, (q.numerator,) + (0,) * (d - 1), q.denominator)
+
+    @staticmethod
+    def from_coeffs(m: int, coeffs) -> "CyclotomicNumber":
+        """The element with the given rational power-basis coordinates."""
+        coeffs = [Fraction(c) for c in coeffs]
+        d = len(_powers(m)[0])
+        if len(coeffs) != d:
+            raise CyclotomicError(f"expected {d} coefficients for conductor {m}")
+        den = lcm(*(c.denominator for c in coeffs))
+        return _reduced(m, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @staticmethod
     def one(m: int) -> "CyclotomicNumber":
         return CyclotomicNumber.from_rational(m, 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coordinates."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- ring operations
     def _check(self, other):
@@ -125,82 +176,58 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             other = CyclotomicNumber.from_rational(self.m, other)
         self._check(other)
-        return CyclotomicNumber(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _reduced(self.m, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.m, tuple(-a for a in self.coeffs))
+        return CyclotomicNumber(self.m, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.m, other)
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return CyclotomicNumber.from_rational(self.m, other) - self
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, CyclotomicNumber):
-            return CyclotomicNumber(self.m, tuple(a * Fraction(other) for a in self.coeffs))
+            q = Fraction(other)
+            return _reduced(self.m, [a * q.numerator for a in self.num],
+                            self.den * q.denominator)
         self._check(other)
-        d, powers = _reduction_tables(self.m)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        out = list(conv[:d])
-        for e in range(d, 2 * d - 1):
-            if conv[e]:
-                vec = _power_vector(self.m, e)
-                out = [c + conv[e] * v for c, v in zip(out, vec)]
-        return CyclotomicNumber(self.m, tuple(out))
+        return _reduced(self.m, _mul(self.m, self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/x = (product of the other Galois conjugates of x) / N(x), where the
+        norm N(x), the product of all phi(m) conjugates, is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = list(self.coeffs)
-        # extended Euclid in Q[x]: s*a + t*phi = gcd = nonzero rational
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) < 0:
-            raise DivisionByZero("element is a zero divisor (should not happen: phi irreducible)")
-        const = r1[0]
-        inv = [c / const for c in s1]
-        d, _ = _reduction_tables(self.m)
-        out = [Fraction(0)] * d
-        for e, c in enumerate(inv):
-            if c:
-                vec = _power_vector(self.m, e)
-                out = [x + c * v for x, v in zip(out, vec)]
-        return CyclotomicNumber(self.m, tuple(out))
+        m = self.m
+        rest = _powers(m)[0]
+        for a in range(2, m):
+            if gcd(a, m) == 1:
+                rest = _mul(m, rest, _act(m, a, self.num))
+        # (num/den)^-1 = den * rest / N(num), and N(num) = (num * rest)[0]
+        return _reduced(m, [c * self.den for c in rest], _mul(m, self.num, rest)[0])
 
     def __truediv__(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            return CyclotomicNumber(self.m, tuple(a / Fraction(other) for a in self.coeffs))
-        return self * other.inverse()
+        if isinstance(other, CyclotomicNumber):
+            return self * other.inverse()
+        q = Fraction(other)
+        if not q:
+            raise DivisionByZero("division by zero")
+        return self * (1 / q)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num)
 
     def __complex__(self):
         return complex_embed(self)
 
     def __repr__(self):
-        d = len(self.coeffs)
         bits = []
         for e, c in enumerate(self.coeffs):
             if c == 0:
@@ -215,62 +242,9 @@ class CyclotomicNumber:
         return f"Cyc({self.m}; {body})"
 
 
-def _power_vector(m, e):
-    d, powers = _reduction_tables(m)
-    if e < m:
-        return powers[e]
-    return powers[e % m]
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _degree(p):
-    p = _trim(p)
-    return len(p) - 1
-
-
-def _poly_divmod_frac(num, den):
-    num, den = _trim(num), _trim(den)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    r = list(num)
-    while _degree(r) >= _degree(den) and _degree(r) >= 0:
-        shift = _degree(r) - _degree(den)
-        coeff = r[_degree(r)] / den[-1]
-        q[shift] += coeff
-        for j, dcoef in enumerate(den):
-            r[shift + j] -= coeff * dcoef
-        r = _trim(r) + [Fraction(0)] * 0
-        if not r:
-            break
-    return q, _trim(r)
-
-
-def _poly_mul(a, b):
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     """zeta_m^k as an exact cyclotomic number."""
-    return CyclotomicNumber(m, _power_vector(m, k % m))
+    return CyclotomicNumber(m, _powers(m)[k % m])
 
 
 def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
@@ -278,19 +252,13 @@ def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
     m = z.m
     if gcd(a, m) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {m}")
-    d, _ = _reduction_tables(m)
-    out = [Fraction(0)] * d
-    for e, c in enumerate(z.coeffs):
-        if c:
-            vec = _power_vector(m, (a * e) % m)
-            out = [x + c * v for x, v in zip(out, vec)]
-    return CyclotomicNumber(m, tuple(out))
+    return _reduced(m, _act(m, a, z.num), z.den)
 
 
 def complex_embed(z: CyclotomicNumber) -> complex:
     """Evaluate at zeta_m = exp(2 pi i / m) in double precision."""
-    return sum(float(c) * cmath.exp(2j * cmath.pi * e / z.m)
-               for e, c in enumerate(z.coeffs))
+    return sum(c / z.den * cmath.exp(2j * cmath.pi * e / z.m)
+               for e, c in enumerate(z.num))
 
 
 # --- the residue Galois group --------------------------------------------------
@@ -484,7 +452,7 @@ def character_from_json(obj) -> object:
         return ExponentSumCharacter(int(obj["m"]), int(obj.get("D", 1)))
     m = int(obj["m"])
     table = tuple(
-        (hopf.parse_tree(text), CyclotomicNumber(m, tuple(Fraction(c) for c in coeffs)))
+        (hopf.parse_tree(text), CyclotomicNumber.from_coeffs(m, coeffs))
         for text, coeffs in obj["table"].items()
     )
     return TableCharacter(m, table)
