@@ -573,18 +573,6 @@ def _level_phase_sum(system: QsmSystem) -> CyclotomicNumber:
     return acc
 
 
-def gibbs_numerator_exact(system: QsmSystem, tree, beta: int,
-                          max_length: int | None = None) -> CyclotomicNumber:
-    """Truncated numerator sum_w phi(X_(w*t)) lambda(w)^(-beta), exactly."""
-    scale = _n_pow_minus_beta(system.N, beta)
-    acc = CyclotomicNumber.zero(system.m)
-    words = words_upto(system.fixed_labels,
-                       system.max_length if max_length is None else max_length)
-    for w in words:
-        acc = acc + system.char.on_tree(chain_graft(w, tree)) * (scale ** len(w))
-    return acc
-
-
 def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
     """Closed form: phi(X_t) * (1/Z) * 1/(1 - q) with q the level ratio
     (sum of zeta^j over fixed labels) / (D N^beta); exact for integer beta."""

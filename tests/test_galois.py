@@ -62,6 +62,8 @@ def test_ring_ops_and_division():
     assert (a - a).is_zero()
     with pytest.raises(DivisionByZero):
         CyclotomicNumber.zero(5).inverse()
+    with pytest.raises(DivisionByZero):
+        a / 0
 
 
 def test_inverse_on_basis():
