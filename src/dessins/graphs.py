@@ -276,11 +276,19 @@ def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
     return True
 
 
-def _vertex_signature(g: CombinatorialGraph, v: str, labels):
-    tails = [f for f in g.flags_at(v) if g.involution[f] == f]
+def _flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
+    """Each vertex's flags in flag order, as `flags_at` gives them."""
+    at: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for f in g.flags:
+        at[g.boundary[f]].append(f)
+    return at
+
+
+def _vertex_signature(g: CombinatorialGraph, flags, labels):
+    tails = [f for f in flags if g.involution[f] == f]
     tail_sig = tuple(sorted(str(labels[f]) for f in tails)) if labels is not None \
         else len(tails)
-    return (g.multiplicity(v), tail_sig)
+    return (len(flags), tail_sig)
 
 
 def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
@@ -295,8 +303,9 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    sig1 = {v: _vertex_signature(g1, v, labels1) for v in g1.vertices}
-    sig2 = {v: _vertex_signature(g2, v, labels2) for v in g2.vertices}
+    at1, at2 = _flags_by_vertex(g1), _flags_by_vertex(g2)
+    sig1 = {v: _vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
+    sig2 = {v: _vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
 
@@ -318,7 +327,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 
     def assign(i):
         if i == len(verts1):
-            return _match_flags(g1, g2, vmap, labels1, labels2)
+            return _match_flags(g1, g2, vmap, labels1, labels2, at1, at2)
         v = verts1[i]
         for w in g2.vertices:
             if w in used or not vertex_ok(v, w):
@@ -335,13 +344,14 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     return assign(0)
 
 
-def _match_flags(g1, g2, vmap, labels1, labels2):
-    """Extend a vertex bijection to a flag bijection, or fail."""
+def _match_flags(g1, g2, vmap, labels1, labels2, at1, at2):
+    """Extend a vertex bijection to a flag bijection, or fail; `at1` and
+    `at2` are the graphs' `_flags_by_vertex` indexes."""
     fwd: dict[str, str] = {}
     # tails vertex by vertex, paired in sorted (or label) order
     for v in g1.vertices:
-        t1 = [f for f in g1.flags_at(v) if g1.involution[f] == f]
-        t2 = [f for f in g2.flags_at(vmap[v]) if g2.involution[f] == f]
+        t1 = [f for f in at1[v] if g1.involution[f] == f]
+        t2 = [f for f in at2[vmap[v]] if g2.involution[f] == f]
         if len(t1) != len(t2):
             return None
         if labels1 is not None:

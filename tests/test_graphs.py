@@ -237,8 +237,9 @@ def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    sig1 = {v: graphs._vertex_signature(g1, v, labels1) for v in g1.vertices}
-    sig2 = {v: graphs._vertex_signature(g2, v, labels2) for v in g2.vertices}
+    at1, at2 = graphs._flags_by_vertex(g1), graphs._flags_by_vertex(g2)
+    sig1 = {v: graphs._vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
+    sig2 = {v: graphs._vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     verts1 = list(g1.vertices)
@@ -258,7 +259,7 @@ def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
 
     def assign(i):
         if i == len(verts1):
-            return graphs._match_flags(g1, g2, vmap, labels1, labels2)
+            return graphs._match_flags(g1, g2, vmap, labels1, labels2, at1, at2)
         v = verts1[i]
         for w in g2.vertices:
             if w in used or not vertex_ok(v, w):
