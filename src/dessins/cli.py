@@ -9,7 +9,6 @@ Gibbs values, full verification).  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -58,6 +57,11 @@ def _write(path, text):
         Path(path).write_text(text)
 
 
+def _write_rows(path, rows):
+    """Comma-joined rows, one a line."""
+    _write(path, "".join(",".join(str(x) for x in row) + "\n" for row in rows))
+
+
 # --- strata ------------------------------------------------------------------
 
 def cmd_strata(args) -> int:
@@ -71,9 +75,8 @@ def cmd_strata(args) -> int:
     if args.counts or not (args.dot or args.json or args.poset or args.csv or args.clean):
         print(", ".join(f"codim {c}: {len(group)}" for c, group in grouped.items()))
     if args.csv:
-        rows = [("codim", "count")] + [(c, len(group)) for c, group in grouped.items()]
-        text = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-        _write(args.csv, text)
+        _write_rows(args.csv, [("codim", "count")]
+                    + [(c, len(group)) for c, group in grouped.items()])
     if args.json:
         payload = [strata.stratum_to_json(s) for s in flat]
         _write(args.json, json.dumps(payload, indent=2) + "\n")
@@ -224,8 +227,7 @@ def cmd_qsm(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_VALIDATION
             rows.append((beta_val, z_text, "", "", tail))
-        text = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-        _write(args.out, text)
+        _write_rows(args.out, rows)
         return EXIT_OK
 
     if args.qsm_command == "gibbs":
@@ -251,8 +253,7 @@ def cmd_qsm(args) -> int:
                 return EXIT_VALIDATION
             rows.append((beta_val, repr(float(z.value)), repr(val.real), repr(val.imag),
                          repr(float(tail.tail_bound))))
-        text = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-        _write(args.out, text)
+        _write_rows(args.out, rows)
         return EXIT_OK
 
     if args.qsm_command == "verify":
