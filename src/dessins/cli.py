@@ -58,7 +58,6 @@ def _write(path, text):
 
 
 def _write_rows(path, rows):
-    """Comma-joined rows, one a line."""
     _write(path, "".join(",".join(str(x) for x in row) + "\n" for row in rows))
 
 
@@ -75,8 +74,7 @@ def cmd_strata(args) -> int:
     if args.counts or not (args.dot or args.json or args.poset or args.csv or args.clean):
         print(", ".join(f"codim {c}: {len(group)}" for c, group in grouped.items()))
     if args.csv:
-        _write_rows(args.csv, [("codim", "count")]
-                    + [(c, len(group)) for c, group in grouped.items()])
+        _write_rows(args.csv, [("codim", "count"), *((c, len(g)) for c, g in grouped.items())])
     if args.json:
         payload = [strata.stratum_to_json(s) for s in flat]
         _write(args.json, json.dumps(payload, indent=2) + "\n")

@@ -2,12 +2,10 @@
 acting on labels and on values, and multiplicative characters on labelled
 rooted trees that intertwine the two actions.
 
-Elements of Q(zeta_m) are integer coordinate vectors over the power basis
-1, zeta, ..., zeta^(d-1), reduced modulo the m-th cyclotomic polynomial, with
-one positive denominator.  Phi_m is monic, so every power of zeta has integer
-coordinates; one table of them serves products and the Galois action, and
-inverses are taken through the norm.  Fractions appear only at the boundary:
-rational operands, `repr` and JSON.
+Elements of Q(zeta_m) are integer vectors over the power basis 1, zeta, ...,
+zeta^(d-1) with one positive denominator.  Phi_m is monic, so one integer
+table of the powers of zeta serves products and the Galois action; inverses
+go through the norm.  Fractions appear only for rational operands, repr and JSON.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m == 1:
-        return (-1, 1)
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1        # x^m - 1
     for d in range(1, m):
@@ -80,11 +76,8 @@ def _powers(m: int) -> tuple[tuple[int, ...], ...]:
     powers = []
     for _ in range(m):
         powers.append(tuple(cur))
-        # multiply by x; x^d = -(phi[0] + ... + phi[d-1] x^(d-1)), phi monic
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            cur = [c - carry * p for c, p in zip(cur, phi)]
+        # times zeta; phi is monic, so zeta^d = -(phi[0] + ... + phi[d-1] zeta^(d-1))
+        cur = [c - cur[-1] * p for c, p in zip([0] + cur[:-1], phi)]
     return tuple(powers)
 
 
@@ -118,20 +111,15 @@ def _act(m: int, a: int, vec) -> list[int]:
 
 def _reduced(m: int, num, den: int) -> "CyclotomicNumber":
     """num/den with a positive denominator and the common gcd divided out."""
-    if den < 0:
-        num, den = [-c for c in num], -den
-    g = gcd(*num, den)
-    if g != 1:
-        num, den = [c // g for c in num], den // g
-    return CyclotomicNumber(m, tuple(num), den)
+    g = gcd(*num, den) if den > 0 else -gcd(*num, den)
+    return CyclotomicNumber(m, tuple(c // g for c in num), den // g)
 
 
 @dataclass(frozen=True)
 class CyclotomicNumber:
-    """Exact element of the m-th cyclotomic field: the integer power-basis
-    coordinates `num` over one positive denominator `den`, in lowest terms,
-    so equal values have equal fields.  Build values with the constructors
-    below, `zeta` and the ring operations."""
+    """Exact element of the m-th cyclotomic field: integer power-basis
+    coordinates `num` over a positive denominator `den` in lowest terms, so
+    equal values have equal fields.  Build values with the constructors or zeta."""
 
     m: int
     num: tuple[int, ...]
@@ -156,7 +144,7 @@ class CyclotomicNumber:
         if len(coeffs) != d:
             raise CyclotomicError(f"expected {d} coefficients for conductor {m}")
         den = lcm(*(c.denominator for c in coeffs))
-        return _reduced(m, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        return _reduced(m, [int(c * den) for c in coeffs], den)
 
     @staticmethod
     def one(m: int) -> "CyclotomicNumber":

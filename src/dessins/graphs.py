@@ -345,8 +345,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 
 
 def _match_flags(g1, g2, vmap, labels1, labels2, at1, at2):
-    """Extend a vertex bijection to a flag bijection, or fail; `at1` and
-    `at2` are the graphs' `_flags_by_vertex` indexes."""
+    """Extend a vertex bijection to a flag bijection, or fail."""
     fwd: dict[str, str] = {}
     # tails vertex by vertex, paired in sorted (or label) order
     for v in g1.vertices:
