@@ -2,10 +2,9 @@
 acting on labels and on values, and multiplicative characters on labelled
 rooted trees that intertwine the two actions.
 
-Elements of Q(zeta_m) are integer vectors over the power basis 1, zeta, ...,
-zeta^(d-1) with one positive denominator.  Phi_m is monic, so one integer
-table of the powers of zeta serves products and the Galois action; inverses
-go through the norm.  Fractions appear only for rational operands, repr and JSON.
+Elements of Q(zeta_m) are integer power-basis vectors over one positive
+denominator; Phi_m is monic, so one integer table of the powers of zeta serves
+products and the Galois action, and inverses go through the norm.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ def _mul(m: int, a, b) -> list[int]:
     return _fold(m, enumerate(conv))
 
 
-def _act(m: int, a: int, vec) -> list[int]:
-    """sigma_a on integer coordinates: zeta^e goes to zeta^(a*e)."""
-    return _fold(m, ((a * e, c) for e, c in enumerate(vec)))
-
-
 def _reduced(m: int, num, den: int) -> "CyclotomicNumber":
     """num/den with a positive denominator and the common gcd divided out."""
     g = gcd(*num, den) if den > 0 else -gcd(*num, den)
@@ -197,7 +191,7 @@ class CyclotomicNumber:
         rest = _powers(m)[0]
         for a in range(2, m):
             if gcd(a, m) == 1:
-                rest = _mul(m, rest, _act(m, a, self.num))
+                rest = _mul(m, rest, galois_act_value(a, self).num)
         # (num/den)^-1 = den * rest / N(num), and N(num) = (num * rest)[0]
         return _reduced(m, [c * self.den for c in rest], _mul(m, self.num, rest)[0])
 
@@ -240,7 +234,7 @@ def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
     m = z.m
     if gcd(a, m) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {m}")
-    return _reduced(m, _act(m, a, z.num), z.den)
+    return _reduced(m, _fold(m, ((a * e, c) for e, c in enumerate(z.num))), z.den)
 
 
 def complex_embed(z: CyclotomicNumber) -> complex:

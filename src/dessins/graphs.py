@@ -55,9 +55,6 @@ class CombinatorialGraph:
     def flags_at(self, v: str) -> tuple[str, ...]:
         return tuple(f for f in self.flags if self.boundary[f] == v)
 
-    def multiplicity(self, v: str) -> int:
-        return sum(1 for f in self.flags if self.boundary[f] == v)
-
     def edge_endpoints(self, edge) -> tuple[str, ...]:
         return tuple(sorted(self.boundary[f] for f in edge))
 
@@ -178,6 +175,14 @@ def _union_find_components(g: CombinatorialGraph):
     return components, cyclic
 
 
+def _flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
+    """Each vertex's flags in flag order, as `flags_at` gives them."""
+    at: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for f in g.flags:
+        at[g.boundary[f]].append(f)
+    return at
+
+
 def structure_report(g: CombinatorialGraph) -> StructureReport:
     """Connectivity, treeness, stability and multiplicities of a validated graph.
 
@@ -186,7 +191,7 @@ def structure_report(g: CombinatorialGraph) -> StructureReport:
     bound at least three flags and every component to be a tree.
     """
     components, cyclic = _union_find_components(g)
-    mult = {v: g.multiplicity(v) for v in g.vertices}
+    mult = {v: len(flags) for v, flags in _flags_by_vertex(g).items()}
     is_tree = not cyclic
     is_stable = is_tree and all(m >= 3 for m in mult.values())
     is_corolla = len(g.vertices) == 1 and not g.edges
@@ -276,14 +281,6 @@ def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
     return True
 
 
-def _flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
-    """Each vertex's flags in flag order, as `flags_at` gives them."""
-    at: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for f in g.flags:
-        at[g.boundary[f]].append(f)
-    return at
-
-
 def _vertex_signature(g: CombinatorialGraph, flags, labels):
     tails = [f for f in flags if g.involution[f] == f]
     tail_sig = tuple(sorted(str(labels[f]) for f in tails)) if labels is not None \
@@ -364,15 +361,12 @@ def _match_flags(g1, g2, vmap, labels1, labels2, at1, at2):
         fwd.update(pairing)
 
     # edges: group by endpoint pair, rely on backtracking only for parallels
-    def edge_key(g, e):
-        return g.edge_endpoints(e)
-
     buckets1: dict[tuple, list] = {}
     for e in g1.edges:
-        buckets1.setdefault(edge_key(g1, e), []).append(sorted(e))
+        buckets1.setdefault(g1.edge_endpoints(e), []).append(sorted(e))
     buckets2: dict[tuple, list] = {}
     for e in g2.edges:
-        buckets2.setdefault(edge_key(g2, e), []).append(sorted(e))
+        buckets2.setdefault(g2.edge_endpoints(e), []).append(sorted(e))
 
     for key1, group1 in sorted(buckets1.items()):
         u, w = key1
