@@ -44,5 +44,6 @@ print(f"balance at gamma=5: phi(gamma . t) == gamma . phi(t): {lhs == rhs}")
 
 sample = [leaf(j) for j in range(12)] + [t, node(6, leaf(0), leaf(3))]
 report = validate_character(phi, group, sample)
-print(f"validate: balanced={report.balanced}, bounded={report.bounded}, "
-      f"max modulus={report.max_modulus}")
+for check in report.checks:
+    print(f"validate: {check.name}: {'ok' if check.passed else 'FAIL'} "
+          f"on {check.cases} cases" + (f"; {check.detail}" if check.detail else ""))

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
-from dessins import galois, hopf, qsm, strata
+from dessins import hopf, qsm, strata
 
 
 EXIT_OK = 0
@@ -29,6 +28,20 @@ MAX_STRATA_LABELS = 9
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
 # 2 s; 7 vertices would mean 73,845 trees.
 MAX_HOPF_VERTICES = 6
+
+# Times below are on the same 2-vCPU x86-64 machine.
+# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 6 s, the
+# slowest conductor up to 100; m = 127 takes 14 s and m = 181 takes 36 s.
+# Building the group alone multiplies every pair of units: 5.9 s at m = 20,000.
+MAX_QSM_CONDUCTOR = 100
+
+# `qsm verify --lmax 8` takes 0.9 s at m = 12 and 5.2 s at m = 94; --lmax 9
+# takes 1.9 s and 14 s at those conductors, and --lmax 10 takes 6 s at m = 12.
+MAX_QSM_WINDOW = 8
+
+# `qsm partition --trunc 2000` sums the five default integer betas exactly in
+# about 0.8 s; --trunc 5000 takes 4.6 s and 10,000 takes 23 s.
+MAX_QSM_TRUNC = 2000
 
 
 def _labels(n):
@@ -61,12 +74,28 @@ def _write_rows(path, rows):
     _write(path, "".join(",".join(str(x) for x in row) + "\n" for row in rows))
 
 
+def _in_range(flag, value, lo, hi) -> bool:
+    if lo <= value <= hi:
+        return True
+    print(f"error: {flag} must be between {lo} and {hi}, got {value}", file=sys.stderr)
+    return False
+
+
+def _print_report(report) -> int:
+    """One line per check; exit 2 when any check failed."""
+    for c in report.checks:
+        line = f"{c.name}: {'ok' if c.passed else 'FAIL'} (cases {c.cases}, {c.seconds:.3f} s)"
+        print(line + (f"; {c.detail}" if c.detail else ""))
+    if report.ok:
+        return EXIT_OK
+    print(f"{len(report.failed())} of {len(report.checks)} checks failed", file=sys.stderr)
+    return EXIT_VERIFICATION
+
+
 # --- strata ------------------------------------------------------------------
 
 def cmd_strata(args) -> int:
-    if not (3 <= args.n <= MAX_STRATA_LABELS):
-        print(f"error: --n must be between 3 and {MAX_STRATA_LABELS}, got {args.n}",
-              file=sys.stderr)
+    if not _in_range("--n", args.n, 3, MAX_STRATA_LABELS):
         return EXIT_VALIDATION
     grouped = strata.enumerate_strata(_labels(args.n))
     flat = [s for group in grouped.values() for s in group]
@@ -118,45 +147,19 @@ def cmd_strata(args) -> int:
 # --- hopf --------------------------------------------------------------------
 
 def cmd_hopf(args) -> int:
-    if not (1 <= args.max_vertices <= MAX_HOPF_VERTICES):
-        print(f"error: --max-vertices must be between 1 and {MAX_HOPF_VERTICES}, "
-              f"got {args.max_vertices}", file=sys.stderr)
+    if not _in_range("--max-vertices", args.max_vertices, 1, MAX_HOPF_VERTICES):
         return EXIT_VALIDATION
     if args.verify:
-        rng = random.Random(args.seed)
-        labels = tuple(range(3))
-        trees = hopf.enumerate_trees(labels, args.max_vertices)
-        bad = [t for t in trees if not hopf.coassociativity_holds(t)]
-        print(f"coassociativity on {len(trees)} trees (<= {args.max_vertices} vertices): "
-              f"{'ok' if not bad else 'FAIL'}")
-        anti_max = min(args.max_vertices, 5)
-        anti_trees = hopf.enumerate_trees(labels, anti_max)
-        bad_anti = [t for t in anti_trees if not hopf.antipode_identity_holds(t)]
-        print(f"antipode convolution on {len(anti_trees)} trees (<= {anti_max} vertices): "
-              f"{'ok' if not bad_anti else 'FAIL'}")
-        bad_counit = [t for t in trees if not hopf.counit_axioms_hold(t)]
-        print(f"counit axioms: {'ok' if not bad_counit else 'FAIL'}")
-        sample = [hopf.ForestPolynomial.generator(rng.choice(trees)) for _ in range(6)]
-        morphism_ok = all(
-            hopf.coproduct(a * b) == hopf.coproduct(a) * hopf.coproduct(b)
-            for a, b in zip(sample[::2], sample[1::2]))
-        print(f"coproduct is an algebra morphism on sampled products: "
-              f"{'ok' if morphism_ok else 'FAIL'}")
+        status = _print_report(hopf.verify_identities(args.max_vertices, args.seed))
         stats = hopf.CACHE.stats()
         print(f"cache: {stats['size']} entries (bound {stats['max_entries']}), "
               f"{stats['hits']} hits, {stats['misses']} misses, {stats['trims']} trims")
-        if bad or bad_anti or bad_counit or not morphism_ok:
-            return EXIT_VERIFICATION
-        return EXIT_OK
+        return status
 
     if not args.tree:
         print("error: provide --tree or --verify", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        t = hopf.parse_tree(args.tree)
-    except hopf.TreeSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    t = hopf.parse_tree(args.tree)
     x = hopf.ForestPolynomial.generator(t)
     did_something = False
     if args.coproduct:
@@ -178,20 +181,15 @@ def cmd_hopf(args) -> int:
 
 # --- qsm ---------------------------------------------------------------------
 
-def _system_from_args(args) -> qsm.QsmSystem:
+def cmd_qsm(args) -> int:
+    if not (_in_range("--m", args.m, 1, MAX_QSM_CONDUCTOR)
+            and _in_range("--lmax", args.lmax, 1, MAX_QSM_WINDOW)
+            and _in_range("--trunc", args.trunc, 0, MAX_QSM_TRUNC)):
+        return EXIT_VALIDATION
     system = qsm.QsmSystem(m=args.m, N=args.N, D=args.D, max_length=args.lmax)
-    if args.k not in ("auto", None) and int(args.k) != system.k:
+    if args.k != "auto" and int(args.k) != system.k:
         raise ValueError(
             f"--k {args.k} disagrees with the {system.k} fixed labels of (Z/{args.m})*")
-    return system
-
-
-def cmd_qsm(args) -> int:
-    try:
-        system = _system_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     if args.qsm_command == "build":
         rep = system.rep
@@ -202,126 +200,37 @@ def cmd_qsm(args) -> int:
         return EXIT_OK
 
     if args.qsm_command == "partition":
-        try:
-            betas = _parse_betas(args.beta)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         rows = [("beta", "Z", "phi_beta_real", "phi_beta_imag", "tail_bound")]
-        for beta_val in betas:
-            try:
-                if args.exact and isinstance(beta_val, int):
-                    closed = qsm.partition_function(beta_val, system.k, system.N,
-                                                    args.model, "closed")
-                    z_text = str(closed.value)
-                    tail = "0"
-                else:
-                    trunc = qsm.partition_function(beta_val, system.k, system.N,
-                                                   args.model, "truncated",
-                                                   max_length=args.trunc)
-                    z_text = repr(float(trunc.value))
-                    tail = repr(float(trunc.tail_bound))
-            except qsm.Divergent as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+        for beta_val in _parse_betas(args.beta):
+            if args.exact and isinstance(beta_val, int):
+                closed = qsm.partition_function(beta_val, system.k, system.N,
+                                                args.model, "closed")
+                z_text = str(closed.value)
+                tail = "0"
+            else:
+                trunc = qsm.partition_function(beta_val, system.k, system.N,
+                                               args.model, "truncated",
+                                               max_length=args.trunc)
+                z_text = repr(float(trunc.value))
+                tail = repr(float(trunc.tail_bound))
             rows.append((beta_val, z_text, "", "", tail))
         _write_rows(args.out, rows)
         return EXIT_OK
 
     if args.qsm_command == "gibbs":
-        try:
-            t = hopf.parse_tree(args.tree)
-        except hopf.TreeSyntaxError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            betas = _parse_betas(args.beta)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        t = hopf.parse_tree(args.tree)
         rows = [("beta", "Z", "phi_beta_real", "phi_beta_imag", "tail_bound")]
-        for beta_val in betas:
-            try:
-                z = qsm.partition_function(beta_val, system.k, system.N, "word", "closed")
-                val = qsm.gibbs_value(system, t, beta_val, route=args.route)
-                tail = qsm.partition_function(beta_val, system.k, system.N, "word",
-                                              "truncated", max_length=system.max_length)
-            except qsm.Divergent as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+        for beta_val in _parse_betas(args.beta):
+            z = qsm.partition_function(beta_val, system.k, system.N, "word", "closed")
+            val = qsm.gibbs_value(system, t, beta_val, route=args.route)
+            tail = qsm.partition_function(beta_val, system.k, system.N, "word",
+                                          "truncated", max_length=system.max_length)
             rows.append((beta_val, repr(float(z.value)), repr(val.real), repr(val.imag),
                          repr(float(tail.tail_bound))))
         _write_rows(args.out, rows)
         return EXIT_OK
 
-    if args.qsm_command == "verify":
-        return _qsm_verify(system, args)
-
-    print(f"error: unknown qsm subcommand {args.qsm_command!r}", file=sys.stderr)
-    return EXIT_VALIDATION
-
-
-def _qsm_verify(system: qsm.QsmSystem, args) -> int:
-    rng = random.Random(args.seed)
-    failures = []
-    rep = system.rep
-
-    report = qsm.verify_crossed_relations(rep)
-    n_ok = sum(1 for c in report.checks if c.passed)
-    print(f"crossed-product relations: {n_ok}/{len(report.checks)} checks pass")
-    if not report.ok:
-        failures.extend(c.name for c in report.failed())
-
-    for w in [(a,) for a in system.fixed_labels]:
-        iso = rep.shift_adjoint(w).compose(rep.shift(w)).equal_on(rep.identity())
-        print(f"isometry S*{w} S{w} = 1: {'ok' if iso else 'FAIL'}")
-        if not iso:
-            failures.append(f"isometry {w}")
-
-    for t_val in (0.5, 1.0):
-        evo = qsm.time_evolution_report(rep, system.N, t_val, group=system.group)
-        ok = evo.max_shift_deviation <= 1e-10 and evo.diag_invariant and evo.galois_commutes
-        print(f"time evolution at t={t_val}: max deviation {evo.max_shift_deviation:.2e}, "
-              f"diagonal invariant {evo.diag_invariant}: {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"time evolution t={t_val}")
-
-    labels_pool = list(range(system.m))
-    sample_trees = [hopf.leaf(rng.choice(labels_pool)) for _ in range(2)]
-    sample_trees += [hopf.node(rng.choice(labels_pool), hopf.leaf(rng.choice(labels_pool)))
-                     for _ in range(2)]
-    sample_trees += [hopf.node(1, hopf.leaf(7)), hopf.node(6, hopf.leaf(0), hopf.leaf(3))]
-    inter = qsm.verify_intertwining(system, sample_trees, betas=(1, 2))
-    print(f"ground-state and Gibbs intertwining (exact): {'ok' if inter.ok else 'FAIL'}")
-    if not inter.ok:
-        failures.append("intertwining")
-
-    for beta_val in (1, 2):
-        gaps = []
-        for t in sample_trees[:4]:
-            closed = qsm.gibbs_value(system, t, beta_val, route="closed")
-            series = qsm.gibbs_value(system, t, beta_val, route="series")
-            trace = qsm.gibbs_value(system, t, beta_val, route="trace")
-            gaps.append(max(abs(closed - series), abs(closed - trace)))
-        worst = max(gaps)
-        print(f"gibbs three-route agreement at beta={beta_val}: max gap {worst:.2e}: "
-              f"{'ok' if worst <= 1e-10 else 'FAIL'}")
-        if worst > 1e-10:
-            failures.append(f"gibbs routes beta={beta_val}")
-
-    vanish = all(
-        qsm.ground_state(system.char, [(1, (("S", (lab,)),))]).is_zero()
-        and qsm.ground_state(system.char, [(1, (("S*", (lab,)),))]).is_zero()
-        for lab in system.fixed_labels)
-    print(f"ground state vanishes on shift monomials: {'ok' if vanish else 'FAIL'}")
-    if not vanish:
-        failures.append("ground state on shifts")
-
-    if failures:
-        print(f"{len(failures)} verification failures", file=sys.stderr)
-        return EXIT_VERIFICATION
-    print("all verifications pass")
-    return EXIT_OK
+    return _print_report(qsm.verify_system(system, args.seed))
 
 
 # --- parser ------------------------------------------------------------------
@@ -356,16 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qsm = sub.add_parser("qsm", help="representation, partition data, Gibbs states")
     p_qsm.add_argument("qsm_command", choices=["build", "partition", "gibbs", "verify"])
-    p_qsm.add_argument("--m", type=int, default=12, help="cyclotomic conductor")
+    p_qsm.add_argument("--m", type=int, default=12,
+                       help=f"cyclotomic conductor (1..{MAX_QSM_CONDUCTOR})")
     p_qsm.add_argument("--k", default="auto",
                        help="fixed-label count; must agree with the conductor")
     p_qsm.add_argument("--N", type=int, default=10, help="spectral base, lambda = N^length")
     p_qsm.add_argument("--D", type=int, default=2, help="character denominator")
-    p_qsm.add_argument("--lmax", type=int, default=6, help="word window length")
+    p_qsm.add_argument("--lmax", type=int, default=6,
+                       help=f"word window length (1..{MAX_QSM_WINDOW})")
     p_qsm.add_argument("--beta", default="1..5", help="inverse temperatures, e.g. 1..5 or 2.5")
     p_qsm.add_argument("--model", choices=["word", "paper", "vertex-edge"],
                        default="word", help="multiplicity model; paper = vertex-edge")
-    p_qsm.add_argument("--trunc", type=int, default=40, help="truncation level for sums")
+    p_qsm.add_argument("--trunc", type=int, default=40,
+                       help=f"truncation level for sums (0..{MAX_QSM_TRUNC})")
     p_qsm.add_argument("--exact", action="store_true", help="exact rational partition values")
     p_qsm.add_argument("--tree", default="j6[j0]", help="tree for gibbs values")
     p_qsm.add_argument("--route", choices=["closed", "series", "trace"], default="closed")
@@ -377,17 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"strata": cmd_strata, "hopf": cmd_hopf, "qsm": cmd_qsm}[args.command]
     try:
-        if args.command == "strata":
-            return cmd_strata(args)
-        if args.command == "hopf":
-            return cmd_hopf(args)
-        if args.command == "qsm":
-            return cmd_qsm(args)
+        return command(args)
     except (ValueError, OSError) as exc:
+        # bad trees, betas and parameters, and divergent series, end up here
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ products and the Galois action, and inverses go through the norm.
 from __future__ import annotations
 
 import cmath
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from dessins import hopf
-from dessins.hopf import ForestPolynomial, label_sum, relabel_tree, tree_nodes
+from dessins.hopf import ForestPolynomial, relabel_tree
+from dessins.report import Check, Report, check_all
 
 
 class CyclotomicError(ArithmeticError):
@@ -260,6 +262,12 @@ class GroupElement:
         return self.group.element((self.a * other.a) % self.group.m)
 
 
+def _conductor(m: int) -> int:
+    if m < 1:
+        raise ValueError(f"conductor must be >= 1, got {m}")
+    return m
+
+
 @dataclass(frozen=True)
 class GaloisGroup:
     """A subgroup of (Z/m)* acting on Z/m labels and on Q(zeta_m) values.
@@ -276,6 +284,7 @@ class GaloisGroup:
 
     @staticmethod
     def generated(m: int, generators) -> "GaloisGroup":
+        _conductor(m)
         for a in generators:
             if gcd(a, m) != 1:
                 raise NotCoprime(f"{a} is not invertible modulo {m}")
@@ -292,10 +301,10 @@ class GaloisGroup:
 
     @staticmethod
     def trivial(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, (1 % m,))
+        return GaloisGroup(m, (1 % _conductor(m),))
 
     def __post_init__(self):
-        if 1 % self.m not in self.elements:
+        if 1 % _conductor(self.m) not in self.elements:
             raise ValueError("group must contain 1")
         elems = set(self.elements)
         for a in elems:
@@ -334,10 +343,17 @@ class LabelGSet:
 
 # --- characters -----------------------------------------------------------------
 
-def _check_labels(t, m):
-    for lab in hopf.tree_labels(t):
-        if not isinstance(lab, int) or not (0 <= lab < m):
-            raise LabelOutOfRange(f"label {lab!r} is not a residue modulo {m}")
+def _label_sum_and_nodes(t, m) -> tuple[int, int]:
+    """Label sum and vertex count of a tree, in one walk that checks each label."""
+    label, children = t
+    if not isinstance(label, int) or not (0 <= label < m):
+        raise LabelOutOfRange(f"label {label!r} is not a residue modulo {m}")
+    total, nodes = label, 1
+    for c in children:
+        s, n = _label_sum_and_nodes(c, m)
+        total += s
+        nodes += n
+    return total, nodes
 
 
 @dataclass(frozen=True)
@@ -356,9 +372,11 @@ class ExponentSumCharacter:
             raise ValueError("denominator must be a positive integer")
 
     def on_tree(self, t) -> CyclotomicNumber:
-        _check_labels(t, self.m)
-        z = zeta(self.m, label_sum(t) % self.m)
-        return z * Fraction(1, self.denominator ** tree_nodes(t))
+        total, nodes = _label_sum_and_nodes(t, self.m)
+        # a power of zeta is a unit, so its integer coordinates are coprime
+        # and zeta^e / D^n is already in lowest terms
+        return CyclotomicNumber(self.m, _powers(self.m)[total % self.m],
+                                self.denominator ** nodes)
 
 
 @dataclass(frozen=True)
@@ -390,31 +408,30 @@ def char_eval(char, x) -> CyclotomicNumber:
     return acc
 
 
-@dataclass(frozen=True)
-class CharacterReport:
-    balanced: bool
-    bounded: bool
-    max_modulus: float
-    violations: tuple
+def balance_check(name: str, value_of, group: GaloisGroup, trees) -> Check:
+    """value_of(gamma . t) == gamma . value_of(t), exactly, for every group
+    element gamma and tree t: the balance of a character, and the
+    intertwining of ground and Gibbs states."""
+    def holds(case):
+        t, base, gamma = case
+        return value_of(relabel_tree(t, gamma.on_label)) == gamma.on_value(base)
+
+    cases = ((t, base, group.element(a))
+             for t in trees for base in [value_of(t)] for a in group.elements)
+    return check_all(name, cases, holds,
+                     show=lambda case: f"gamma={case[2].a} on {hopf.format_tree(case[0])}")
 
 
-def validate_character(char, group: GaloisGroup, trees) -> CharacterReport:
-    """Exact balance check over all group elements and sample trees, plus a
+def validate_character(char, group: GaloisGroup, trees) -> Report:
+    """Exact balance over all group elements and sample trees, plus a
     numerical modulus bound on generators."""
-    violations = []
-    max_mod = 0.0
-    for t in trees:
-        value = char.on_tree(t)
-        max_mod = max(max_mod, abs(complex_embed(value)))
-        for a in group.elements:
-            gamma = group.element(a)
-            left = char.on_tree(relabel_tree(t, gamma.on_label))
-            right = gamma.on_value(value)
-            if left != right:
-                violations.append((a, t))
-    balanced = not violations
-    bounded = max_mod <= 1.0 + 1e-12
-    return CharacterReport(balanced, bounded, max_mod, tuple(violations))
+    trees = list(trees)
+    balance = balance_check("balance phi(gamma.t) = gamma.phi(t)", char.on_tree, group, trees)
+    start = time.perf_counter()
+    max_mod = max((abs(complex_embed(char.on_tree(t))) for t in trees), default=0.0)
+    bound = Check("modulus bound |phi(X_t)| <= 1", max_mod <= 1.0 + 1e-12, len(trees),
+                  time.perf_counter() - start, f"max modulus {max_mod!r}")
+    return Report((balance, bound))
 
 
 def character_to_json(char) -> dict:

@@ -20,8 +20,11 @@ freely.
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction
+
+from dessins.report import Report, check_all
 
 
 class TreeSyntaxError(ValueError):
@@ -43,10 +46,6 @@ def tree_nodes(t) -> int:
     return 1 + sum(tree_nodes(c) for c in t[1])
 
 
-def tree_edges(t) -> int:
-    return tree_nodes(t) - 1
-
-
 def label_sum(t) -> int:
     return t[0] + sum(label_sum(c) for c in t[1])
 
@@ -56,11 +55,6 @@ def tree_labels(t) -> list:
     for c in t[1]:
         out.extend(tree_labels(c))
     return out
-
-
-def canonicalize(t):
-    label, children = t
-    return (label, tuple(sorted(canonicalize(c) for c in children)))
 
 
 def forest(*trees) -> tuple:
@@ -544,6 +538,27 @@ def antipode_identity_holds(t) -> bool:
         for g, s in _antipode(b).items():
             _add(right, _join(a, g), c * s)
     return not left and not right      # the counit of a tree is 0
+
+
+def verify_identities(max_vertices: int = 5, seed: int = 0) -> Report:
+    """The Hopf identities on every tree over three labels with at most
+    `max_vertices` vertices (the antipode on at most 5), and the coproduct's
+    multiplicativity on seeded sample products."""
+    labels = tuple(range(3))
+    trees = enumerate_trees(labels, max_vertices)
+    anti_max = min(max_vertices, 5)
+    rng = random.Random(seed)
+    sample = [ForestPolynomial.generator(rng.choice(trees)) for _ in range(6)]
+    return Report((
+        check_all(f"coassociativity on trees <= {max_vertices} vertices", trees,
+                  coassociativity_holds, format_tree),
+        check_all(f"antipode convolution on trees <= {anti_max} vertices",
+                  enumerate_trees(labels, anti_max), antipode_identity_holds, format_tree),
+        check_all("counit axioms", trees, counit_axioms_hold, format_tree),
+        check_all("coproduct is an algebra morphism on sampled products",
+                  zip(sample[::2], sample[1::2]),
+                  lambda ab: coproduct(ab[0] * ab[1]) == coproduct(ab[0]) * coproduct(ab[1])),
+    ))
 
 
 # --- relabelling and the group action ----------------------------------------

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,11 +29,13 @@ from dessins.galois import (
     CyclotomicNumber,
     ExponentSumCharacter,
     GaloisGroup,
+    balance_check,
     char_eval,
     complex_embed,
     zeta,
 )
 from dessins.hopf import ForestPolynomial, relabel_tree
+from dessins.report import Check, Report, check_all
 
 
 class QsmError(ValueError):
@@ -265,39 +269,28 @@ def build_rep(char: ExponentSumCharacter, max_length: int, alphabet,
 
 # --- crossed-product relation checks ---------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class RelationsReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> RelationsReport:
+def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Report:
     """Exact matrix identities for the crossed-product relations.
 
     Composition law and isometry hold on window-safe columns.  Conjugation by
     S_w^* ... S_w realizes the chain-grafting endomorphism everywhere safe;
     conjugation by S_w ... S_w^* undoes it on the range of S_w and annihilates
     the complement.  The two conjugations are checked in that range form, which
-    is the content the diagonal representation satisfies exactly.
+    is the content the diagonal representation satisfies exactly.  Each
+    relation instance is one Check, timed from the end of the one before.
     """
     if words is None:
         words = [(a,) for a in rep.alphabet]
     if trees is None:
         trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
     checks = []
+    last = time.perf_counter()
+
+    def add(name, passed):
+        nonlocal last
+        now = time.perf_counter()
+        checks.append(Check(name, passed, seconds=now - last))
+        last = now
 
     for w1 in words:
         for w2 in words:
@@ -306,14 +299,11 @@ def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Relat
             if not (lhs.safe_columns() & rhs.safe_columns()):
                 raise WindowTooSmall(
                     f"no window-safe columns for the composition law at {w1}, {w2}")
-            checks.append(CheckResult(
-                f"composition S_{w1} S_{w2} = S_{compose_words(w2, w1)}",
-                lhs.equal_on(rhs)))
+            add(f"composition S_{w1} S_{w2} = S_{compose_words(w2, w1)}", lhs.equal_on(rhs))
 
     for w in words:
         lhs = rep.shift_adjoint(w).compose(rep.shift(w))
-        checks.append(CheckResult(
-            f"isometry S*_{w} S_{w} = 1", lhs.equal_on(rep.identity())))
+        add(f"isometry S*_{w} S_{w} = 1", lhs.equal_on(rep.identity()))
 
     for w in words:
         s, s_adj = rep.shift(w), rep.shift_adjoint(w)
@@ -321,23 +311,19 @@ def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Relat
             # conjugation downward: S* pi(X_t) S = pi(X_(w*t))
             lhs = s_adj.compose(rep.diag(t)).compose(s)
             rhs = rep.diag(chain_graft(w, t))
-            checks.append(CheckResult(
-                f"endomorphism S*_{w} pi(X_{hopf.format_tree(t)}) S_{w}",
-                lhs.equal_on(rhs)))
+            add(f"endomorphism S*_{w} pi(X_{hopf.format_tree(t)}) S_{w}", lhs.equal_on(rhs))
             # conjugation upward on the range of S_w: S pi(X_(w*t)) S* = pi(X_t)
             lhs = s.compose(rep.diag(chain_graft(w, t))).compose(s_adj)
             rng = rep.range_columns(w)
-            checks.append(CheckResult(
-                f"partial inverse S_{w} pi(X_{{{w}*t}}) S*_{w} on range, t={hopf.format_tree(t)}",
-                lhs.equal_on(rep.diag(t), columns=rng)))
+            add(f"partial inverse S_{w} pi(X_{{{w}*t}}) S*_{w} on range, t={hopf.format_tree(t)}",
+                lhs.equal_on(rep.diag(t), columns=rng))
             # annihilation off the range
             off = frozenset(range(rep.dim)) - rng
             lhs2 = s.compose(rep.diag(t)).compose(s_adj)
             annihilated = all(c not in lhs2.cols for c in off - lhs2.overflow)
-            checks.append(CheckResult(
-                f"annihilation off range of S_{w}, t={hopf.format_tree(t)}", annihilated))
+            add(f"annihilation off range of S_{w}, t={hopf.format_tree(t)}", annihilated)
 
-    return RelationsReport(tuple(checks))
+    return Report(tuple(checks))
 
 
 def beta_kills_nonfactoring(word, tree) -> bool:
@@ -448,10 +434,6 @@ class MultiplicityModel:
         raise QsmError("custom models have no closed form")
 
 
-def word_model(k: int) -> MultiplicityModel:
-    return MultiplicityModel("word", k=k)
-
-
 def vertex_edge_model(k: int) -> MultiplicityModel:
     return MultiplicityModel("vertex-edge", k=k)
 
@@ -492,25 +474,22 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
         if r >= 1:
             inequality = ("k * N^-beta" if model.kind == "word" else "k^2 * N^-beta")
             raise Divergent(f"divergent series: {inequality} = {r} >= 1")
-    scale = _n_pow_minus_beta(N, beta)
     if mode == "closed":
-        r = model.ratio(N, beta)
-        first = 1 if model.kind == "word" else model.count(0)
-        value = first / (1 - r)
+        value = model.count(0) / (1 - r)
         return PartitionResult(value, 0 * value, "closed", model.kind)
     if mode != "truncated":
         raise QsmError(f"unknown mode {mode!r}")
     if max_length is None:
         raise QsmError("truncated mode needs max_length")
-    value = 0
-    for L in range(max_length + 1):
-        value += model.count(L) * scale ** L
     if model.kind == "custom":
-        tail = float("nan")
-    else:
-        r = model.ratio(N, beta)
-        first = 1 if model.kind == "word" else model.count(0)
-        tail = first * r ** (max_length + 1) / (1 - r)
+        scale = _n_pow_minus_beta(N, beta)
+        value = sum(model.count(L) * scale ** L for L in range(max_length + 1))
+        return PartitionResult(value, float("nan"), "truncated", model.kind)
+    # level L contributes count(L) N^(-beta L) = count(0) r^L; summing powers of
+    # r never turns a large integer count into a float
+    first = model.count(0)
+    value = sum(first * r ** L for L in range(max_length + 1))
+    tail = first * r ** (max_length + 1) / (1 - r)
     return PartitionResult(value, tail, "truncated", model.kind)
 
 
@@ -658,37 +637,72 @@ def ground_state(char: ExponentSumCharacter, element) -> CyclotomicNumber:
     return acc
 
 
-@dataclass(frozen=True)
-class IntertwiningReport:
-    ground_exact: bool
-    gibbs_exact: bool
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.ground_exact and self.gibbs_exact
-
-
-def verify_intertwining(system: QsmSystem, trees, betas=(1, 2)) -> IntertwiningReport:
+def verify_intertwining(system: QsmSystem, trees, betas=(1, 2)) -> Report:
     """Exact cyclotomic identities phi_inf(gamma X_t) = gamma phi_inf(X_t) and
     the same covariance for Gibbs values at integer beta."""
-    char = system.char
-    violations = []
-    for t in trees:
-        base = char.on_tree(t)
-        for a in system.group.elements:
-            gamma = system.group.element(a)
-            if char.on_tree(relabel_tree(t, gamma.on_label)) != gamma.on_value(base):
-                violations.append(("ground", a, t))
-    ground_ok = not violations
-    gibbs_ok = True
-    for t in trees:
-        for beta_val in betas:
-            base = gibbs_closed_exact(system, t, beta_val)
-            for a in system.group.elements:
-                gamma = system.group.element(a)
-                lhs = gibbs_closed_exact(system, relabel_tree(t, gamma.on_label), beta_val)
-                if lhs != gamma.on_value(base):
-                    gibbs_ok = False
-                    violations.append(("gibbs", a, t, beta_val))
-    return IntertwiningReport(ground_ok, gibbs_ok, tuple(violations))
+    trees = list(trees)
+    checks = [balance_check("ground-state intertwining", system.char.on_tree,
+                            system.group, trees)]
+    for b in betas:
+        checks.append(balance_check(f"Gibbs intertwining at beta={b}",
+                                    lambda t, b=b: gibbs_closed_exact(system, t, b),
+                                    system.group, trees))
+    return Report(tuple(checks))
+
+
+# --- the full verification suite ------------------------------------------------------
+
+def verify_system(system: QsmSystem, seed: int = 0) -> Report:
+    """Every identity of the system on its window: crossed-product relations,
+    time evolution, ground-state and Gibbs intertwining, agreement of the three
+    Gibbs routes, and the vanishing of the ground state on shifts."""
+    betas = (1, 2)
+    system.check_convergence(min(betas))
+    rng = random.Random(seed)
+    rep = system.rep
+    m = system.m
+
+    relations = verify_crossed_relations(rep)
+    checks = [Check("crossed-product relations", relations.ok, len(relations.checks),
+                    sum(c.seconds for c in relations.checks),
+                    "; ".join(c.name for c in relations.failed()))]
+
+    for t_val in (0.5, 1.0):
+        start = time.perf_counter()
+        evo = time_evolution_report(rep, system.N, t_val, group=system.group)
+        checks.append(Check(
+            f"time evolution at t={t_val}",
+            evo.max_shift_deviation <= 1e-10 and evo.diag_invariant and evo.galois_commutes,
+            1, time.perf_counter() - start,
+            f"max deviation {evo.max_shift_deviation:.2e}, diagonal invariant "
+            f"{evo.diag_invariant}, Galois commutes {evo.galois_commutes}"))
+
+    trees = [hopf.leaf(rng.randrange(m)) for _ in range(2)]
+    trees += [hopf.node(rng.randrange(m), hopf.leaf(rng.randrange(m))) for _ in range(2)]
+    trees += [hopf.node(1 % m, hopf.leaf(7 % m)), hopf.node(6 % m, hopf.leaf(0), hopf.leaf(3 % m))]
+    checks.extend(verify_intertwining(system, trees, betas).checks)
+
+    # The series and trace routes stop at the window, so they miss the closed
+    # form's levels beyond it: phi(X_t) q^(L+1) / ((1 - q) Z), q the level ratio.
+    phase = abs(complex_embed(_level_phase_sum(system))) / system.D
+    for beta_val in betas:
+        start = time.perf_counter()
+        q = phase / system.N ** beta_val
+        z = float(partition_function(beta_val, system.k, system.N).value)
+        excess = []
+        for t in trees[:4]:
+            closed = gibbs_value(system, t, beta_val, route="closed")
+            series = gibbs_value(system, t, beta_val, route="series")
+            trace = gibbs_value(system, t, beta_val, route="trace")
+            tail = (abs(complex_embed(system.char.on_tree(t)))
+                    * q ** (system.max_length + 1) / (1 - q) / z)
+            excess.append(max(abs(closed - series), abs(closed - trace)) - tail)
+        checks.append(Check(f"Gibbs three-route agreement at beta={beta_val}",
+                            max(excess) <= 1e-10, len(excess), time.perf_counter() - start,
+                            f"max gap beyond the window's tail {max(excess):.2e}"))
+
+    shifts = [(kind, lab) for lab in system.fixed_labels for kind in ("S", "S*")]
+    checks.append(check_all(
+        "ground state vanishes on shift monomials", shifts,
+        lambda shift: ground_state(system.char, [(1, ((shift[0], (shift[1],)),))]).is_zero()))
+    return Report(tuple(checks))

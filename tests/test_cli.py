@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dessins import hopf, strata
+from dessins import hopf, qsm, strata
 from dessins.cli import main
 
 
@@ -72,8 +72,22 @@ def test_hopf_parse_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_hopf_verify_exit_zero():
+def test_hopf_verify_exit_zero(capsys):
     assert run_cli("hopf", "--verify", "--max-vertices", "4") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(": ok (cases " in line for line in lines[:4])
+    assert lines[-1].startswith("cache: ")
+
+
+def test_hopf_verify_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(hopf, "counit_axioms_hold", lambda t: False)
+    assert run_cli("hopf", "--verify", "--max-vertices", "3") == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert any(line.startswith("counit axioms: FAIL (cases ") for line in lines)
+    assert lines[-1].startswith("cache: ")
+    assert "1 of 4 checks failed" in captured.err
 
 
 @pytest.mark.parametrize("value", ["0", "7"])
@@ -134,8 +148,53 @@ def test_qsm_gibbs(tmp_path):
     assert val == pytest.approx((-0.25) / z, abs=1e-12)
 
 
-def test_qsm_verify_exit_zero():
+def test_qsm_verify_exit_zero(capsys):
     assert run_cli("qsm", "verify") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(qsm.verify_system(qsm.QsmSystem()).checks)
+    assert all(": ok (cases " in line for line in lines)
+
+
+def test_qsm_verify_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(qsm, "ground_state", lambda char, element: qsm.CyclotomicNumber.one(12))
+    assert run_cli("qsm", "verify") == 2
+    captured = capsys.readouterr()
+    assert "ground state vanishes on shift monomials: FAIL (cases 4" in captured.out
+    assert "1 of 9 checks failed" in captured.err
+
+
+def test_qsm_verify_divergent_prints_no_partial_report(capsys):
+    assert run_cli("qsm", "verify", "--N", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value,bound", [
+    ("--m", "0", "between 1 and 100"),
+    ("--m", "101", "between 1 and 100"),
+    ("--lmax", "0", "between 1 and 8"),
+    ("--lmax", "9", "between 1 and 8"),
+    ("--trunc", "-1", "between 0 and 2000"),
+    ("--trunc", "2001", "between 0 and 2000"),
+])
+def test_qsm_bounds_exit_before_any_work(monkeypatch, capsys, flag, value, bound):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a system for a refused input")
+
+    monkeypatch.setattr(qsm, "QsmSystem", refuse)
+    assert run_cli("qsm", "partition", flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be {bound}, got {value}\n"
+    assert captured.out == ""
+
+
+def test_qsm_partition_float_beta_at_high_truncation(capsys):
+    assert run_cli("qsm", "partition", "--beta", "1.5", "--trunc", "1024") == 0
+    assert run_cli("qsm", "partition", "--model", "paper", "--beta", "3.5",
+                   "--trunc", "600") == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert float(rows[1][1]) == pytest.approx(1 / (1 - 2 * 10 ** -1.5))
 
 
 def test_module_entry_point():

@@ -140,6 +140,15 @@ def test_group_modulo_one_is_the_one_element_group(build):
     assert g.fixed_labels() == (0,)
 
 
+@pytest.mark.parametrize("build", [GaloisGroup.full, GaloisGroup.trivial,
+                                   lambda m: GaloisGroup.generated(m, [1])],
+                         ids=["full", "trivial", "generated"])
+@pytest.mark.parametrize("m", [0, -12])
+def test_group_rejects_conductor_below_one(build, m):
+    with pytest.raises(ValueError, match="conductor must be >= 1"):
+        build(m)
+
+
 def test_unknown_group_element():
     g = GaloisGroup.generated(12, [5])
     with pytest.raises(UnknownGroupElement):
@@ -193,6 +202,12 @@ def test_character_label_out_of_range():
         phi.on_tree(leaf(12))
     with pytest.raises(LabelOutOfRange):
         phi.on_tree(leaf("x"))
+    with pytest.raises(LabelOutOfRange, match="label 12 is not a residue modulo 12"):
+        phi.on_tree(node(1, leaf(12)))
+
+
+def _max_modulus(bound_check):
+    return float(bound_check.detail.removeprefix("max modulus "))
 
 
 def test_validate_character_exponent_sum():
@@ -200,8 +215,10 @@ def test_validate_character_exponent_sum():
     group = GaloisGroup.full(12)
     trees = [leaf(j) for j in range(12)] + [node(1, leaf(7)), node(6, leaf(0), leaf(3))]
     report = validate_character(phi, group, trees)
-    assert report.balanced and report.bounded
-    assert report.max_modulus <= 0.5 + 1e-12
+    assert report.ok
+    balance, bound = report.checks
+    assert balance.passed and bound.passed
+    assert _max_modulus(bound) <= 0.5 + 1e-12
 
 
 def test_validate_character_bad_table():
@@ -211,16 +228,18 @@ def test_validate_character_bad_table():
     good[7] = zeta(12, 1)  # inconsistent with the action
     table = TableCharacter(12, tuple((leaf(j), v) for j, v in good.items()))
     report = validate_character(table, group, [leaf(1), leaf(5), leaf(7), leaf(11)])
-    assert not report.balanced
-    assert report.violations
+    balance, _ = report.checks
+    assert not balance.passed
+    assert balance.detail
 
 
 def test_validate_character_trivial_values():
     phi = ExponentSumCharacter(12, denominator=1)
     group = GaloisGroup.full(12)
     report = validate_character(phi, group, [leaf(0), node(0, leaf(0))])
-    assert report.balanced and report.bounded
-    assert report.max_modulus == pytest.approx(1.0)
+    balance, bound = report.checks
+    assert balance.passed and bound.passed
+    assert _max_modulus(bound) == pytest.approx(1.0)
 
 
 def test_character_modulus_law():

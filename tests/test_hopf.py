@@ -330,3 +330,19 @@ def test_unsortable_children_raise_every_time():
         PairPolynomial.of((chain(0, 1),), EMPTY_FOREST)
         + PairPolynomial.of(EMPTY_FOREST, (chain(0, 1),))
         + PairPolynomial.of((leaf(0),), (leaf(1),)))
+
+
+def test_verify_identities_passes():
+    report = hopf.verify_identities(4)
+    assert report.ok, report.failed()
+    assert len(report.checks) == 4
+    assert all(c.cases >= 1 and c.seconds >= 0 for c in report.checks)
+    assert report.checks[0].cases == len(hopf.enumerate_trees(tuple(range(3)), 4))
+
+
+def test_verify_identities_names_failing_trees(monkeypatch):
+    monkeypatch.setattr(hopf, "coassociativity_holds", lambda t: t != hopf.leaf(1))
+    report = hopf.verify_identities(2)
+    (failed,) = report.failed()
+    assert failed.name.startswith("coassociativity")
+    assert failed.detail == "1 failing, e.g. j1"

@@ -250,6 +250,15 @@ def test_partition_truncated_vs_closed():
     assert abs(closed - trunc.value) <= trunc.tail_bound
 
 
+@pytest.mark.parametrize("model", ["word", "vertex-edge"])
+def test_partition_truncated_float_beta_past_float_range(model):
+    # k^L and k^(2L+1) exceed the float range long before level 1100
+    closed = partition_function(1.5, k=2, N=10, model=model, mode="closed").value
+    trunc = partition_function(1.5, k=2, N=10, model=model, mode="truncated", max_length=1100)
+    assert trunc.value == pytest.approx(closed, rel=0, abs=1e-12)
+    assert trunc.tail_bound == 0.0
+
+
 def test_partition_vertex_edge_model_bound():
     # with N > 2k^2 the vertex-edge series is bounded by 2k, exactly
     for k in (1, 2, 3):
@@ -419,7 +428,7 @@ def test_intertwining_exact():
     system = default_system(max_length=4)
     trees = [leaf(j) for j in range(12)] + [chain(1, 7), node(3, leaf(4), leaf(5))]
     report = verify_intertwining(system, trees, betas=(1, 2))
-    assert report.ok, report.violations
+    assert report.ok, report.failed()
 
 
 def test_intertwining_flags_unbalanced_fixture():
@@ -431,4 +440,42 @@ def test_intertwining_flags_unbalanced_fixture():
     table[11] = zeta(12, 5)
     char = TableCharacter(12, tuple((leaf(j), v) for j, v in table.items()))
     report = validate_character(char, group, [leaf(1), leaf(5), leaf(7), leaf(11)])
-    assert not report.balanced
+    balance, _ = report.checks
+    assert not balance.passed
+    assert report.failed() == [balance]
+    # leaf(1) sent by gamma = 11 should carry zeta^11, the table gives zeta^5
+    assert "gamma=11 on j1" in balance.detail
+
+
+# --- the verification suite -----------------------------------------------------------
+
+def test_verify_system_passes_on_defaults():
+    report = qsm.verify_system(QsmSystem())
+    assert report.ok, report.failed()
+    assert all(c.cases >= 1 and c.seconds >= 0 for c in report.checks)
+    names = [c.name for c in report.checks]
+    assert names[0] == "crossed-product relations"
+    assert report.checks[0].cases == 2 * 2 + 2 + 3 * 2 * 2
+    assert "ground-state intertwining" in names
+
+
+def test_verify_system_reads_evolution_at_the_tolerance(monkeypatch):
+    monkeypatch.setattr(qsm, "time_evolution_report",
+                        lambda *args, **kwargs: qsm.EvolutionReport(2e-10, True, True))
+    report = qsm.verify_system(QsmSystem())
+    assert [c.name for c in report.failed()] == ["time evolution at t=0.5",
+                                                 "time evolution at t=1.0"]
+    assert "max deviation 2.00e-10" in report.failed()[0].detail
+
+
+@pytest.mark.parametrize("m", [1, 5, 7])
+def test_verify_system_small_conductors(m):
+    # the sample trees' labels are residues, and the truncated Gibbs routes
+    # are compared up to the tail the window leaves out (k = 1 here, so the
+    # level sums do not cancel as they do for even m)
+    assert qsm.verify_system(QsmSystem(m=m)).ok
+
+
+def test_verify_system_fails_fast_when_divergent():
+    with pytest.raises(Divergent):
+        qsm.verify_system(QsmSystem(N=2))
