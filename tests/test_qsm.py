@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -230,6 +233,56 @@ def test_time_evolution_scales_shifts():
     report = time_evolution_report(system.rep, 10, 1.0, group=system.group)
     assert report.max_shift_deviation <= 1e-10
     assert report.diag_invariant and report.galois_commutes
+
+
+def _dense_shift_deviation(rep, N, t, words):
+    """Pure-Python dense reference: conjugate the full matrix of each S_w, its
+    overflow columns zeroed, by u = exp(itH) and compare with lambda(w)^(it) S_w."""
+    u = [cmath.exp(1j * t * len(w) * math.log(N)) for w in rep.basis]
+    worst = 0.0
+    for w in words:
+        s = rep.shift(w)
+        dense = [[0j] * rep.dim for _ in range(rep.dim)]
+        for c, (r, coeff) in s.cols.items():
+            dense[r][c] = complex_embed(coeff)
+        for c in s.overflow:
+            for row in dense:
+                row[c] = 0j
+        scale = cmath.exp(1j * t * len(w) * math.log(N))
+        for r in range(rep.dim):
+            for c in range(rep.dim):
+                x = dense[r][c]
+                worst = max(worst, abs(u[r] * x * u[c].conjugate() - scale * x))
+    return worst
+
+
+@pytest.mark.parametrize("m", [1, 5, 12, 60])
+def test_time_evolution_matches_dense_reference(m):
+    system = QsmSystem(m=m)
+    for max_length in range(1, 5):
+        rep = build_rep(system.char, max_length, system.fixed_labels)
+        words = words_upto(rep.alphabet, 2)[1:]
+        for t in (0.0, 0.5, 1.0):
+            got = time_evolution_report(rep, system.N, t, words=words).max_shift_deviation
+            want = _dense_shift_deviation(rep, system.N, t, words)
+            assert abs(got - want) <= 2 * math.ulp(want), (max_length, t, got, want)
+
+
+@pytest.mark.parametrize("row_word,col_word", [((), (6,))])
+def test_time_evolution_flags_an_off_diagonal_entry(monkeypatch, row_word, col_word):
+    system = default_system(max_length=3)
+    rep = system.rep
+    row, col = rep.index[row_word], rep.index[col_word]
+    diag = qsm.TruncatedRep.diag
+
+    def with_off_diagonal(self, tree):
+        op = diag(self, tree)
+        return dataclasses.replace(op, cols={**op.cols, col: (row, CyclotomicNumber.one(12))})
+
+    monkeypatch.setattr(qsm.TruncatedRep, "diag", with_off_diagonal)
+    report = time_evolution_report(rep, 10, 1.0, group=system.group)
+    assert not report.diag_invariant
+    assert not report.galois_commutes
 
 
 # --- partition function -----------------------------------------------------------
