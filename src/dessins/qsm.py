@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from dessins import hopf
 from dessins.galois import (
     CyclotomicNumber,
@@ -147,7 +145,6 @@ class LinearOp:
     """
 
     dim: int
-    m: int
     cols: dict[int, tuple[int, CyclotomicNumber]]
     overflow: frozenset[int] = frozenset()
 
@@ -166,7 +163,7 @@ class LinearOp:
             prod = coeff * coeff2
             if not prod.is_zero():
                 cols[c] = (row, prod)
-        return LinearOp(self.dim, self.m, cols, frozenset(overflow))
+        return LinearOp(self.dim, cols, frozenset(overflow))
 
     def equal_on(self, other: "LinearOp", columns=None) -> bool:
         cols = set(range(self.dim)) if columns is None else set(columns)
@@ -181,12 +178,6 @@ class LinearOp:
 
     def safe_columns(self) -> frozenset[int]:
         return frozenset(range(self.dim)) - self.overflow
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, (r, coeff) in self.cols.items():
-            out[r, c] = complex_embed(coeff)
-        return out
 
 
 @dataclass(frozen=True)
@@ -206,8 +197,7 @@ class TruncatedRep:
 
     def identity(self) -> LinearOp:
         one = CyclotomicNumber.one(self.char.m)
-        return LinearOp(self.dim, self.char.m,
-                        {i: (i, one) for i in range(self.dim)})
+        return LinearOp(self.dim, {i: (i, one) for i in range(self.dim)})
 
     def shift(self, word) -> LinearOp:
         """S_w: appends w to the basis word; out-of-window images are flagged."""
@@ -221,7 +211,7 @@ class TruncatedRep:
                 cols[i] = (self.index[target], one)
             else:
                 overflow.add(i)
-        return LinearOp(self.dim, self.char.m, cols, frozenset(overflow))
+        return LinearOp(self.dim, cols, frozenset(overflow))
 
     def shift_adjoint(self, word) -> LinearOp:
         """S_w^*: strips the suffix w, zero on words not ending in w."""
@@ -234,7 +224,7 @@ class TruncatedRep:
                 cols[i] = (i, one)
             elif len(w) >= k and w[-k:] == word:
                 cols[i] = (self.index[w[:-k]], one)
-        return LinearOp(self.dim, self.char.m, cols)
+        return LinearOp(self.dim, cols)
 
     def diag(self, tree) -> LinearOp:
         """pi(X_t): diagonal with entries phi(X_(w * t))."""
@@ -243,7 +233,7 @@ class TruncatedRep:
             value = self.char.on_tree(chain_graft(w, tree))
             if not value.is_zero():
                 cols[i] = (i, value)
-        return LinearOp(self.dim, self.char.m, cols)
+        return LinearOp(self.dim, cols)
 
     def range_columns(self, word) -> frozenset[int]:
         """Columns of basis words that end with the given word."""
@@ -341,11 +331,16 @@ def lam(word, N: int) -> int:
     return N ** len(word)
 
 
-def hamiltonian(rep: TruncatedRep, N: int) -> np.ndarray:
-    """Diagonal H with entries len(w) * log N over the basis."""
+def _check_spectral_base(N) -> None:
+    """lambda = N^length is a semigroup homomorphism into (N, *) only for N >= 2."""
     if N < 2:
         raise QsmError("N must be an integer >= 2")
-    return np.diag([length * math.log(N) for length in rep.length_diagonal()])
+
+
+def hamiltonian(rep: TruncatedRep, N: int) -> list[float]:
+    """Diagonal of H: the entries len(w) * log N over the basis."""
+    _check_spectral_base(N)
+    return [length * math.log(N) for length in rep.length_diagonal()]
 
 
 @dataclass(frozen=True)
@@ -359,41 +354,29 @@ def time_evolution_report(rep: TruncatedRep, N: int, t: float,
                           words=None, trees=None,
                           group: GaloisGroup | None = None) -> EvolutionReport:
     """Conjugation by exp(itH) multiplies S_w by lambda(w)^(it) and fixes the
-    diagonal operators; the Galois action commutes with the evolution."""
+    diagonal operators; the Galois action commutes with the evolution.
+
+    H is diagonal, so conjugating by u = exp(itH) multiplies the entry in row
+    r, column c by u_r conj(u_c): one phase per stored entry of a shift, whose
+    overflow columns are not stored.  Diagonals are checked exactly.
+    """
     if words is None:
         words = [(a,) for a in rep.alphabet]
     if trees is None:
         trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
-    lengths = np.array(rep.length_diagonal())
-    u = np.exp(1j * t * lengths * math.log(N))
+    u = [cmath.exp(1j * t * h) for h in hamiltonian(rep, N)]
     max_dev = 0.0
     for w in words:
-        s = rep.shift(w)
-        dense = s.to_dense()
-        for c in s.overflow:
-            dense[:, c] = 0.0
-        conj = (u[:, None] * dense) * np.conj(u)[None, :]
         scale = cmath.exp(1j * t * len(w) * math.log(N))   # lambda(w)^(it)
-        dev = np.abs(conj - scale * dense)
-        for c in s.overflow:
-            dev[:, c] = 0.0
-        max_dev = max(max_dev, float(dev.max()))
-    diag_ok = True
-    for tr in trees:
-        d = rep.diag(tr).to_dense()
-        diag_ok = diag_ok and bool(np.allclose((u[:, None] * d) * np.conj(u)[None, :], d,
-                                               rtol=0, atol=1e-12))
-    galois_ok = True
-    if group is not None:
-        for a in group.elements:
-            gamma = group.element(a)
-            for tr in trees:
-                # evolution is trivial on diagonals and scales shifts by a
-                # group-independent phase, so commuting reduces to the phases
-                # matching and the relabelled diagonal being evolution-invariant
-                d = rep.diag(relabel_tree(tr, gamma.on_label)).to_dense()
-                galois_ok = galois_ok and bool(
-                    np.allclose((u[:, None] * d) * np.conj(u)[None, :], d, rtol=0, atol=1e-12))
+        for c, (r, coeff) in rep.shift(w).cols.items():
+            x = complex_embed(coeff)
+            max_dev = max(max_dev, abs(u[r] * x * u[c].conjugate() - scale * x))
+    diag_ok = all(evolution_fixes_diagonal_exactly(rep, tr) for tr in trees)
+    # evolution fixes every diagonal and scales shifts by a group-independent
+    # phase, so commuting reduces to the relabelled diagonals being fixed
+    galois_ok = group is None or all(
+        evolution_fixes_diagonal_exactly(rep, relabel_tree(tr, group.element(a).on_label))
+        for a in group.elements for tr in trees)
     return EvolutionReport(max_dev, diag_ok, galois_ok)
 
 
@@ -462,6 +445,7 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
     0..max_length and reports the geometric tail bound.  Raises Divergent when
     the level ratio reaches 1.
     """
+    _check_spectral_base(N)
     if isinstance(model, str):
         if model == "paper":            # command-line alias
             model = "vertex-edge"
@@ -513,6 +497,7 @@ class QsmSystem:
     _rep: TruncatedRep = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_spectral_base(self.N)
         if self.group is None:
             self.group = GaloisGroup.full(self.m)
         if self.group.m != self.m:

@@ -124,7 +124,7 @@ def test_qsm_partition_value(capsys):
 
 
 def test_qsm_partition_divergent(capsys):
-    assert run_cli("qsm", "partition", "--beta", "0", "--N", "1") == 1
+    assert run_cli("qsm", "partition", "--beta", "0") == 1
     err = capsys.readouterr().err
     assert ">= 1" in err
 
@@ -170,6 +170,18 @@ def test_qsm_verify_divergent_prints_no_partial_report(capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gibbs", "--N", "-3", "--beta", "1"),
+    ("verify", "--N", "0"),
+    ("partition", "--N", "1"),
+])
+def test_qsm_spectral_base_below_two_exits_one(capsys, argv):
+    assert run_cli("qsm", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: N must be an integer >= 2\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag,value,bound", [
     ("--m", "0", "between 1 and 100"),
     ("--m", "101", "between 1 and 100"),
@@ -202,3 +214,19 @@ def test_module_entry_point():
                            "--counts"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "codim 0: 1" in proc.stdout
+
+
+def test_cli_runs_without_numpy():
+    # the library is stdlib-only: with numpy made unimportable, a full qsm
+    # verification still runs and nothing named numpy is loaded
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from dessins.cli import main\n"
+            "status = main(['qsm', 'verify', '--lmax', '3'])\n"
+            "loaded = [n for n, mod in sys.modules.items()\n"
+            "          if n.partition('.')[0] == 'numpy' and mod is not None]\n"
+            "print('numpy modules:', loaded)\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "numpy modules: []" in proc.stdout

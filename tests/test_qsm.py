@@ -196,7 +196,7 @@ def test_crossed_relations_flag_corruption():
     bad_cols = dict(good.cols)
     i = rep.index[(6,)]  # a column the conjugation by S_(6,) actually sees
     bad_cols[i] = (i, bad_cols[i][1] * 7)
-    bad = qsm.LinearOp(rep.dim, 12, bad_cols)
+    bad = qsm.LinearOp(rep.dim, bad_cols)
     s, s_adj = rep.shift((6,)), rep.shift_adjoint((6,))
     lhs = s_adj.compose(bad).compose(s)
     rhs = rep.diag(chain_graft((6,), t))
@@ -215,8 +215,7 @@ def test_lambda_homomorphism():
 
 def test_hamiltonian_kernel_is_vacuum():
     rep = default_system(max_length=3).rep
-    h = hamiltonian(rep, 10)
-    diag = h.diagonal()
+    diag = hamiltonian(rep, 10)
     zeros = [i for i, v in enumerate(diag) if v == 0.0]
     assert zeros == [rep.index[()]]
 
@@ -268,7 +267,12 @@ def test_time_evolution_matches_dense_reference(m):
             assert abs(got - want) <= 2 * math.ulp(want), (max_length, t, got, want)
 
 
-@pytest.mark.parametrize("row_word,col_word", [((), (6,))])
+@pytest.mark.parametrize("row_word,col_word", [
+    ((), (6,)),
+    # equal lengths: exp(itH) fixes the entry, but the operator is no longer
+    # diagonal, which the exact check reports at any t
+    ((0,), (6,)),
+])
 def test_time_evolution_flags_an_off_diagonal_entry(monkeypatch, row_word, col_word):
     system = default_system(max_length=3)
     rep = system.rep
@@ -325,9 +329,19 @@ def test_partition_vertex_edge_model_bound():
 
 def test_partition_divergent():
     with pytest.raises(Divergent):
-        partition_function(0, k=2, N=1, model="word", mode="closed")
+        partition_function(0, k=2, N=10, model="word", mode="closed")
     with pytest.raises(Divergent):
         partition_function(0, k=4, N=10, model="vertex-edge", mode="closed")
+
+
+@pytest.mark.parametrize("N", [1, 0, -3])
+def test_spectral_base_below_two_is_rejected(N):
+    # N = -3 passes the convergence test (k N^-beta = -2/3), so only the base
+    # check stops it
+    with pytest.raises(qsm.QsmError, match="N must be an integer >= 2"):
+        partition_function(1, 2, N)
+    with pytest.raises(qsm.QsmError, match="N must be an integer >= 2"):
+        QsmSystem(N=N)
 
 
 def test_partition_trace_matches_level_sums():
