@@ -332,7 +332,7 @@ def lam(word, N: int) -> int:
 
 
 def _check_spectral_base(N) -> None:
-    """lambda = N^length is a semigroup homomorphism into (N, *) only for N >= 2."""
+    """H = len(w) * log N gives every non-empty word a positive energy only for N >= 2."""
     if N < 2:
         raise QsmError("N must be an integer >= 2")
 

@@ -164,7 +164,7 @@ def test_qsm_verify_failure_exits_two(monkeypatch, capsys):
 
 
 def test_qsm_verify_divergent_prints_no_partial_report(capsys):
-    assert run_cli("qsm", "verify", "--N", "1") == 1
+    assert run_cli("qsm", "verify", "--N", "2") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
