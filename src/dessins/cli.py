@@ -26,12 +26,12 @@ EXIT_VERIFICATION = 2
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
-# 2 s; 7 vertices would mean 73,845 trees.
+# 1.4 s; 7 vertices would mean 73,845 trees, 15 s and two cache trims.
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.
-# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 6 s, the
-# slowest conductor up to 100; m = 127 takes 14 s and m = 181 takes 36 s.
+# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 0.9 s, the
+# slowest conductor up to 100; m = 127 takes 1.0 s and m = 181 takes 2.1 s.
 # Building the group alone multiplies every pair of units: 5.9 s at m = 20,000.
 MAX_QSM_CONDUCTOR = 100
 
@@ -40,7 +40,8 @@ MAX_QSM_CONDUCTOR = 100
 MAX_QSM_WINDOW = 8
 
 # `qsm partition --trunc 2000` sums the five default integer betas exactly in
-# about 0.8 s; --trunc 5000 takes 4.6 s and 10,000 takes 23 s.
+# about 0.2 s, most of it start-up; --trunc 10,000 takes 0.3 s, 20,000 takes
+# 0.8 s and 50,000 about 5 s.
 MAX_QSM_TRUNC = 2000
 
 
@@ -81,11 +82,15 @@ def _in_range(flag, value, lo, hi) -> bool:
     return False
 
 
-def _print_report(report) -> int:
-    """One line per check; exit 2 when any check failed."""
-    for c in report.checks:
-        line = f"{c.name}: {'ok' if c.passed else 'FAIL'} (cases {c.cases}, {c.seconds:.3f} s)"
-        print(line + (f"; {c.detail}" if c.detail else ""))
+def _print_report(report, as_json=False, **extra) -> int:
+    """One line per check, or with `as_json` one JSON object holding the
+    report and the `extra` keys; exit 2 when any check failed."""
+    if as_json:
+        print(json.dumps({**report.to_json(), **extra}, indent=2))
+    else:
+        for c in report.checks:
+            line = f"{c.name}: {'ok' if c.passed else 'FAIL'} (cases {c.cases}, {c.seconds:.3f} s)"
+            print(line + (f"; {c.detail}" if c.detail else ""))
     if report.ok:
         return EXIT_OK
     print(f"{len(report.failed())} of {len(report.checks)} checks failed", file=sys.stderr)
@@ -149,9 +154,15 @@ def cmd_strata(args) -> int:
 def cmd_hopf(args) -> int:
     if not _in_range("--max-vertices", args.max_vertices, 1, MAX_HOPF_VERTICES):
         return EXIT_VALIDATION
+    if args.json and not args.verify:
+        print("error: --json needs --verify", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.verify:
-        status = _print_report(hopf.verify_identities(args.max_vertices, args.seed))
+        report = hopf.verify_identities(args.max_vertices, args.seed)
         stats = hopf.CACHE.stats()
+        if args.json:
+            return _print_report(report, as_json=True, cache=stats)
+        status = _print_report(report)
         print(f"cache: {stats['size']} entries (bound {stats['max_entries']}), "
               f"{stats['hits']} hits, {stats['misses']} misses, {stats['trims']} trims")
         return status
@@ -185,6 +196,9 @@ def cmd_qsm(args) -> int:
     if not (_in_range("--m", args.m, 1, MAX_QSM_CONDUCTOR)
             and _in_range("--lmax", args.lmax, 1, MAX_QSM_WINDOW)
             and _in_range("--trunc", args.trunc, 0, MAX_QSM_TRUNC)):
+        return EXIT_VALIDATION
+    if args.json and args.qsm_command != "verify":
+        print("error: --json needs the verify command", file=sys.stderr)
         return EXIT_VALIDATION
     system = qsm.QsmSystem(m=args.m, N=args.N, D=args.D, max_length=args.lmax)
     if args.k != "auto" and int(args.k) != system.k:
@@ -230,7 +244,7 @@ def cmd_qsm(args) -> int:
         _write_rows(args.out, rows)
         return EXIT_OK
 
-    return _print_report(qsm.verify_system(system, args.seed))
+    return _print_report(qsm.verify_system(system, args.seed), args.json)
 
 
 # --- parser ------------------------------------------------------------------
@@ -262,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hopf.add_argument("--max-vertices", type=int, default=5,
                         help=f"largest tree checked by --verify (1..{MAX_HOPF_VERTICES})")
     p_hopf.add_argument("--seed", type=int, default=0)
+    p_hopf.add_argument("--json", action="store_true",
+                        help="print the --verify report and cache statistics as JSON")
 
     p_qsm = sub.add_parser("qsm", help="representation, partition data, Gibbs states")
     p_qsm.add_argument("qsm_command", choices=["build", "partition", "gibbs", "verify"])
@@ -283,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qsm.add_argument("--route", choices=["closed", "series", "trace"], default="closed")
     p_qsm.add_argument("--out", default="-", help="output path or - for stdout")
     p_qsm.add_argument("--seed", type=int, default=0)
+    p_qsm.add_argument("--json", action="store_true", help="print the verify report as JSON")
 
     return parser
 

@@ -186,10 +186,13 @@ class CyclotomicNumber:
 
     def inverse(self) -> "CyclotomicNumber":
         """1/x = (product of the other Galois conjugates of x) / N(x), where the
-        norm N(x), the product of all phi(m) conjugates, is a nonzero rational."""
+        norm N(x), the product of all phi(m) conjugates, is a nonzero rational.
+        A rational x is inverted as a rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         m = self.m
+        if not any(self.num[1:]):
+            return CyclotomicNumber.from_rational(m, Fraction(self.den, self.num[0]))
         rest = _powers(m)[0]
         for a in range(2, m):
             if gcd(a, m) == 1:

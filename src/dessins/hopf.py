@@ -3,15 +3,19 @@
 Trees are non-planar (children unordered).  At the public boundary they are
 canonical nested tuples (label, children), forests are sorted tuples of trees
 and algebra elements are sparse maps forest -> exact coefficient.  Inside,
-each tree is hash-consed to an integer id and a forest is the sorted tuple of
-its ids (a "forest key").
+trees and forests are hash-consed to integer ids: a forest id stands for the
+sorted tuple of its tree ids, forest 0 is the empty forest, every tree has a
+one-tree forest id and stores its children as one forest id.  Coproducts and
+antipodes are maps over forest ids, so memo keys and the identity checks
+hash ints, not nested tuples.
 
 The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
 sets meeting each root-to-leaf path at most once), plus the full cut
 1 (x) X_t, so counit and antipode satisfy the usual Hopf identities.  It is
 computed by the Connes-Kreimer 1-cocycle recursion through the grafting
-operator B+ (see `_delta`), not by enumerating edge sets.  All memo tables
-live in one bounded `HopfCache`.
+operator B+ (see `_delta`), not by enumerating edge sets.  Cut lists are
+memoised per tree id as (edge bitmask, trunk id, pruned forest id) triples.
+All memo tables live in one bounded `HopfCache`.
 
 Coefficients are Python ints or fractions.Fraction; both are exact and mix
 freely.
@@ -259,34 +263,41 @@ class PairPolynomial:
         return " + ".join(bits) or "0"
 
 
-# --- interned trees and the cache ----------------------------------------------
+# --- interned trees and forests, and the cache -----------------------------------
 
 class _TreeTable:
-    """Hash-consed trees: equal trees get the same integer id.
+    """Hash-consed trees and forests: equal ones get the same integer id.
 
-    Entry i holds the root label, the sorted ids of the children (the forest
-    key of the tree minus its root) and the canonical nested tuple.
+    Tree i holds its root label, the forest id of its children, its canonical
+    nested tuple and the id of the one-tree forest (i,).  Forest k holds the
+    sorted tuple of its tree ids and its nested-tuple form.  Forest 0 is the
+    empty forest.  Tree ids and forest ids are separate counters.
     """
 
     def __init__(self):
-        self.ids: dict = {}        # (label, sorted child ids) -> id
-        self.by_tuple: dict = {}   # nested tuple -> id
+        self.ids: dict = {}        # (label, child forest id) -> tree id
+        self.by_tuple: dict = {}   # nested tuple -> tree id
         self.label: list = []
-        self.children: list = []
+        self.children: list = []   # tree id -> forest id of its children
         self.tuple: list = []
+        self.single: list = []     # tree id -> forest id of (tree id,)
+        self.forest_ids: dict = {}  # sorted tree ids -> forest id
+        self.forests: list = []
+        self.forest_tuples: list = []
+        self.forest(())
 
-    def intern(self, label, child_ids: tuple) -> int:
-        """Id of the tree with this root label over children with sorted ids."""
-        key = (label, child_ids)
+    def intern(self, label, children: int) -> int:
+        """Id of the tree with this root label over the forest `children`."""
+        key = (label, children)
         tid = self.ids.get(key)
         if tid is None:
-            # sort before taking an id: unorderable labels raise here
-            t = (label, tuple(sorted(self.tuple[c] for c in child_ids)))
+            t = (label, self.forest_tuples[children])
             tid = self.ids[key] = len(self.tuple)
             self.label.append(label)
-            self.children.append(child_ids)
+            self.children.append(children)
             self.tuple.append(t)
             self.by_tuple[t] = tid
+            self.single.append(self.forest((tid,)))
         return tid
 
     def of(self, t) -> int:
@@ -294,19 +305,31 @@ class _TreeTable:
         tid = self.by_tuple.get(t)
         if tid is None:
             label, children = t
-            tid = self.intern(label, tuple(sorted(self.of(c) for c in children)))
+            tid = self.intern(label, self.forest(tuple(sorted(self.of(c) for c in children))))
             self.by_tuple[t] = tid
         return tid
+
+    def forest(self, key: tuple) -> int:
+        """Id of the forest with these sorted tree ids."""
+        fid = self.forest_ids.get(key)
+        if fid is None:
+            # sort before taking an id: unorderable labels raise here
+            f = tuple(sorted(self.tuple[i] for i in key))
+            fid = self.forest_ids[key] = len(self.forests)
+            self.forests.append(key)
+            self.forest_tuples.append(f)
+        return fid
 
 
 class HopfCache:
     """The one memo store of this module: the tree table and every memo table.
 
-    `size` counts interned trees plus memo entries.  Each public function that
-    memoises calls `trim()` on entry, which drops the table and all memos at
-    once when `size` is above `max_entries`, so no tree id outlives its
-    table; one call may overshoot the bound by what it adds itself.  `hits`
-    and `misses` count memo lookups and `trims` counts the drops.
+    `size` counts interned trees and nonempty forests plus memo entries.  Each
+    public function that memoises calls `trim()` on entry, which drops the
+    table and all memos at once when `size` is above `max_entries`, so no
+    tree or forest id outlives its table; one call may overshoot the bound by
+    what it adds itself.  `hits` and `misses` count memo lookups and `trims`
+    counts the drops.
     """
 
     def __init__(self, max_entries: int):
@@ -320,15 +343,17 @@ class HopfCache:
     def _drop(self):
         self.entries = 0
         self.trees = _TreeTable()
-        self.cuts: dict = {}         # nested tuple -> admissible cuts
-        self.coproduct: dict = {}    # forest key -> {(left key, right key): coeff}
-        self.antipode: dict = {}     # forest key -> {forest key: coeff}
-        self.relabel: dict = {}      # group element -> {tree id: relabelled tree id}
+        self.cuts: dict = {}         # tree id -> (id cuts, admissible_cuts(tree))
+        self.edges: dict = {}        # (ordered shape, edge mask) -> frozenset of vertex paths
+        self.coproduct: dict = {}    # forest id -> {(left id, right id): coeff}
+        self.antipode: dict = {}     # forest id -> {forest id: coeff}
+        self.relabel: dict = {}      # group element -> {forest id: relabelled forest id}
         self.enumeration: dict = {}  # (kind, labels, vertices) -> list of trees or forests
 
     @property
     def size(self) -> int:
-        return self.entries + len(self.trees.tuple)
+        # forest 0, the empty forest, is in every table and is not an entry
+        return self.entries + len(self.trees.tuple) + len(self.trees.forests) - 1
 
     def trim(self):
         if self.size > self.max_entries:
@@ -353,33 +378,38 @@ class HopfCache:
                 "hits": self.hits, "misses": self.misses, "trims": self.trims}
 
 
-# `dessins hopf --verify --max-vertices 6` fills about 26,000 entries and the
-# hopf-identities benchmark workload about 56,000 (49 MiB: coproducts and
-# antipodes take about 0.9 KiB an entry).  Cut lists are heavier, about
-# 3.4 KiB each for trees with 4 or 5 vertices, so the bound keeps the cache
-# under about 350 MiB.
-CACHE = HopfCache(max_entries=100_000)
+# Sizes measured with tracemalloc on Python 3.11.  `dessins hopf --verify
+# --max-vertices 6` fills about 40,000 entries in 22 MiB (0.6 KiB an entry),
+# and the hopf-identities benchmark workload about 74,000 in 30 MiB.  Cut
+# lists over 104,000 trees of 4 or 5 vertices take 3 entries a tree (the
+# tree, its forests and its cut list) and 0.53 KiB an entry.  So 200,000
+# entries keep the cache under about 120 MiB, and the cut lists of all
+# 59,892 trees over 12 labels with at most 4 vertices fit without a trim.
+CACHE = HopfCache(max_entries=200_000)
 
 
 def clear_caches():
     CACHE.clear()
 
 
-def _forest_key(f) -> tuple:
-    """Sorted id tuple of a forest of nested-tuple trees."""
-    of = CACHE.trees.of
-    return tuple(sorted(of(t) for t in f))
+def _forest_key(f) -> int:
+    """Forest id of a forest of nested-tuple trees."""
+    table = CACHE.trees
+    return table.forest(tuple(sorted(table.of(t) for t in f)))
 
 
-def _forest_tuple(key) -> tuple:
-    """The nested-tuple forest of a sorted id tuple."""
-    tuples = CACHE.trees.tuple
-    return tuple(sorted(tuples[i] for i in key))
+def _forest_tuple(fid: int) -> tuple:
+    """The nested-tuple forest of a forest id."""
+    return CACHE.trees.forest_tuples[fid]
 
 
-def _join(f, g) -> tuple:
-    """Product of two forest keys."""
-    return tuple(sorted(f + g)) if f and g else f or g
+def _join(f: int, g: int) -> int:
+    """Forest id of the product of two forests."""
+    if not f or not g:
+        return f or g
+    table = CACHE.trees
+    forests = table.forests
+    return table.forest(tuple(sorted(forests[f] + forests[g])))
 
 
 # --- admissible cuts --------------------------------------------------------
@@ -393,32 +423,63 @@ def admissible_cuts(t):
     The empty cut (t, empty forest) is included; the full cut is not.
     """
     CACHE.trim()
-    return _cuts(t)
+    return _cuts(CACHE.trees.of(t))[1]
 
 
-def _cuts(t):
-    out = CACHE.get(CACHE.cuts, t)
+def _shape(t) -> tuple:
+    """Preorder child counts of a canonical tree: all vertex_paths depends on."""
+    out = [len(t[1])]
+    for c in t[1]:
+        out.extend(_shape(c))
+    return tuple(out)
+
+
+def _cuts(tid: int) -> tuple:
+    """The admissible cuts of tree tid as (edge mask, trunk id, pruned forest
+    id) triples and, in the same order, as admissible_cuts returns them.
+
+    Bit v of a mask is the parent edge of the v-th vertex in preorder of the
+    canonical form.  Trunk and pruned tuples come from the tree table and edge
+    sets from a memo shared by all trees of the same ordered shape.
+    """
+    out = CACHE.get(CACHE.cuts, tid)
     if out is not None:
         return out
-    label, children = t
-    # (edges, trunk children, pruned trees) for each choice of cuts below the
+    table = CACHE.trees
+    t = table.tuple[tid]
+    # (mask, trunk children, pruned trees) for each choice of cuts below the
     # children seen so far; a child's edge is either cut or cut inside
-    combos = [(frozenset(), (), ())]
-    for i, c in enumerate(children):
-        opts = [(frozenset(((i,),)), None, (c,))]
-        opts += [(frozenset([(i,) + p for p in edges]), trunk, pruned)
-                 for edges, trunk, pruned in _cuts(c)]
-        combos = [(e0 | e, tr0 if tr is None else tr0 + (tr,), pr0 + pr)
-                  for e0, tr0, pr0 in combos for e, tr, pr in opts]
-    out = tuple((edges, (label, tuple(sorted(trunks))), tuple(sorted(pruned)))
-                for edges, trunks, pruned in combos)
-    return CACHE.put(CACHE.cuts, t, out)
+    combos = [(0, (), ())]
+    offset = 1
+    for child in t[1]:
+        c = table.by_tuple[child]
+        opts = [(1 << offset, None, (c,))]
+        opts += [(mask << offset, (trunk,), table.forests[pruned])
+                 for mask, trunk, pruned in _cuts(c)[0]]
+        combos = [(m0 | m, tr0 if tr is None else tr0 + tr, pr0 + pr)
+                  for m0, tr0, pr0 in combos for m, tr, pr in opts]
+        offset += tree_nodes(child)
+    forest = table.forest
+    ids = tuple((mask, table.intern(t[0], forest(tuple(sorted(trunks)))),
+                 forest(tuple(sorted(pruned))))
+                for mask, trunks, pruned in combos)
+    shape = _shape(t)
+    paths = None
+    cuts = []
+    for mask, trunk, pruned in ids:
+        edges = CACHE.get(CACHE.edges, (shape, mask))
+        if edges is None:
+            paths = paths or vertex_paths(t)
+            edges = CACHE.put(CACHE.edges, (shape, mask),
+                              frozenset(p for v, p in enumerate(paths) if mask >> v & 1))
+        cuts.append((edges, table.tuple[trunk], table.forest_tuples[pruned]))
+    return CACHE.put(CACHE.cuts, tid, (ids, tuple(cuts)))
 
 
-# --- coproduct, counit and antipode on forest keys ---------------------------
+# --- coproduct, counit and antipode on forest ids ------------------------------
 
-def _delta(f) -> dict:
-    """Coproduct of the forest key f as {(left key, right key): coefficient}.
+def _delta(f: int) -> dict:
+    """Coproduct of the forest id f as {(left id, right id): coefficient}.
 
     A tree B_j(F) with root label j over the forest F of its children follows
     the 1-cocycle recursion Delta(B_j(F)) = (B_j (x) id) Delta(F) + 1 (x) B_j(F):
@@ -428,18 +489,20 @@ def _delta(f) -> dict:
     out = CACHE.get(CACHE.coproduct, f)
     if out is not None:
         return out
-    if len(f) == 1:
-        table = CACHE.trees
-        tid = f[0]
+    table = CACHE.trees
+    tids = table.forests[f]
+    if len(tids) == 1:
+        tid = tids[0]
         label = table.label[tid]
+        single = table.single
         # B_j is injective, so distinct left forests give distinct keys
-        out = {((table.intern(label, a),), b): c
+        out = {(single[table.intern(label, a)], b): c
                for (a, b), c in _delta(table.children[tid]).items()}
-        out[((), f)] = 1
+        out[(0, f)] = 1
     else:
-        out = {((), ()): 1}
-        for tid in f:
-            factor = _delta((tid,))
+        out = {(0, 0): 1}
+        for tid in tids:
+            factor = _delta(table.single[tid])
             product: dict = {}
             for (a1, b1), c1 in out.items():
                 for (a2, b2), c2 in factor.items():
@@ -449,8 +512,8 @@ def _delta(f) -> dict:
     return CACHE.put(CACHE.coproduct, f, out)
 
 
-def _antipode(f) -> dict:
-    """Antipode of the forest key f as {forest key: coefficient}.
+def _antipode(f: int) -> dict:
+    """Antipode of the forest id f as {forest id: coefficient}.
 
     S(X_t) = -X_t - sum over nonempty cuts of S(X_trunk) X_pruned, read off
     the coproduct; S is multiplicative on forests.
@@ -458,18 +521,20 @@ def _antipode(f) -> dict:
     out = CACHE.get(CACHE.antipode, f)
     if out is not None:
         return out
-    if len(f) == 1:
+    table = CACHE.trees
+    tids = table.forests[f]
+    if len(tids) == 1:
         out = {f: -1}
         for (a, b), c in _delta(f).items():
             if a and b:
                 for g, s in _antipode(a).items():
                     _add(out, _join(g, b), -c * s)
     else:
-        out = {(): 1}
-        for tid in f:
+        out = {0: 1}
+        for tid in tids:
             product: dict = {}
             for g1, s1 in out.items():
-                for g2, s2 in _antipode((tid,)).items():
+                for g2, s2 in _antipode(table.single[tid]).items():
                     _add(product, _join(g1, g2), s1 * s2)
             out = product
     return CACHE.put(CACHE.antipode, f, out)
@@ -507,7 +572,7 @@ def coassociativity_holds(t) -> bool:
     CACHE.trim()
     left: dict = {}
     right: dict = {}
-    for (a, b), c in _delta((CACHE.trees.of(t),)).items():
+    for (a, b), c in _delta(_forest_key((t,))).items():
         for (a1, a2), c2 in _delta(a).items():
             k = (a1, a2, b)
             left[k] = left.get(k, 0) + c * c2
@@ -520,7 +585,7 @@ def coassociativity_holds(t) -> bool:
 def counit_axioms_hold(t) -> bool:
     """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t."""
     CACHE.trim()
-    f = (CACHE.trees.of(t),)
+    f = _forest_key((t,))
     delta = _delta(f)
     left = {b: c for (a, b), c in delta.items() if not a}
     right = {a: c for (a, b), c in delta.items() if not b}
@@ -532,7 +597,7 @@ def antipode_identity_holds(t) -> bool:
     CACHE.trim()
     left: dict = {}
     right: dict = {}
-    for (a, b), c in _delta((CACHE.trees.of(t),)).items():
+    for (a, b), c in _delta(_forest_key((t,))).items():
         for g, s in _antipode(a).items():
             _add(left, _join(g, b), c * s)
         for g, s in _antipode(b).items():
@@ -590,13 +655,20 @@ def g_act(gamma, x):
     return relabel(x, gamma.on_label)
 
 
-def _relabel(tid: int, memo: dict, fn) -> int:
-    """Id of the tree relabelled by fn; memo holds the ids relabelled so far."""
-    out = CACHE.get(memo, tid)
+def _relabel(fid: int, memo: dict, fn) -> int:
+    """Id of the forest relabelled by fn; memo holds the ids relabelled so far."""
+    out = CACHE.get(memo, fid)
     if out is None:
         table = CACHE.trees
-        children = tuple(sorted(_relabel(c, memo, fn) for c in table.children[tid]))
-        out = CACHE.put(memo, tid, table.intern(fn(table.label[tid]), children))
+        tids = table.forests[fid]
+        if len(tids) == 1:
+            tid = tids[0]
+            children = _relabel(table.children[tid], memo, fn)
+            out = table.single[table.intern(fn(table.label[tid]), children)]
+        else:
+            moved = (table.forests[_relabel(table.single[u], memo, fn)][0] for u in tids)
+            out = table.forest(tuple(sorted(moved)))
+        CACHE.put(memo, fid, out)
     return out
 
 
@@ -609,24 +681,23 @@ def balanced_cuts(t, group):
     key the relabelling memo.  For label-only actions this is all of
     admissible_cuts(t)."""
     CACHE.trim()
-    of = CACHE.trees.of
-    cuts = _cuts(t)
-    pairs = [(of(trunk), _forest_key(pruned)) for _, trunk, pruned in cuts]
-    keep = [True] * len(cuts)
-    tid = of(t)
+    table = CACHE.trees
+    tid = table.of(t)
+    ids, cuts = _cuts(tid)
+    keep = [True] * len(ids)
     for a in group.elements:
         gamma = group.element(a)
         memo = CACHE.get(CACHE.relabel, gamma)
         if memo is None:
             memo = CACHE.put(CACHE.relabel, gamma, {})
 
-        def act(u):
-            return _relabel(u, memo, gamma.on_label)
+        def act(f):
+            return _relabel(f, memo, gamma.on_label)
 
-        cut_pairs = _delta((act(tid),))
-        for i, (trunk, pruned) in enumerate(pairs):
+        cut_pairs = _delta(act(table.single[tid]))
+        for i, (_, trunk, pruned) in enumerate(ids):
             if keep[i]:
-                keep[i] = ((act(trunk),), tuple(sorted(map(act, pruned)))) in cut_pairs
+                keep[i] = (act(table.single[trunk]), act(pruned)) in cut_pairs
     return [cut for cut, ok in zip(cuts, keep) if ok]
 
 

@@ -332,8 +332,9 @@ def lam(word, N: int) -> int:
 
 
 def _check_spectral_base(N) -> None:
-    """H = len(w) * log N gives every non-empty word a positive energy only for N >= 2."""
-    if N < 2:
+    """H = len(w) * log N gives every non-empty word a positive energy only for
+    N >= 2, and exact level weights N^-(beta L) need an integer N."""
+    if not isinstance(N, int) or N < 2:
         raise QsmError("N must be an integer >= 2")
 
 
@@ -472,7 +473,16 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
     # level L contributes count(L) N^(-beta L) = count(0) r^L; summing powers of
     # r never turns a large integer count into a float
     first = model.count(0)
-    value = sum(first * r ** L for L in range(max_length + 1))
+    if isinstance(r, Fraction):
+        # integer numerators p^L q^(M-L) over the one denominator q^M, r = p/q
+        p, q = r.numerator, r.denominator
+        num, p_pow = 0, 1
+        for _ in range(max_length + 1):
+            num = num * q + p_pow
+            p_pow *= p
+        value = first * Fraction(num, q ** max_length)
+    else:
+        value = sum(first * r ** L for L in range(max_length + 1))
     tail = first * r ** (max_length + 1) / (1 - r)
     return PartitionResult(value, tail, "truncated", model.kind)
 

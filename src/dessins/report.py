@@ -7,7 +7,7 @@ it took and, when it failed or measured something, a short detail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class Report:
 
     def failed(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
+
+    def to_json(self) -> dict:
+        """`ok` and, per check, its name, passed, cases, seconds and detail."""
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 def check_all(name: str, cases, holds, show=repr) -> Check:

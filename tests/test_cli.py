@@ -90,6 +90,27 @@ def test_hopf_verify_failure_exits_two(monkeypatch, capsys):
     assert "1 of 4 checks failed" in captured.err
 
 
+def test_hopf_verify_json(capsys):
+    hopf.clear_caches()                    # as in a fresh process
+    assert run_cli("hopf", "--verify", "--max-vertices", "4", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and len(payload["checks"]) == 4
+    for check in payload["checks"]:
+        assert set(check) == {"name", "passed", "cases", "seconds", "detail"}
+        assert check["passed"] and check["cases"] > 0
+    assert payload["cache"]["trims"] == 0 and payload["cache"]["size"] > 0
+
+
+def test_hopf_verify_json_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(hopf, "counit_axioms_hold", lambda t: False)
+    assert run_cli("hopf", "--verify", "--max-vertices", "3", "--json") == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == ["counit axioms"]
+    assert "1 of 4 checks failed" in captured.err
+
+
 @pytest.mark.parametrize("value", ["0", "7"])
 def test_hopf_max_vertices_out_of_range_exits_before_enumerating(capsys, monkeypatch, value):
     def refuse(*args):
@@ -161,6 +182,35 @@ def test_qsm_verify_failure_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "ground state vanishes on shift monomials: FAIL (cases 4" in captured.out
     assert "1 of 9 checks failed" in captured.err
+
+
+def test_qsm_verify_json(capsys):
+    assert run_cli("qsm", "verify", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = qsm.verify_system(qsm.QsmSystem())
+    assert payload["ok"] is True
+    assert [c["name"] for c in payload["checks"]] == [c.name for c in want.checks]
+    assert all(c["passed"] and set(c) == {"name", "passed", "cases", "seconds", "detail"}
+               for c in payload["checks"])
+
+
+def test_qsm_verify_json_failure_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(qsm, "ground_state", lambda char, element: qsm.CyclotomicNumber.one(12))
+    assert run_cli("qsm", "verify", "--json") == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["ground state vanishes on shift monomials"]
+    assert failed[0]["cases"] == 4 and failed[0]["detail"]
+    assert "1 of 9 checks failed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [("hopf", "--tree", "j0", "--json"), ("qsm", "build", "--json")])
+def test_json_without_verify_exits_one(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --json needs") and captured.out == ""
 
 
 def test_qsm_verify_divergent_prints_no_partial_report(capsys):

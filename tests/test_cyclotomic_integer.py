@@ -9,6 +9,7 @@ every pair of basis elements for the small conductors and on the values that
 """
 
 import functools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -168,10 +169,10 @@ def test_basis_pairs_match_fraction_reference(m):
             assert x.inverse().coeffs == ref_mul(m, powers[-i % m], inv_shifted[(j - i) % m])
 
 
-@pytest.mark.parametrize("m", CONDUCTORS)
-def test_gibbs_denominators_match_fraction_reference(m):
-    # 1 - q with q = (sum of zeta^j over the fixed labels) / (D N^beta), as in
-    # qsm.gibbs_closed_exact, for the full, trivial and cyclic subgroups
+def one_minus_q(m):
+    """1 - q with q = (sum of zeta^j over the fixed labels) / (D N^beta), as in
+    qsm.gibbs_closed_exact, for the full, trivial and cyclic subgroups: pairs
+    of the library value and its reference coordinates."""
     groups = {GaloisGroup.full(m), GaloisGroup.trivial(m)}
     groups.update(GaloisGroup.generated(m, [a]) for a in units(m))
     for group in groups:
@@ -184,9 +185,35 @@ def test_gibbs_denominators_match_fraction_reference(m):
             for N, beta in ((2, 1), (10, 1), (10, 2), (10, 5)):
                 scale = Fraction(1, D * N ** beta)
                 value = CyclotomicNumber.one(m) - phase * scale
-                ref_value = ref_add(ref_powers(m)[0], tuple(-c * scale for c in ref_phase))
-                assert value.coeffs == ref_value
-                assert value.inverse().coeffs == ref_inverse(m, ref_value)
+                yield value, ref_add(ref_powers(m)[0], tuple(-c * scale for c in ref_phase))
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_gibbs_denominators_match_fraction_reference(m):
+    for value, ref_value in one_minus_q(m):
+        assert value.coeffs == ref_value
+        assert value.inverse().coeffs == ref_inverse(m, ref_value)
+
+
+def norm_inverse(x):
+    """1/x through the norm: the product of the other Galois conjugates of x,
+    divided by the rational product of all of them."""
+    rest = CyclotomicNumber.one(x.m)
+    for a in units(x.m)[1:]:            # units(m)[0] acts as the identity
+        rest = rest * galois_act_value(a, x)
+    return rest * (1 / (x * rest).coeffs[0])
+
+
+@pytest.mark.parametrize("m", CONDUCTORS + (97,))
+def test_rational_inverse_matches_norm_path(m):
+    rng = random.Random(m)
+    rationals = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                 for _ in range(20)]
+    values = [CyclotomicNumber.from_rational(m, q) for q in rationals + [1, -1, 7]]
+    values += [v for v, _ in one_minus_q(m) if not any(v.num[1:])]
+    assert len(values) > 23                # some 1 - q values are rational
+    for x in values:
+        assert x.inverse() == norm_inverse(x)
 
 
 # --- properties on random small-coefficient elements -------------------------------

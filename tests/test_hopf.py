@@ -319,6 +319,50 @@ def test_cache_bound_drops_entries_between_calls(monkeypatch):
     assert hopf.CACHE.stats()["trims"] == 0
 
 
+@pytest.fixture
+def corrupt_delta(monkeypatch):
+    """install(change) replaces hopf._delta by change(f, copy of the true
+    coproduct of forest id f) on cleared caches; they are cleared again after."""
+    real = hopf._delta
+
+    def install(change):
+        monkeypatch.setattr(hopf, "_delta", lambda f: change(f, dict(real(f))))
+        hopf.clear_caches()
+
+    yield install
+    monkeypatch.undo()
+    hopf.clear_caches()
+
+
+def test_identity_checks_fail_on_a_changed_proper_cut(corrupt_delta):
+    def bump_one_proper_cut(f, delta):
+        for key in delta:
+            if key[0] and key[1]:          # neither side is the empty forest
+                delta[key] += 1
+                break
+        return delta
+
+    corrupt_delta(bump_one_proper_cut)
+    trees = enumerate_trees((0, 1), 4)
+    assert any(not coassociativity_holds(t) and not antipode_identity_holds(t) for t in trees)
+
+
+def test_counit_check_fails_without_the_full_cut(corrupt_delta):
+    corrupt_delta(lambda f, delta: {k: c for k, c in delta.items() if k != (0, f)})
+    assert not any(counit_axioms_hold(t) for t in enumerate_trees((0, 1), 4))
+
+
+def test_cache_size_counts_forests_and_edge_sets():
+    hopf.clear_caches()
+    admissible_cuts(chain(0, 1, 2))
+    c = hopf.CACHE
+    assert len(c.trees.forests) > 1 and c.edges
+    # forest 0, the empty forest, is not an entry
+    assert c.size == len(c.trees.tuple) + len(c.trees.forests) - 1 + len(c.cuts) + len(c.edges)
+    hopf.clear_caches()
+    assert c.size == 0 and not c.edges
+
+
 def test_unsortable_children_raise_every_time():
     # an int and a str label among siblings cannot be put in canonical order;
     # the failed attempt must not leave a half-made entry behind

@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import hopf
 from dessins.galois import GaloisGroup
 from dessins.hopf import (
     ForestPolynomial,
@@ -74,6 +75,17 @@ def test_parse_format_round_trip(t):
     text = format_tree(t)
     assert parse_tree(text) == t
     assert format_tree(parse_tree(text)) == text
+
+
+@SETTINGS
+@given(st.lists(trees(), max_size=4), st.lists(trees(), max_size=4))
+def test_forest_ids_round_trip(f, g):
+    key = hopf._forest_key(f)
+    assert hopf._forest_tuple(key) == tuple(sorted(f))
+    assert hopf._forest_key(hopf._forest_tuple(key)) == key
+    assert hopf._forest_key(reversed(f)) == key
+    assert (key == 0) == (not f)            # forest 0 is the empty forest
+    assert hopf._join(key, hopf._forest_key(g)) == hopf._forest_key(f + g)
 
 
 @SETTINGS

@@ -344,6 +344,37 @@ def test_spectral_base_below_two_is_rejected(N):
         QsmSystem(N=N)
 
 
+@pytest.mark.parametrize("N", [2.5, Fraction(5, 2)])
+def test_non_integer_spectral_base_is_rejected(N):
+    with pytest.raises(qsm.QsmError, match="N must be an integer >= 2"):
+        partition_function(1, 2, N)
+    with pytest.raises(qsm.QsmError, match="N must be an integer >= 2"):
+        QsmSystem(N=N)
+    with pytest.raises(qsm.QsmError, match="N must be an integer >= 2"):
+        hamiltonian(default_system().rep, N)
+
+
+@pytest.mark.parametrize("model", ["word", "vertex-edge"])
+def test_truncated_exact_sums_match_level_by_level_fractions(model):
+    def count(k, L):
+        return k ** L if model == "word" else k ** (2 * L + 1)
+
+    for beta_val in range(1, 6):
+        for k in (1, 2, 3):
+            for N in (2, 10):
+                if Fraction(count(k, 1), count(k, 0) * N ** beta_val) >= 1:
+                    with pytest.raises(Divergent):
+                        partition_function(beta_val, k, N, model, "truncated", max_length=1)
+                    continue
+                for max_length in (0, 1, 8, 300):
+                    want = Fraction(0)
+                    for L in range(max_length + 1):
+                        want += Fraction(count(k, L), N ** (beta_val * L))
+                    got = partition_function(beta_val, k, N, model, "truncated",
+                                             max_length=max_length)
+                    assert isinstance(got.value, Fraction) and got.value == want
+
+
 def test_partition_trace_matches_level_sums():
     system = default_system(max_length=5)
     got = partition_trace(system.rep, 10, 2)
