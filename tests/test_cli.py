@@ -61,6 +61,13 @@ def test_strata_poset_and_clean(tmp_path):
     assert len(list(cdir.glob("*.dot"))) == 3
 
 
+def test_strata_clean_at_three_labels_writes_the_corolla(tmp_path, capsys):
+    cdir = tmp_path / "clean"
+    assert run_cli("strata", "--n", "3", "--clean", str(cdir)) == 0
+    assert [p.name for p in cdir.iterdir()] == ["clean_0000.dot"]
+    assert "wrote 1 clean dessins" in capsys.readouterr().out
+
+
 def test_hopf_coproduct(capsys):
     assert run_cli("hopf", "--tree", "j0[j0]", "--coproduct") == 0
     out = capsys.readouterr().out

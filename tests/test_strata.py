@@ -153,6 +153,25 @@ def test_trivalent_counts_match_double_factorial():
         assert all(s.dim == 0 for s, _ in triv)
 
 
+def test_dimension_zero_over_three_labels_is_the_corolla():
+    corolla = stratum(s_corolla([1, 2, 3]))
+    assert maximal_codim_strata([1, 2, 3]) == [(corolla, True)]
+    assert strata.trivalent_strata([3, 2, 1]) == [corolla]
+    with pytest.raises(TooSmall):
+        strata.trivalent_strata([1, 2])
+
+
+@pytest.mark.parametrize("build", [enumerate_strata, divisorial_strata,
+                                   strata.trivalent_strata, maximal_codim_strata])
+def test_duplicate_labels_are_rejected(build):
+    with pytest.raises(LabelCollision):
+        build([1, 1, 2, 3, 4])
+    with pytest.raises(LabelCollision):
+        build(lab for lab in ("a", 1, 2, "a", 3))
+    # a generator is read once, so it builds what its list does
+    assert build(lab for lab in (4, 3, 2, 1)) == build([1, 2, 3, 4])
+
+
 def test_trivalent_matches_enumeration_layer():
     for n in (4, 5, 6):
         grouped = enumerate_strata(labels(n))
