@@ -102,7 +102,7 @@ class StableSTree:
     def __init__(self, order: tuple, splits: tuple, build=None):
         self.order = order
         self.splits = splits
-        self._hash = None       # computed by the first __hash__
+        self._hash = None
         self._flag_view = None
         self._build = build     # makes the flag graph when it is not built from splits
 
