@@ -134,16 +134,8 @@ def cmd_strata(args) -> int:
         for s, caterpillar in strata.maximal_codim_strata(_labels(args.n)):
             if not caterpillar:
                 continue
-            d = strata.clean_dessin(s)
-            lines = [f"graph clean_{count} {{"]
-            for v in d.black:
-                lines.append(f'  "{v}" [color=black, style=filled];')
-            for v in d.white:
-                lines.append(f'  "{v}" [color=white, shape=circle];')
-            for a, b in d.edges:
-                lines.append(f'  "{a}" -- "{b}";')
-            lines.append("}")
-            (outdir / f"clean_{count:04d}.dot").write_text("\n".join(lines) + "\n")
+            (outdir / f"clean_{count:04d}.dot").write_text(
+                strata.clean_dessin_to_dot(strata.clean_dessin(s), name=f"clean_{count}"))
             count += 1
         print(f"wrote {count} clean dessins to {outdir}")
     return EXIT_OK

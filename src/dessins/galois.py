@@ -56,7 +56,8 @@ def _poly_divmod_exact(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
+# Both tables are kept for the 128 most recent conductors; a run uses a few.
+@lru_cache(maxsize=128)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
     if m < 1:
@@ -69,7 +70,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _powers(m: int) -> tuple[tuple[int, ...], ...]:
     """zeta_m^e in integer power-basis coordinates for e = 0..m-1."""
     phi = cyclotomic_polynomial(m)

@@ -6,7 +6,9 @@ involution are edges, fixed flags are tails (leaves).  All values are immutable
 after validation and every operation here is a pure function.
 
 Identifiers are opaque strings; canonical ordering is lexicographic, so all
-outputs are deterministic across runs.
+outputs are deterministic across runs.  A disjoint union takes any number of
+parts, namespaces part i with the prefix "i." and validates only the union;
+`flags_by_vertex` is the one index of the flags at each vertex.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class CombinatorialGraph:
     @property
     def n_tails(self) -> int:
         return len(self.tails)
-
-    def flags_at(self, v: str) -> tuple[str, ...]:
-        return tuple(f for f in self.flags if self.boundary[f] == v)
 
     def edge_endpoints(self, edge) -> tuple[str, ...]:
         return tuple(sorted(self.boundary[f] for f in edge))
@@ -175,8 +174,8 @@ def _union_find_components(g: CombinatorialGraph):
     return components, cyclic
 
 
-def _flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
-    """Each vertex's flags in flag order, as `flags_at` gives them."""
+def flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
+    """Each vertex's flags in flag order; build it once per graph read."""
     at: dict[str, list[str]] = {v: [] for v in g.vertices}
     for f in g.flags:
         at[g.boundary[f]].append(f)
@@ -191,7 +190,7 @@ def structure_report(g: CombinatorialGraph) -> StructureReport:
     bound at least three flags and every component to be a tree.
     """
     components, cyclic = _union_find_components(g)
-    mult = {v: len(flags) for v, flags in _flags_by_vertex(g).items()}
+    mult = {v: len(flags) for v, flags in flags_by_vertex(g).items()}
     is_tree = not cyclic
     is_stable = is_tree and all(m >= 3 for m in mult.values())
     is_corolla = len(g.vertices) == 1 and not g.edges
@@ -206,29 +205,21 @@ def structure_report(g: CombinatorialGraph) -> StructureReport:
     )
 
 
-def _prefixed(g: CombinatorialGraph, prefix: str):
-    fmap = {f: prefix + f for f in g.flags}
-    vmap = {v: prefix + v for v in g.vertices}
-    gg = validate(
-        fmap.values(),
-        vmap.values(),
-        {fmap[f]: vmap[g.boundary[f]] for f in g.flags},
-        {fmap[f]: fmap[g.involution[f]] for f in g.flags},
-    )
-    return gg, fmap, vmap
+def disjoint_union_with_maps(*parts: CombinatorialGraph):
+    """Disjoint union of any number of graphs, validated once.
 
-
-def disjoint_union_with_maps(g1: CombinatorialGraph, g2: CombinatorialGraph):
-    """Disjoint union with the flag renamings used for namespacing."""
-    a, fmap1, _ = _prefixed(g1, "0.")
-    b, fmap2, _ = _prefixed(g2, "1.")
-    g = validate(
-        a.flags + b.flags,
-        a.vertices + b.vertices,
-        {**a.boundary, **b.boundary},
-        {**a.involution, **b.involution},
-    )
-    return g, fmap1, fmap2
+    Part i's flags and vertices are namespaced with the prefix "i.", so the
+    parts may share names; returns the union, then each part's flag renaming.
+    """
+    flags, vertices, boundary, involution, fmaps = [], [], {}, {}, []
+    for i, p in enumerate(parts):
+        fmap = {f: f"{i}.{f}" for f in p.flags}
+        fmaps.append(fmap)
+        flags.extend(fmap.values())
+        vertices.extend(f"{i}.{v}" for v in p.vertices)
+        boundary.update({fmap[f]: f"{i}.{p.boundary[f]}" for f in p.flags})
+        involution.update({fmap[f]: fmap[p.involution[f]] for f in p.flags})
+    return (validate(flags, vertices, boundary, involution), *fmaps)
 
 
 def disjoint_union(g1: CombinatorialGraph, g2: CombinatorialGraph) -> CombinatorialGraph:
@@ -300,7 +291,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    at1, at2 = _flags_by_vertex(g1), _flags_by_vertex(g2)
+    at1, at2 = flags_by_vertex(g1), flags_by_vertex(g2)
     sig1 = {v: _vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
     sig2 = {v: _vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):

@@ -1,11 +1,16 @@
 """Grafting composition of trees, iterated grafting plans, and the magma
 operad in both of its standard presentations: oriented trivalent trees and
 fully parenthesized binary words.
+
+Grafting joins tails in the involution of a namespaced disjoint union
+(`graphs.disjoint_union_with_maps`) and validates the result once, however
+many tails a plan joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from dessins import graphs
@@ -47,14 +52,19 @@ def _check_tail(g: CombinatorialGraph, t: str):
         raise NotATail(f"{t!r} is half of an edge, not a tail")
 
 
-def graft_within(g: CombinatorialGraph, t1: str, t2: str) -> CombinatorialGraph:
-    """Join two distinct tails of one graph into a new edge."""
+def _join(g: CombinatorialGraph, involution: dict, t1: str, t2: str):
+    """Join two distinct tails of g into an edge of `involution`, in place."""
     _check_tail(g, t1)
     _check_tail(g, t2)
     if t1 == t2:
         raise SameSite(f"cannot graft tail {t1!r} to itself")
+    involution[t1], involution[t2] = t2, t1
+
+
+def graft_within(g: CombinatorialGraph, t1: str, t2: str) -> CombinatorialGraph:
+    """Join two distinct tails of one graph into a new edge."""
     invl = dict(g.involution)
-    invl[t1], invl[t2] = t2, t1
+    _join(g, invl, t1, t2)
     return validate(g.flags, g.vertices, g.boundary, invl)
 
 
@@ -82,18 +92,11 @@ def iterate_grafts(parts, plan) -> CombinatorialGraph:
 
     `parts` is a sequence of graphs, namespaced as "0.", "1.", ...; each plan
     entry (i, tail_i, j, tail_j) joins two tails named in the original parts.
-    Instructions with disjoint sites commute up to isomorphism.
+    Instructions with disjoint sites commute up to isomorphism.  The joined
+    graph is validated once, after the last instruction.
     """
-    flags, vertices, boundary, involution = [], [], {}, {}
-    renames = []
-    for i, p in enumerate(parts):
-        pf = {f: f"{i}.{f}" for f in p.flags}
-        renames.append(pf)
-        flags.extend(pf.values())
-        vertices.extend(f"{i}.{v}" for v in p.vertices)
-        boundary.update({pf[f]: f"{i}.{p.boundary[f]}" for f in p.flags})
-        involution.update({pf[f]: pf[p.involution[f]] for f in p.flags})
-    g = validate(flags, vertices, boundary, involution)
+    g, *renames = graphs.disjoint_union_with_maps(*parts)
+    involution = dict(g.involution)
     consumed = set()
     for i, ti, j, tj in plan:
         a, b = renames[i].get(ti), renames[j].get(tj)
@@ -102,9 +105,9 @@ def iterate_grafts(parts, plan) -> CombinatorialGraph:
         for f in (a, b):
             if f in consumed:
                 raise ConsumedTail(f"tail {f!r} was consumed by an earlier graft")
-        g = graft_within(g, a, b)
+        _join(g, involution, a, b)
         consumed.update((a, b))
-    return g
+    return validate(g.flags, g.vertices, g.boundary, involution)
 
 
 # --- magma operad, description by words -----------------------------------
@@ -113,19 +116,13 @@ def enumerate_magma_words(letters, arity: int):
     """All fully parenthesized words of the given arity over the alphabet.
 
     Words of arity 1 are bare letters; a word of arity m is a pair (w1 w2)
-    with arities p + q = m.  The count is Catalan(m-1) * len(letters)**m.
+    with arities p + q = m, so the words are every bracketing of every
+    sequence of m letters.  The count is Catalan(m-1) * len(letters)**m.
     """
-    letters = list(letters)
     if arity < 1:
         raise MalformedWord("arity must be >= 1")
-    table = {1: list(letters)}
-    for m in range(2, arity + 1):
-        words = []
-        for p in range(1, m):
-            q = m - p
-            words.extend((w1, w2) for w1 in table[p] for w2 in table[q])
-        table[m] = words
-    return sorted(table[arity], key=word_to_text)
+    words = [w for seq in product(letters, repeat=arity) for w in _shapes(seq)]
+    return sorted(words, key=word_to_text)
 
 
 def word_arity(w) -> int:
@@ -262,13 +259,14 @@ def tree_to_word(t: OrientedBinaryTree):
     if t.degenerate:
         return t.leaf_order[0][1]
     g = t.graph
+    at = graphs.flags_by_vertex(g)
     pos = {flag: i for i, (flag, _) in enumerate(t.leaf_order)}
     label = dict(t.leaf_order)
 
     def read(out_flag):
         # out_flag: the outward flag of the subtree's top vertex
         v = g.boundary[out_flag]
-        inputs = [f for f in g.flags_at(v) if f != out_flag]
+        inputs = [f for f in at[v] if f != out_flag]
         if len(inputs) != 2 or any(t.orientation[f] != TOWARD for f in inputs):
             raise MalformedWord(f"vertex {v!r} is not binary with two inputs")
         branches = []
@@ -276,9 +274,7 @@ def tree_to_word(t: OrientedBinaryTree):
             if g.involution[f] == f:
                 branches.append((pos[f], pos[f], label[f]))
             else:
-                child_out = g.involution[f]
-                lo, hi, sub = read(child_out)
-                branches.append((lo, hi, sub))
+                branches.append(read(g.involution[f]))
         branches.sort()
         (lo1, hi1, w1), (lo2, hi2, w2) = branches
         if hi1 + 1 != lo2:
@@ -294,12 +290,8 @@ def tree_to_word(t: OrientedBinaryTree):
 def _shapes(seq):
     if len(seq) == 1:
         return [seq[0]]
-    out = []
-    for p in range(1, len(seq)):
-        for left in _shapes(seq[:p]):
-            for right in _shapes(seq[p:]):
-                out.append((left, right))
-    return out
+    return [(left, right) for p in range(1, len(seq))
+            for left in _shapes(seq[:p]) for right in _shapes(seq[p:])]
 
 
 def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
@@ -322,8 +314,9 @@ def validate_magma_tree(t: OrientedBinaryTree) -> None:
         if len(g.vertices) != 1 or g.edges or len(g.tails) != 2:
             raise MalformedWord("degenerate tree must be one vertex with two tails")
         return
+    at = graphs.flags_by_vertex(g)
     for v in g.vertices:
-        fl = g.flags_at(v)
+        fl = at[v]
         if len(fl) != 3:
             raise MalformedWord(f"vertex {v!r} does not bound exactly three flags")
         inward = [f for f in fl if t.orientation[f] == TOWARD]
@@ -343,7 +336,7 @@ def validate_magma_tree(t: OrientedBinaryTree) -> None:
             if cur in seen:
                 raise MalformedWord("outward path revisits a vertex")
             seen.add(cur)
-            out = [f for f in g.flags_at(cur) if t.orientation[f] == OUTWARD][0]
+            out = [f for f in at[cur] if t.orientation[f] == OUTWARD][0]
             if g.involution[out] == out:
                 raise MalformedWord(f"outward path from {v!r} exits at a non-root tail")
             cur = g.boundary[g.involution[out]]

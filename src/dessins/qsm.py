@@ -19,8 +19,9 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from dessins import hopf
 from dessins.galois import (
@@ -504,7 +505,6 @@ class QsmSystem:
     D: int = 2
     max_length: int = 6
     group: GaloisGroup = None
-    _rep: TruncatedRep = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_spectral_base(self.N)
@@ -525,11 +525,9 @@ class QsmSystem:
     def char(self) -> ExponentSumCharacter:
         return ExponentSumCharacter(self.m, self.D)
 
-    @property
+    @cached_property
     def rep(self) -> TruncatedRep:
-        if self._rep is None:
-            self._rep = build_rep(self.char, self.max_length, self.fixed_labels)
-        return self._rep
+        return build_rep(self.char, self.max_length, self.fixed_labels)
 
     def check_convergence(self, beta):
         if self.k * _n_pow_minus_beta(self.N, beta) >= 1:
@@ -560,8 +558,7 @@ def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
     return system.char.on_tree(tree) * series * (Fraction(1) / z)
 
 
-def gibbs_value(system: QsmSystem, tree, beta, route="closed",
-                max_length: int | None = None) -> complex:
+def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
     """Gibbs state value at inverse temperature beta, as a complex number.
 
     Routes: "closed" (geometric series), "series" (direct truncated word sum),
@@ -579,8 +576,7 @@ def gibbs_value(system: QsmSystem, tree, beta, route="closed",
         return complex_embed(system.char.on_tree(tree)) / (1 - q) / z
     if route == "series":
         scale = float(system.N) ** (-float(beta))
-        words = words_upto(system.fixed_labels,
-                           system.max_length if max_length is None else max_length)
+        words = words_upto(system.fixed_labels, system.max_length)
         acc = 0j
         for w in words:
             acc += complex_embed(system.char.on_tree(chain_graft(w, tree))) * scale ** len(w)

@@ -650,3 +650,13 @@ def stratum_from_json(obj) -> Stratum:
 
 def stratum_to_dot(s: Stratum, name="stratum") -> str:
     return graphs.to_dot(s.tree.graph, tail_labels=s.tree.tail_labels, name=name)
+
+
+def clean_dessin_to_dot(d: CleanDessin, name: str) -> str:
+    """DOT text; black vertices are filled, white ones are open circles."""
+    lines = [f"graph {name} {{"]
+    lines.extend(f'  "{v}" [color=black, style=filled];' for v in d.black)
+    lines.extend(f'  "{v}" [color=white, shape=circle];' for v in d.white)
+    lines.extend(f'  "{a}" -- "{b}";' for a, b in d.edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -68,6 +68,30 @@ def test_strata_clean_at_three_labels_writes_the_corolla(tmp_path, capsys):
     assert "wrote 1 clean dessins" in capsys.readouterr().out
 
 
+def test_clean_dot_files_are_what_the_library_writes(tmp_path):
+    cdir = tmp_path / "clean"
+    assert run_cli("strata", "--n", "6", "--clean", str(cdir)) == 0
+    corners = [s for s, caterpillar in strata.maximal_codim_strata(["1", "2", "3", "4", "5", "6"])
+               if caterpillar]
+    written = sorted(cdir.iterdir())
+    assert [p.name for p in written] == [f"clean_{i:04d}.dot" for i in range(len(corners))]
+    for i, (s, path) in enumerate(zip(corners, written)):
+        assert path.read_text() == strata.clean_dessin_to_dot(strata.clean_dessin(s),
+                                                              name=f"clean_{i}")
+    # the format, as the three-label corolla shows it
+    corolla = strata.clean_dessin(strata.maximal_codim_strata(["1", "2", "3"])[0][0])
+    assert strata.clean_dessin_to_dot(corolla, name="clean_0") == (
+        'graph clean_0 {\n'
+        '  "end_1" [color=black, style=filled];\n'
+        '  "end_2" [color=black, style=filled];\n'
+        '  "end_3" [color=black, style=filled];\n'
+        '  "v0" [color=black, style=filled];\n'
+        '  "end_1" -- "v0";\n'
+        '  "end_2" -- "v0";\n'
+        '  "end_3" -- "v0";\n'
+        '}\n')
+
+
 def test_hopf_coproduct(capsys):
     assert run_cli("hopf", "--tree", "j0[j0]", "--coproduct") == 0
     out = capsys.readouterr().out

@@ -237,7 +237,7 @@ def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    at1, at2 = graphs._flags_by_vertex(g1), graphs._flags_by_vertex(g2)
+    at1, at2 = graphs.flags_by_vertex(g1), graphs.flags_by_vertex(g2)
     sig1 = {v: graphs._vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
     sig2 = {v: graphs._vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):

@@ -47,6 +47,19 @@ def default_system(max_length=4):
     return QsmSystem(m=12, N=10, D=2, max_length=max_length)
 
 
+def test_system_equality_does_not_depend_on_a_built_window():
+    a, b = default_system(), default_system()
+    assert a == b
+    assert a.rep is a.rep       # built once, on first read
+    assert a == b
+    assert default_system(max_length=3) != a
+
+
+def test_system_window_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        QsmSystem(m=5, _rep=default_system().rep)
+
+
 def chain(*labels):
     t = leaf(labels[-1])
     for lab in reversed(labels[:-1]):
