@@ -61,6 +61,16 @@ def test_strata_poset_and_clean(tmp_path):
     assert len(list(cdir.glob("*.dot"))) == 3
 
 
+def test_strata_poset_matches_contracting_every_flag_edge(capsys):
+    flat = [s for group in strata.enumerate_strata([str(i) for i in range(1, 7)]).values()
+            for s in group]
+    name = {s.canonical_key(): f"s{i}" for i, s in enumerate(flat)}
+    covers = {f"s{i} < {name[strata.contract_edge(s.tree, e).canonical_key()]}"
+              for i, s in enumerate(flat) for e in s.tree.graph.edges}
+    assert run_cli("strata", "--n", "6", "--poset", "-") == 0
+    assert capsys.readouterr().out == "\n".join(sorted(covers)) + "\n"
+
+
 def test_strata_clean_at_three_labels_writes_the_corolla(tmp_path, capsys):
     cdir = tmp_path / "clean"
     assert run_cli("strata", "--n", "3", "--clean", str(cdir)) == 0

@@ -1,0 +1,188 @@
+"""Differential test: the window operators, the level phase sum and the exact
+Gibbs closed form against a test-local copy of the code as it stood before
+`QsmSystem` derived its constants once.
+
+The references recompute the fixed labels from the group and the character
+from (m, D) on every call, and keep the original suffix rule with its own
+empty-word branch.  Results are compared with ==, so cyclotomic values must
+agree coordinate for coordinate.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dessins import hopf, qsm
+from dessins.galois import (
+    CyclotomicNumber,
+    ExponentSumCharacter,
+    balance_check,
+    complex_embed,
+    zeta,
+)
+from dessins.qsm import Divergent, LinearOp, QsmSystem, build_rep, check_word
+from dessins.report import check_all
+
+
+# --- reference ------------------------------------------------------------------
+
+def ref_fixed_labels(system):
+    return system.group.fixed_labels()
+
+
+def ref_level_phase_sum(system):
+    acc = CyclotomicNumber.zero(system.m)
+    for j in ref_fixed_labels(system):
+        acc = acc + zeta(system.m, j)
+    return acc
+
+
+def ref_gibbs_closed_exact(system, tree, beta):
+    k = len(ref_fixed_labels(system))
+    if k * Fraction(1, system.N ** beta) >= 1:
+        raise Divergent(f"k * N^-beta = {k} * {system.N}^-{beta} >= 1")
+    scale = Fraction(1, system.N ** beta)
+    q = ref_level_phase_sum(system) * (Fraction(1, system.D) * scale)
+    if abs(complex_embed(q)) >= 1:
+        raise Divergent("level ratio has modulus >= 1")
+    z = qsm.partition_function(beta, k, system.N, "word", "closed").value
+    series = (CyclotomicNumber.one(system.m) - q).inverse()
+    char = ExponentSumCharacter(system.m, system.D)
+    return char.on_tree(tree) * series * (Fraction(1) / z)
+
+
+def ref_identity(rep):
+    one = CyclotomicNumber.one(rep.char.m)
+    return LinearOp(rep.dim, {i: (i, one) for i in range(rep.dim)})
+
+
+def ref_shift_adjoint(rep, word):
+    word = check_word(word, rep.alphabet)
+    one = CyclotomicNumber.one(rep.char.m)
+    k = len(word)
+    cols = {}
+    for i, w in enumerate(rep.basis):
+        if k == 0:
+            cols[i] = (i, one)
+        elif len(w) >= k and w[-k:] == word:
+            cols[i] = (rep.index[w[:-k]], one)
+    return LinearOp(rep.dim, cols)
+
+
+def ref_range_columns(rep, word):
+    word = tuple(word)
+    k = len(word)
+    return frozenset(i for i, w in enumerate(rep.basis)
+                     if len(w) >= k and (k == 0 or w[-k:] == word))
+
+
+# --- fixtures -------------------------------------------------------------------
+
+CONDUCTORS = (1, 5, 7, 12, 60)
+
+
+def seeded_trees(m, seed=0, count=6):
+    rng = random.Random(seed)
+    trees = [hopf.leaf(rng.randrange(m)) for _ in range(2)]
+    trees += [hopf.node(rng.randrange(m), hopf.leaf(rng.randrange(m))) for _ in range(2)]
+    trees += [hopf.node(rng.randrange(m), *(hopf.leaf(rng.randrange(m)) for _ in range(2)))
+              for _ in range(count - 4)]
+    return trees
+
+
+def short_words(alphabet):
+    return [()] + [(a,) for a in alphabet] + [(a, b) for a in alphabet for b in alphabet]
+
+
+# --- window operators -----------------------------------------------------------
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+@pytest.mark.parametrize("max_length", [1, 2, 3, 4])
+def test_window_operators_match_reference(m, max_length):
+    system = QsmSystem(m=m, max_length=max_length)
+    rep = build_rep(system.char, max_length, system.fixed_labels)
+    assert rep.identity() == ref_identity(rep)
+    for w in short_words(rep.alphabet):
+        assert rep.shift_adjoint(w) == ref_shift_adjoint(rep, w)
+        assert rep.range_columns(w) == ref_range_columns(rep, w)
+
+
+# --- phase sum and Gibbs closed form --------------------------------------------
+
+@pytest.mark.parametrize("m", CONDUCTORS + (97,))
+def test_gibbs_closed_exact_matches_reference(m):
+    system = QsmSystem(m=m)
+    trees = seeded_trees(m, seed=m)
+    for beta in (1, 2, 3):
+        for t in trees:
+            assert qsm.gibbs_closed_exact(system, t, beta) == ref_gibbs_closed_exact(system, t, beta)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_closed_route_and_phase_sum_match_reference(m):
+    system = QsmSystem(m=m)
+    phase = ref_level_phase_sum(system)
+    for t in seeded_trees(m, seed=m + 1):
+        # the non-integer closed route reads the phase sum through floats
+        q = complex_embed(phase) / (system.D * float(system.N) ** 2.5)
+        z = float(qsm.partition_function(2.5, len(ref_fixed_labels(system)), system.N).value)
+        want = complex_embed(ExponentSumCharacter(m, system.D).on_tree(t)) / (1 - q) / z
+        assert qsm.gibbs_value(system, t, 2.5, route="closed") == want
+
+
+# --- the verification suite -----------------------------------------------------
+
+def ref_verify_system(system, seed=0):
+    """`verify_system` with the reference phase sum and Gibbs closed form."""
+    betas = (1, 2)
+    rng = random.Random(seed)
+    rep = system.rep
+    m = system.m
+    char = ExponentSumCharacter(m, system.D)
+    k = len(ref_fixed_labels(system))
+    relations = qsm.verify_crossed_relations(rep)
+    out = [("crossed-product relations", relations.ok, len(relations.checks),
+            "; ".join(c.name for c in relations.failed()))]
+    for t_val in (0.5, 1.0):
+        evo = qsm.time_evolution_report(rep, system.N, t_val, group=system.group)
+        out.append((f"time evolution at t={t_val}",
+                    evo.max_shift_deviation <= 1e-10 and evo.diag_invariant and evo.galois_commutes,
+                    1, f"max deviation {evo.max_shift_deviation:.2e}, diagonal invariant "
+                       f"{evo.diag_invariant}, Galois commutes {evo.galois_commutes}"))
+    trees = [hopf.leaf(rng.randrange(m)) for _ in range(2)]
+    trees += [hopf.node(rng.randrange(m), hopf.leaf(rng.randrange(m))) for _ in range(2)]
+    trees += [hopf.node(1 % m, hopf.leaf(7 % m)), hopf.node(6 % m, hopf.leaf(0), hopf.leaf(3 % m))]
+    checks = [balance_check("ground-state intertwining", char.on_tree, system.group, trees)]
+    for b in betas:
+        checks.append(balance_check(f"Gibbs intertwining at beta={b}",
+                                    lambda t, b=b: ref_gibbs_closed_exact(system, t, b),
+                                    system.group, trees))
+    out += [(c.name, c.passed, c.cases, c.detail) for c in checks]
+    phase = abs(complex_embed(ref_level_phase_sum(system))) / system.D
+    for beta_val in betas:
+        q = phase / system.N ** beta_val
+        z = float(qsm.partition_function(beta_val, k, system.N).value)
+        excess = []
+        for t in trees[:4]:
+            closed = complex_embed(ref_gibbs_closed_exact(system, t, beta_val))
+            series = qsm.gibbs_value(system, t, beta_val, route="series")
+            trace = qsm.gibbs_value(system, t, beta_val, route="trace")
+            tail = (abs(complex_embed(char.on_tree(t)))
+                    * q ** (system.max_length + 1) / (1 - q) / z)
+            excess.append(max(abs(closed - series), abs(closed - trace)) - tail)
+        out.append((f"Gibbs three-route agreement at beta={beta_val}", max(excess) <= 1e-10,
+                    len(excess), f"max gap beyond the window's tail {max(excess):.2e}"))
+    shifts = [(kind, lab) for lab in ref_fixed_labels(system) for kind in ("S", "S*")]
+    vanish = check_all(
+        "ground state vanishes on shift monomials", shifts,
+        lambda shift: qsm.ground_state(char, [(1, ((shift[0], (shift[1],)),))]).is_zero())
+    out.append((vanish.name, vanish.passed, vanish.cases, vanish.detail))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 5, 7, 12])
+def test_verify_system_reports_match_reference(m):
+    got = qsm.verify_system(QsmSystem(m=m))
+    assert [(c.name, c.passed, c.cases, c.detail) for c in got.checks] == \
+        ref_verify_system(QsmSystem(m=m))
