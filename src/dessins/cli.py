@@ -20,9 +20,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# `strata --n 9 --counts` lists 660,032 strata in about 2.5 s with a peak RSS
-# of about 160 MiB on a 2-vCPU x86-64 machine; n = 10 has 12,818,912, which
-# would need about 3 GiB.
+# `strata --n 9 --counts` lists 660,032 strata in about 2.7 s with a peak RSS
+# of about 160 MiB on a 2-vCPU x86-64 machine, and `--poset` writes their
+# 3,109,296 covers in about 13 s and 740 MiB; n = 10 has 12,818,912 strata,
+# which would need about 3 GiB for the counts alone.
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
@@ -30,8 +31,8 @@ MAX_STRATA_LABELS = 9
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.
-# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 0.9 s, the
-# slowest conductor up to 100; m = 127 takes 1.0 s and m = 181 takes 2.1 s.
+# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 0.55 s, the
+# slowest conductor up to 100; m = 127 takes 0.8 s and m = 181 takes 1.0 s.
 # Building the group alone multiplies every pair of units: 5.9 s at m = 20,000.
 MAX_QSM_CONDUCTOR = 100
 
@@ -113,13 +114,15 @@ def cmd_strata(args) -> int:
         payload = [strata.stratum_to_json(s) for s in flat]
         _write(args.json, json.dumps(payload, indent=2) + "\n")
     if args.poset:
-        lines = []
+        # contracting an edge drops its split, so each cover drops one split
+        lines = set()
         key_to_name = {s.canonical_key(): f"s{i}" for i, s in enumerate(flat)}
         for i, s in enumerate(flat):
-            for e in s.tree.graph.edges:
-                parent = strata.contract_edge(s.tree, e)
-                lines.append(f"s{i} < {key_to_name[parent.canonical_key()]}")
-        _write(args.poset, "\n".join(sorted(set(lines))) + "\n")
+            order, splits = s.tree.order, s.tree.splits
+            for j in range(len(splits)):
+                parent = strata.StableSTree(order, splits[:j] + splits[j + 1:])
+                lines.add(f"s{i} < {key_to_name[parent.canonical_key()]}")
+        _write(args.poset, "\n".join(sorted(lines)) + "\n")
     if args.dot:
         outdir = Path(args.dot)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -251,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_strata = sub.add_parser("strata", help="enumerate boundary strata")
     p_strata.add_argument("--n", type=int, required=True,
                           help=f"number of labels (3..{MAX_STRATA_LABELS}); n = 9 gives 660,032 "
-                               "strata in about 2.5 s and 160 MiB")
+                               "strata in about 2.7 s and 160 MiB, and their "
+                               "--poset in about 13 s and 740 MiB")
     p_strata.add_argument("--counts", action="store_true", help="print counts by codimension")
     p_strata.add_argument("--csv", help="write a codim,count table (path or -)")
     p_strata.add_argument("--json", help="write all strata as JSON (path or -)")

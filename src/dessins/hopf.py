@@ -23,9 +23,11 @@ freely.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 from dessins.report import Report, check_all
@@ -711,16 +713,6 @@ def vertex_paths(t) -> list[tuple]:
     return out
 
 
-def leaf_paths(t) -> list[tuple]:
-    return [p for p in vertex_paths(t) if not _subtree_at(t, p)[1]]
-
-
-def _subtree_at(t, path):
-    for i in path:
-        t = t[1][i]
-    return t
-
-
 def graft_at(t1, path, t2):
     """Attach the root of t2 as a new child of the vertex of t1 at `path`."""
     label, children = t1
@@ -785,59 +777,34 @@ class TooLarge(ValueError):
     pass
 
 
-def _sub_multisets(f):
-    seen = set()
-    n = len(f)
-    for mask in range(1 << n):
-        sub = tuple(sorted(f[i] for i in range(n) if mask & (1 << i)))
-        if sub not in seen:
-            seen.add(sub)
-            yield sub
+def _only_child_cuts(t) -> list[tuple]:
+    """Every (trunk, pieces) left by cutting a set of only-child edges of t."""
+    label, children = t
+    kept = [((), ())]
+    for c in children:
+        kept = [(trunks + (trunk,), pieces + more)
+                for trunks, pieces in kept for trunk, more in _only_child_cuts(c)]
+    out = [((label, tuple(sorted(trunks))), pieces) for trunks, pieces in kept]
+    if len(children) == 1:
+        out += [((label, ()), pieces + trunks) for trunks, pieces in kept]
+    return out
 
 
 def forest_leq(f, g, max_nodes: int = 8) -> bool:
     """Whether forest g is reachable from a sub-multiset of f by graftings.
 
     One grafting step attaches the root of one component under a leaf of
-    another.  Search is breadth-first over canonical forests; inputs above
-    `max_nodes` total vertices are rejected.
+    another.  That vertex keeps it as its only child, since later grafts land
+    only on leaves, and cut pieces graft back in any order.  So g is
+    reachable exactly when cutting some set of only-child edges of g leaves
+    a sub-multiset of f.  Inputs above `max_nodes` total vertices are rejected.
     """
-    f = tuple(sorted(f))
-    g = tuple(sorted(g))
     if forest_nodes(f) > max_nodes or forest_nodes(g) > max_nodes:
         raise TooLarge(f"forest order exceeds the search budget ({max_nodes})")
-    target_nodes = forest_nodes(g)
-    target_labels = sorted(x for t in g for x in tree_labels(t))
-    for start in _sub_multisets(f):
-        if forest_nodes(start) != target_nodes:
-            continue
-        if sorted(x for t in start for x in tree_labels(t)) != target_labels:
-            continue
-        if _reachable_by_grafts(start, g):
-            return True
-    return False
-
-
-def _reachable_by_grafts(start, target) -> bool:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        if cur == target:
-            return True
-        if len(cur) < 2:
-            continue
-        for i in range(len(cur)):
-            for j in range(len(cur)):
-                if i == j:
-                    continue
-                rest = tuple(cur[k] for k in range(len(cur)) if k not in (i, j))
-                for lp in leaf_paths(cur[i]):
-                    nxt = tuple(sorted(rest + (graft_at(cur[i], lp, cur[j]),)))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-    return target in seen
+    have = Counter(f)
+    per_tree = [[Counter((trunk,) + pieces) for trunk, pieces in _only_child_cuts(t)]
+                for t in g]
+    return any(sum(choice, Counter()) <= have for choice in itertools.product(*per_tree))
 
 
 # --- enumeration of labelled rooted trees -------------------------------------

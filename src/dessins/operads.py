@@ -9,7 +9,7 @@ many tails a plan joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
 
@@ -345,7 +345,10 @@ def validate_magma_tree(t: OrientedBinaryTree) -> None:
 def graft_magma(t1: OrientedBinaryTree, t2: OrientedBinaryTree, leaf_label) -> OrientedBinaryTree:
     """Graft the root of t1 onto the leaf of t2 carrying `leaf_label`.
 
-    Grafting onto the root is not a magma composition and is rejected.
+    Grafting onto the root is not a magma composition and is rejected.  The
+    arity-1 unit is neutral on both sides: grafted into the unit, t1 comes
+    back unchanged, and the unit grafted into t2 relabels the chosen leaf
+    with the unit's label.
     """
     target = [f for f, lab in t2.leaf_order if lab == leaf_label]
     if not target:
@@ -353,6 +356,11 @@ def graft_magma(t1: OrientedBinaryTree, t2: OrientedBinaryTree, leaf_label) -> O
             raise RootGraftNotAllowed("the root tail is not a composition site")
         raise NotATail(f"t2 has no leaf labelled {leaf_label!r}")
     leaf_flag = target[0]
+    if t2.degenerate:
+        return t1
+    if t1.degenerate:
+        return replace(t2, leaf_order=tuple((f, t1.labels[0] if f == leaf_flag else lab)
+                                            for f, lab in t2.leaf_order))
     g, fmap1, fmap2 = graft_with_maps(t1.graph, t1.root_flag, t2.graph, leaf_flag)
     orientation = {fmap1[f]: o for f, o in t1.orientation.items()}
     orientation.update({fmap2[f]: o for f, o in t2.orientation.items()})

@@ -197,8 +197,7 @@ class TruncatedRep:
         return len(self.basis)
 
     def identity(self) -> LinearOp:
-        one = CyclotomicNumber.one(self.char.m)
-        return LinearOp(self.dim, {i: (i, one) for i in range(self.dim)})
+        return self.shift(())
 
     def shift(self, word) -> LinearOp:
         """S_w: appends w to the basis word; out-of-window images are flagged."""
@@ -218,13 +217,10 @@ class TruncatedRep:
         """S_w^*: strips the suffix w, zero on words not ending in w."""
         word = check_word(word, self.alphabet)
         one = CyclotomicNumber.one(self.char.m)
-        k = len(word)
         cols: dict = {}
         for i, w in enumerate(self.basis):
-            if k == 0:
-                cols[i] = (i, one)
-            elif len(w) >= k and w[-k:] == word:
-                cols[i] = (self.index[w[:-k]], one)
+            if w[len(w) - len(word):] == word:
+                cols[i] = (self.index[w[:len(w) - len(word)]], one)
         return LinearOp(self.dim, cols)
 
     def diag(self, tree) -> LinearOp:
@@ -238,10 +234,7 @@ class TruncatedRep:
 
     def range_columns(self, word) -> frozenset[int]:
         """Columns of basis words that end with the given word."""
-        word = tuple(word)
-        k = len(word)
-        return frozenset(i for i, w in enumerate(self.basis)
-                         if len(w) >= k and (k == 0 or w[-k:] == word))
+        return frozenset(self.shift_adjoint(word).cols)
 
     def length_diagonal(self) -> list[int]:
         return [len(w) for w in self.basis]
@@ -496,9 +489,11 @@ def partition_trace(rep: TruncatedRep, N: int, beta) -> Fraction | float:
 
 # --- the bundled system ------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QsmSystem:
-    """Defaults wired together: conductor, group, character, window, N."""
+    """Defaults wired together: conductor, group, character, window, N.
+
+    Frozen, so each derived constant is computed on first read and kept."""
 
     m: int = 12
     N: int = 10
@@ -509,21 +504,26 @@ class QsmSystem:
     def __post_init__(self):
         _check_spectral_base(self.N)
         if self.group is None:
-            self.group = GaloisGroup.full(self.m)
+            object.__setattr__(self, "group", GaloisGroup.full(self.m))
         if self.group.m != self.m:
             raise QsmError("group modulus differs from the conductor")
 
-    @property
+    @cached_property
     def fixed_labels(self) -> tuple[int, ...]:
         return self.group.fixed_labels()
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.fixed_labels)
 
-    @property
+    @cached_property
     def char(self) -> ExponentSumCharacter:
         return ExponentSumCharacter(self.m, self.D)
+
+    @cached_property
+    def phase_sum(self) -> CyclotomicNumber:
+        """Sum of zeta^j over the fixed labels (the per-level numerator factor)."""
+        return sum((zeta(self.m, j) for j in self.fixed_labels), CyclotomicNumber.zero(self.m))
 
     @cached_property
     def rep(self) -> TruncatedRep:
@@ -537,20 +537,12 @@ class QsmSystem:
 
 # --- Gibbs states --------------------------------------------------------------------
 
-def _level_phase_sum(system: QsmSystem) -> CyclotomicNumber:
-    """Sum of zeta^j over the fixed labels (the per-level numerator factor)."""
-    acc = CyclotomicNumber.zero(system.m)
-    for j in system.fixed_labels:
-        acc = acc + zeta(system.m, j)
-    return acc
-
-
 def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
     """Closed form: phi(X_t) * (1/Z) * 1/(1 - q) with q the level ratio
     (sum of zeta^j over fixed labels) / (D N^beta); exact for integer beta."""
     system.check_convergence(beta)
     scale = _n_pow_minus_beta(system.N, beta)
-    q = _level_phase_sum(system) * (Fraction(1, system.D) * scale)
+    q = system.phase_sum * (Fraction(1, system.D) * scale)
     if abs(complex_embed(q)) >= 1:
         raise Divergent("level ratio has modulus >= 1")
     z = partition_function(beta, system.k, system.N, "word", "closed").value
@@ -571,7 +563,7 @@ def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
     if route == "closed":
         if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
             return complex_embed(gibbs_closed_exact(system, tree, int(beta)))
-        phase = complex_embed(_level_phase_sum(system))
+        phase = complex_embed(system.phase_sum)
         q = phase / (system.D * float(system.N) ** float(beta))
         return complex_embed(system.char.on_tree(tree)) / (1 - q) / z
     if route == "series":
@@ -675,7 +667,7 @@ def verify_system(system: QsmSystem, seed: int = 0) -> Report:
 
     # The series and trace routes stop at the window, so they miss the closed
     # form's levels beyond it: phi(X_t) q^(L+1) / ((1 - q) Z), q the level ratio.
-    phase = abs(complex_embed(_level_phase_sum(system))) / system.D
+    phase = abs(complex_embed(system.phase_sum)) / system.D
     for beta_val in betas:
         start = time.perf_counter()
         q = phase / system.N ** beta_val

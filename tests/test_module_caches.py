@@ -1,14 +1,22 @@
-"""Every module-level `functools.lru_cache` in the library has a finite bound."""
+"""Every module-level `functools.lru_cache` in the library has a finite bound,
+and values cached on an instance live only on instances that cannot change."""
 
+import dataclasses
+import functools
 import importlib
+import inspect
 import pkgutil
 
 import dessins
 
 
-def lru_wrappers():
+def modules():
     for info in pkgutil.iter_modules(dessins.__path__):
-        module = importlib.import_module(f"dessins.{info.name}")
+        yield importlib.import_module(f"dessins.{info.name}")
+
+
+def lru_wrappers():
+    for module in modules():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_parameters", None)):
                 yield f"{module.__name__}.{name}", value
@@ -20,3 +28,17 @@ def test_every_lru_cache_is_bounded():
             "dessins.strata._flag_names"} <= set(found)
     unbounded = [name for name, fn in found.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_cached_properties_live_only_on_frozen_dataclasses():
+    # a cached value on a mutable instance goes stale when a field it was
+    # derived from is assigned
+    owners = {f"{cls.__module__}.{cls.__qualname__}": cls
+              for module in modules()
+              for cls in vars(module).values()
+              if inspect.isclass(cls) and cls.__module__ == module.__name__
+              and any(isinstance(v, functools.cached_property) for v in vars(cls).values())}
+    assert "dessins.qsm.QsmSystem" in owners
+    mutable = [name for name, cls in owners.items()
+               if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)]
+    assert mutable == []

@@ -218,6 +218,27 @@ def test_graft_magma_substitutes_leaf():
     assert out.labels == ("x", "a", "b")
 
 
+def test_graft_magma_unit_law():
+    def relabel(word, old, new):
+        if isinstance(word, tuple):
+            return tuple(relabel(w, old, new) for w in word)
+        return new if word == old else word
+
+    unit = degenerate_magma_tree("u")
+    for leaves in ("ab", "xyz", "pqrs"):
+        for t in enumerate_magma_trees(leaves):
+            word = tree_to_word(t)
+            into_unit = graft_magma(t, unit, "u")
+            validate_magma_tree(into_unit)
+            assert tree_to_word(into_unit) == word
+            for label in t.labels:
+                out = graft_magma(unit, t, label)
+                validate_magma_tree(out)
+                assert tree_to_word(out) == relabel(word, label, "u")
+    both = graft_magma(degenerate_magma_tree("q"), unit, "u")
+    assert both.degenerate and tree_to_word(both) == "q"
+
+
 def test_graft_magma_rejects_unknown_site():
     t1 = word_to_tree(("a", "b"))
     t2 = word_to_tree(("x", "y"))

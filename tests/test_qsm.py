@@ -60,6 +60,28 @@ def test_system_window_is_not_a_constructor_argument():
         QsmSystem(m=5, _rep=default_system().rep)
 
 
+def test_system_is_frozen_and_equal_systems_hash_alike():
+    s = default_system()
+    assert s.rep.dim == 31
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.max_length = 3
+    assert s.rep.dim == 31
+    assert hash(QsmSystem()) == hash(QsmSystem())
+
+
+def test_verify_system_scans_the_fixed_labels_once(monkeypatch):
+    calls = []
+    scan = GaloisGroup.fixed_labels
+
+    def counted(group):
+        calls.append(group.m)
+        return scan(group)
+
+    monkeypatch.setattr(GaloisGroup, "fixed_labels", counted)
+    assert qsm.verify_system(QsmSystem(m=13)).ok
+    assert calls == [13]
+
+
 def chain(*labels):
     t = leaf(labels[-1])
     for lab in reversed(labels[:-1]):
@@ -186,6 +208,12 @@ def test_shift_range_projection():
             assert hit == (i, CyclotomicNumber.one(12))
         elif i not in proj.overflow:
             assert hit is None
+
+
+def test_range_columns_rejects_a_label_outside_the_fixed_set():
+    rep = default_system(max_length=3).rep
+    with pytest.raises(LabelNotFixed):
+        rep.range_columns((3,))
 
 
 def test_crossed_relations_default():
