@@ -1,10 +1,11 @@
-"""Differential test: flag-graph unions, grafting and magma words against the
-code they replaced.
+"""Differential test: flag-graph unions, grafting, magma words and magma trees
+against the code they replaced.
 
 The reference below namespaces each part of a union through its own validated
 copy, validates after every graft of an iterated plan, reads a vertex's flags
-by scanning every flag, and builds the words of each arity from a table of all
-smaller arities.  Outputs are compared as JSON, flag maps and words; failures
+by scanning every flag, builds the words of each arity from a table of all
+smaller arities, and builds and validates a fresh flag graph for every magma
+tree, one per lettering of a bracketing.  Outputs are compared as JSON, flag maps and words; failures
 are compared by exception type and message.
 """
 
@@ -133,6 +134,56 @@ def ref_graft_magma(t1, t2, leaf_label):
         else:
             leaf_order.append((fmap2[f], lab))
     return OrientedBinaryTree(g, orientation, fmap2[t2.root_flag], tuple(leaf_order))
+
+
+def ref_tree_from_shape(shape):
+    flags, vertices, boundary, involution, orientation = [], [], {}, {}, {}
+    leaves = []
+
+    def build(node, path):
+        vname = "v" + path
+        vertices.append(vname)
+        out = vname + ".o"
+        flags.append(out)
+        boundary[out] = vname
+        orientation[out] = operads.OUTWARD
+        for side, child in zip("LR", node):
+            inp = vname + "." + side.lower()
+            flags.append(inp)
+            boundary[inp] = vname
+            orientation[inp] = TOWARD
+            if isinstance(child, tuple):
+                child_out = build(child, path + side)
+                involution[inp] = child_out
+                involution[child_out] = inp
+            else:
+                involution[inp] = inp
+                leaves.append((inp, child))
+        return out
+
+    if not isinstance(shape, tuple):
+        v, leaf, out = "v", "v.i", "v.o"
+        g = validate([leaf, out], [v], {leaf: v, out: v}, {leaf: leaf, out: out})
+        return OrientedBinaryTree(g, {leaf: TOWARD, out: operads.OUTWARD}, out,
+                                  ((leaf, shape),), degenerate=True)
+
+    root_out = build(shape, "")
+    involution[root_out] = root_out
+    g = validate(flags, vertices, boundary, involution)
+    return OrientedBinaryTree(g, orientation, root_out, tuple(leaves))
+
+
+def ref_bracketings(seq):
+    """Every fully parenthesized word over the letters of seq, in order."""
+    if len(seq) == 1:
+        return [seq[0]]
+    return [(left, right) for p in range(1, len(seq))
+            for left in ref_bracketings(seq[:p]) for right in ref_bracketings(seq[p:])]
+
+
+def ref_enumerate_magma_trees(leaves):
+    leaves = tuple(leaves)
+    return [ref_tree_from_shape(s) for s in sorted(ref_bracketings(leaves), key=word_to_text)]
 
 
 def ref_flags_at(g, v):
@@ -369,3 +420,31 @@ def test_enumerate_magma_words_matches_reference(letters):
     for arity in range(0, 6):
         assert (outcome(operads.enumerate_magma_words, letters, arity)
                 == outcome(ref_enumerate_magma_words, letters, arity))
+
+
+def tree_fields(t):
+    g = t.graph
+    return (g.flags, g.vertices, g.boundary, g.involution, g.edges, g.tails,
+            t.orientation, t.root_flag, t.leaf_order, t.degenerate)
+
+
+LETTERINGS = ("abcdefg", tuple(range(7)), "xyxxyyx")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_magma_trees_match_per_tree_reference_on_every_bracketing(n):
+    """word_to_tree and enumerate_magma_trees give the same graph fields,
+    orientation, root, leaf order and degeneracy as a fresh per-tree build,
+    on every bracketing of n leaves over str, int and repeated letters."""
+    for letters in LETTERINGS:
+        seq = tuple(letters[:n])
+        words = ref_bracketings(seq)
+        assert len(words) == operads.catalan(n - 1)
+        for w in words:
+            assert tree_fields(operads.word_to_tree(w)) == tree_fields(ref_tree_from_shape(w))
+        if n == 1:
+            assert (tree_fields(operads.degenerate_magma_tree(seq[0]))
+                    == tree_fields(ref_tree_from_shape(seq[0])))
+            continue
+        got = [tree_fields(t) for t in operads.enumerate_magma_trees(seq)]
+        assert got == [tree_fields(t) for t in ref_enumerate_magma_trees(seq)]
