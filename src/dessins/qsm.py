@@ -291,6 +291,8 @@ def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Repor
 
     for w in words:
         s, s_adj = rep.shift(w), rep.shift_adjoint(w)
+        rng = rep.range_columns(w)
+        off = frozenset(range(rep.dim)) - rng
         for t in trees:
             # conjugation downward: S* pi(X_t) S = pi(X_(w*t))
             lhs = s_adj.compose(rep.diag(t)).compose(s)
@@ -298,11 +300,9 @@ def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Repor
             add(f"endomorphism S*_{w} pi(X_{hopf.format_tree(t)}) S_{w}", lhs.equal_on(rhs))
             # conjugation upward on the range of S_w: S pi(X_(w*t)) S* = pi(X_t)
             lhs = s.compose(rep.diag(chain_graft(w, t))).compose(s_adj)
-            rng = rep.range_columns(w)
             add(f"partial inverse S_{w} pi(X_{{{w}*t}}) S*_{w} on range, t={hopf.format_tree(t)}",
                 lhs.equal_on(rep.diag(t), columns=rng))
             # annihilation off the range
-            off = frozenset(range(rep.dim)) - rng
             lhs2 = s.compose(rep.diag(t)).compose(s_adj)
             annihilated = all(c not in lhs2.cols for c in off - lhs2.overflow)
             add(f"annihilation off range of S_{w}, t={hopf.format_tree(t)}", annihilated)

@@ -5,8 +5,9 @@ The reference below namespaces each part of a union through its own validated
 copy, validates after every graft of an iterated plan, reads a vertex's flags
 by scanning every flag, builds the words of each arity from a table of all
 smaller arities, and builds and validates a fresh flag graph for every magma
-tree, one per lettering of a bracketing.  Outputs are compared as JSON, flag maps and words; failures
-are compared by exception type and message.
+tree, one per lettering of a bracketing.  Outputs are compared as JSON, flag
+maps, words and tree fields; failures are compared by exception type and
+message.
 """
 
 import random
@@ -448,3 +449,16 @@ def test_magma_trees_match_per_tree_reference_on_every_bracketing(n):
             continue
         got = [tree_fields(t) for t in operads.enumerate_magma_trees(seq)]
         assert got == [tree_fields(t) for t in ref_enumerate_magma_trees(seq)]
+
+
+def test_grafting_magma_trees_leaves_the_shared_graphs_unchanged():
+    """graft_magma over every pair of 4-leaf trees and the unit, at every leaf,
+    leaves each cached graph and orientation equal to a fresh build."""
+    trees = operads.enumerate_magma_trees("abcd") + [operads.degenerate_magma_tree("u")]
+    for t1 in trees:
+        for t2 in trees:
+            for label in t2.labels:
+                operads.validate_magma_tree(operads.graft_magma(t1, t2, label))
+    for t in trees + operads.enumerate_magma_trees("wxyz"):
+        ref = ref_tree_from_shape(ref_tree_to_word(t))
+        assert tree_fields(t) == tree_fields(ref)

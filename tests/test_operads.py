@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.graphs import corolla, find_isomorphism, structure_report
 from dessins import operads
@@ -19,6 +21,7 @@ from dessins.operads import (
     parse_word,
     tree_to_word,
     validate_magma_tree,
+    word_arity,
     word_to_text,
     word_to_tree,
 )
@@ -244,3 +247,33 @@ def test_graft_magma_rejects_unknown_site():
     t2 = word_to_tree(("x", "y"))
     with pytest.raises(NotATail):
         graft_magma(t1, t2, "zz")
+
+
+@pytest.mark.parametrize("word", [("a", "b", "c"), ("a",), (), ("a", ())],
+                         ids=["triple", "single", "empty", "empty-child"])
+def test_word_to_tree_rejects_a_node_that_is_not_a_pair(word):
+    with pytest.raises(MalformedWord, match="not a pair"):
+        word_to_tree(word)
+
+
+def test_letterings_of_one_bracketing_share_one_graph():
+    t1, t2 = word_to_tree((("a", "b"), "c")), word_to_tree(((1, 2), 3))
+    assert t1.graph is t2.graph and t1.orientation is t2.orientation
+    assert t1.labels == ("a", "b", "c") and t2.labels == (1, 2, 3)
+    for u, v in zip(enumerate_magma_trees("abcd"), enumerate_magma_trees("wxyz")):
+        assert u.graph is v.graph and u.orientation is v.orientation
+    assert degenerate_magma_tree("a").graph is word_to_tree("b").graph
+
+
+def magma_words(letters):
+    return st.recursive(letters, lambda sub: st.tuples(sub, sub), max_leaves=8)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(magma_words(st.text(min_size=1, max_size=3)),
+                 magma_words(st.integers(-5, 50))))
+def test_word_tree_round_trip_property(w):
+    assert word_arity(w) <= 8
+    t = word_to_tree(w)
+    validate_magma_tree(t)
+    assert tree_to_word(t) == w

@@ -4,8 +4,9 @@ Gibbs closed form against a test-local copy of the code as it stood before
 
 The references recompute the fixed labels from the group and the character
 from (m, D) on every call, and keep the original suffix rule with its own
-empty-word branch.  Results are compared with ==, so cyclotomic values must
-agree coordinate for coordinate.
+empty-word branch.  The crossed-product relations reference recomputes the
+range of S_w and its complement for every (word, tree) pair.  Results are
+compared with ==, so cyclotomic values must agree coordinate for coordinate.
 """
 
 import random
@@ -21,7 +22,16 @@ from dessins.galois import (
     complex_embed,
     zeta,
 )
-from dessins.qsm import Divergent, LinearOp, QsmSystem, build_rep, check_word
+from dessins.qsm import (
+    Divergent,
+    LinearOp,
+    QsmSystem,
+    TruncatedRep,
+    build_rep,
+    chain_graft,
+    check_word,
+    compose_words,
+)
 from dessins.report import check_all
 
 
@@ -186,3 +196,58 @@ def test_verify_system_reports_match_reference(m):
     got = qsm.verify_system(QsmSystem(m=m))
     assert [(c.name, c.passed, c.cases, c.detail) for c in got.checks] == \
         ref_verify_system(QsmSystem(m=m))
+
+
+def ref_crossed_relations(rep):
+    """(name, passed) of each check of `verify_crossed_relations` at the
+    default words and trees, with the range recomputed for every tree."""
+    words = [(a,) for a in rep.alphabet]
+    trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
+    out = []
+    for w1 in words:
+        for w2 in words:
+            lhs = rep.shift(w1).compose(rep.shift(w2))
+            rhs = rep.shift(compose_words(w2, w1))
+            out.append((f"composition S_{w1} S_{w2} = S_{compose_words(w2, w1)}",
+                        lhs.equal_on(rhs)))
+    for w in words:
+        lhs = rep.shift_adjoint(w).compose(rep.shift(w))
+        out.append((f"isometry S*_{w} S_{w} = 1", lhs.equal_on(rep.identity())))
+    for w in words:
+        s, s_adj = rep.shift(w), rep.shift_adjoint(w)
+        for t in trees:
+            name = hopf.format_tree(t)
+            lhs = s_adj.compose(rep.diag(t)).compose(s)
+            out.append((f"endomorphism S*_{w} pi(X_{name}) S_{w}",
+                        lhs.equal_on(rep.diag(chain_graft(w, t)))))
+            lhs = s.compose(rep.diag(chain_graft(w, t))).compose(s_adj)
+            rng = rep.range_columns(w)
+            out.append((f"partial inverse S_{w} pi(X_{{{w}*t}}) S*_{w} on range, t={name}",
+                        lhs.equal_on(rep.diag(t), columns=rng)))
+            off = frozenset(range(rep.dim)) - rng
+            lhs2 = s.compose(rep.diag(t)).compose(s_adj)
+            out.append((f"annihilation off range of S_{w}, t={name}",
+                        all(c not in lhs2.cols for c in off - lhs2.overflow)))
+    return out
+
+
+@pytest.mark.parametrize("whole_window", [False, True])
+def test_crossed_relations_match_reference_and_take_each_range_once(monkeypatch,
+                                                                    whole_window):
+    """The default system's relations keep their names, order and results, and
+    the range of S_w is taken once per word.  Claiming the whole window as the
+    range makes the partial-inverse and annihilation checks fail, so failing
+    results are compared too."""
+    calls = []
+    columns = TruncatedRep.range_columns
+
+    def counted(rep, word):
+        calls.append(word)
+        return frozenset(range(rep.dim)) if whole_window else columns(rep, word)
+
+    monkeypatch.setattr(TruncatedRep, "range_columns", counted)
+    rep = QsmSystem().rep
+    got = [(c.name, c.passed) for c in qsm.verify_crossed_relations(rep).checks]
+    assert calls == [(a,) for a in rep.alphabet]
+    assert got == ref_crossed_relations(rep)
+    assert all(passed for _, passed in got) != whole_window
