@@ -1,0 +1,232 @@
+"""Differential test of the Hopf identity checks and `balanced_cuts`.
+
+The reference below is a test-local copy of the straightforward checks: both
+3-tensors of coassociativity built in full and compared, both counit sides
+read off the coproduct, both antipode convolutions summed, and balanced cuts
+relabelled through a fresh memo per group element.  It reads every coproduct
+and antipode through `hopf._delta` and `hopf._antipode`, so a corrupted
+coproduct reaches the reference and the library alike, and their verdicts
+must agree on every tree, also when the identities fail.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from dessins import hopf
+from dessins.galois import GaloisGroup
+from dessins.hopf import (
+    antipode_identity_holds,
+    balanced_cuts,
+    coassociativity_holds,
+    counit_axioms_hold,
+    enumerate_trees,
+)
+
+SMALL_ALPHABET = (0, 1, 2)
+CLOSED_ALPHABET = (0, 1, 5, 6, 7, 11)
+
+
+# --- reference ---------------------------------------------------------------------
+
+def ref_add(terms, key, coeff):
+    s = terms.get(key, 0) + coeff
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def ref_join(f, g):
+    if not f or not g:
+        return f or g
+    table = hopf.CACHE.trees
+    return table.forest(tuple(sorted(table.forests[f] + table.forests[g])))
+
+
+def tree_id(t):
+    return hopf._forest_key((t,))
+
+
+def ref_coassociativity(t):
+    left, right = {}, {}
+    for (a, b), c in hopf._delta(tree_id(t)).items():
+        for (a1, a2), c2 in hopf._delta(a).items():
+            k = (a1, a2, b)
+            left[k] = left.get(k, 0) + c * c2
+        for (b1, b2), c2 in hopf._delta(b).items():
+            k = (a, b1, b2)
+            right[k] = right.get(k, 0) + c * c2
+    return left == right
+
+
+def ref_counit(t):
+    f = tree_id(t)
+    delta = hopf._delta(f)
+    left = {b: c for (a, b), c in delta.items() if not a}
+    right = {a: c for (a, b), c in delta.items() if not b}
+    return left == right == {f: 1}
+
+
+def ref_antipode_identity(t):
+    left, right = {}, {}
+    for (a, b), c in hopf._delta(tree_id(t)).items():
+        for g, s in hopf._antipode(a).items():
+            ref_add(left, ref_join(g, b), c * s)
+        for g, s in hopf._antipode(b).items():
+            ref_add(right, ref_join(a, g), c * s)
+    return not left and not right
+
+
+def ref_relabel(fid, memo, fn):
+    out = memo.get(fid)
+    if out is None:
+        table = hopf.CACHE.trees
+        tids = table.forests[fid]
+        if len(tids) == 1:
+            tid = tids[0]
+            children = ref_relabel(table.children[tid], memo, fn)
+            out = table.single[table.intern(fn(table.label[tid]), children)]
+        else:
+            moved = (table.forests[ref_relabel(table.single[u], memo, fn)][0] for u in tids)
+            out = table.forest(tuple(sorted(moved)))
+        memo[fid] = out
+    return out
+
+
+def ref_balanced_cuts(t, group):
+    table = hopf.CACHE.trees
+    tid = table.of(t)
+    ids, cuts = hopf._cuts(tid)
+    keep = [True] * len(ids)
+    for a in group.elements:
+        gamma = group.element(a)
+        memo = {}
+
+        def act(f):
+            return ref_relabel(f, memo, gamma.on_label)
+
+        cut_pairs = hopf._delta(act(table.single[tid]))
+        for i, (_, trunk, pruned) in enumerate(ids):
+            if keep[i]:
+                keep[i] = (act(table.single[trunk]), act(pruned)) in cut_pairs
+    return [cut for cut, ok in zip(cuts, keep) if ok]
+
+
+IDENTITY_CHECKS = (
+    (coassociativity_holds, ref_coassociativity),
+    (counit_axioms_hold, ref_counit),
+    (antipode_identity_holds, ref_antipode_identity),
+)
+
+
+def verdicts(trees):
+    """For each tree, the verdicts of the library checks and of the reference."""
+    got, want = [], []
+    for t in trees:
+        got.append(tuple(check(t) for check, _ in IDENTITY_CHECKS))
+        want.append(tuple(ref(t) for _, ref in IDENTITY_CHECKS))
+    return got, want
+
+
+# --- the true coproduct ----------------------------------------------------------
+
+def test_identity_checks_match_reference_on_small_trees():
+    hopf.clear_caches()
+    trees = enumerate_trees(SMALL_ALPHABET, 5)
+    got, want = verdicts(trees)
+    assert got == want
+    assert all(all(v) for v in got)
+
+
+def test_balanced_cuts_match_reference_under_units_mod_12():
+    hopf.clear_caches()
+    group = GaloisGroup.full(12)
+    for t in enumerate_trees(CLOSED_ALPHABET, 4):
+        assert balanced_cuts(t, group) == ref_balanced_cuts(t, group), t
+
+
+def test_cold_and_warm_caches_give_the_same_verdicts():
+    hopf.clear_caches()
+    trees = enumerate_trees(SMALL_ALPHABET, 4)
+    cold = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
+    warm = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
+    assert cold == warm and all(all(v) for v in cold)
+
+
+# --- corrupted coproducts --------------------------------------------------------
+
+def bump_proper_cut(f, delta):
+    for key in delta:
+        if key[0] and key[1]:
+            delta[key] += 1
+            break
+    return delta
+
+
+def drop_full_cut(f, delta):
+    delta.pop((0, f), None)
+    return delta
+
+
+def halve_proper_cut(f, delta):
+    for key in delta:
+        if key[0] and key[1]:
+            delta[key] = Fraction(delta[key], 2)
+            break
+    return delta
+
+
+def fractions_everywhere(f, delta):
+    return {k: Fraction(c) for k, c in delta.items()}
+
+
+def move_proper_cut(f, delta):
+    proper = [k for k in delta if k[0] and k[1]]
+    if proper:
+        moved = proper[0]
+        onto = next(k for k in delta if k != moved)
+        delta[onto] += delta.pop(moved)
+    return delta
+
+
+CORRUPTIONS = {
+    "bumped proper cut": (bump_proper_cut, True),
+    "dropped full cut": (drop_full_cut, True),
+    "halved proper cut": (halve_proper_cut, True),
+    "Fraction coefficients": (fractions_everywhere, False),
+    "moved proper cut": (move_proper_cut, True),
+}
+
+
+@pytest.fixture
+def corrupt_delta(monkeypatch):
+    """install(change) replaces hopf._delta by change(f, copy of the true
+    coproduct of forest id f) on cleared caches; they are cleared again after."""
+    real = hopf._delta
+
+    def install(change):
+        monkeypatch.setattr(hopf, "_delta", lambda f: change(f, dict(real(f))))
+        hopf.clear_caches()
+
+    yield install
+    monkeypatch.undo()
+    hopf.clear_caches()
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_identity_checks_match_reference_on_a_corrupted_coproduct(corrupt_delta, name):
+    change, breaks = CORRUPTIONS[name]
+    corrupt_delta(change)
+    got, want = verdicts(enumerate_trees(SMALL_ALPHABET, 4))
+    assert got == want
+    assert any(not all(v) for v in got) == breaks
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_balanced_cuts_match_reference_on_a_corrupted_coproduct(corrupt_delta, name):
+    change, _ = CORRUPTIONS[name]
+    corrupt_delta(change)
+    group = GaloisGroup.full(12)
+    for t in enumerate_trees(CLOSED_ALPHABET, 3):
+        assert balanced_cuts(t, group) == ref_balanced_cuts(t, group), t
