@@ -159,7 +159,8 @@ def cmd_hopf(args) -> int:
             return _print_report(report, as_json=True, cache=stats)
         status = _print_report(report)
         print(f"cache: {stats['size']} entries (bound {stats['max_entries']}), "
-              f"{stats['hits']} hits, {stats['misses']} misses, {stats['trims']} trims")
+              f"{stats['trims']} trims; per public call, {stats['hits']} hits "
+              f"(answer already memoised) and {stats['misses']} misses")
         return status
 
     if not args.tree:

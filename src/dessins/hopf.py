@@ -330,8 +330,11 @@ class HopfCache:
     public function that memoises calls `trim()` on entry, which drops the
     table and all memos at once when `size` is above `max_entries`, so no
     tree or forest id outlives its table; one call may overshoot the bound by
-    what it adds itself.  `hits` and `misses` count memo lookups and `trims`
-    counts the drops.
+    what it adds itself, and `trims` counts the drops.  `hits` and `misses`
+    count public calls that memoise, one each: a hit when the call's own entry
+    (the cut list, coproduct or antipode of its tree or forest, or its list of
+    trees) was already held, a miss when the call had to compute it.  Lookups
+    inside the recursion are plain dict reads and are not counted.
     """
 
     def __init__(self, max_entries: int):
@@ -362,13 +365,12 @@ class HopfCache:
             self.trims += 1
             self._drop()
 
-    def get(self, memo: dict, key):
-        value = memo.get(key)
-        if value is None:
-            self.misses += 1
-        else:
+    def count(self, held: bool):
+        """Count one public call: a hit when its own memo entry was held."""
+        if held:
             self.hits += 1
-        return value
+        else:
+            self.misses += 1
 
     def put(self, memo: dict, key, value):
         memo[key] = value
@@ -400,6 +402,12 @@ def _forest_key(f) -> int:
     return table.forest(tuple(sorted(table.of(t) for t in f)))
 
 
+def _tree_key(t) -> int:
+    """Forest id of the one-tree forest of a nested-tuple tree."""
+    table = CACHE.trees
+    return table.single[table.of(t)]
+
+
 def _forest_tuple(fid: int) -> tuple:
     """The nested-tuple forest of a forest id."""
     return CACHE.trees.forest_tuples[fid]
@@ -425,7 +433,9 @@ def admissible_cuts(t):
     The empty cut (t, empty forest) is included; the full cut is not.
     """
     CACHE.trim()
-    return _cuts(CACHE.trees.of(t))[1]
+    tid = CACHE.trees.of(t)
+    CACHE.count(tid in CACHE.cuts)
+    return _cuts(tid)[1]
 
 
 def _shape(t) -> tuple:
@@ -444,7 +454,7 @@ def _cuts(tid: int) -> tuple:
     canonical form.  Trunk and pruned tuples come from the tree table and edge
     sets from a memo shared by all trees of the same ordered shape.
     """
-    out = CACHE.get(CACHE.cuts, tid)
+    out = CACHE.cuts.get(tid)
     if out is not None:
         return out
     table = CACHE.trees
@@ -469,7 +479,7 @@ def _cuts(tid: int) -> tuple:
     paths = None
     cuts = []
     for mask, trunk, pruned in ids:
-        edges = CACHE.get(CACHE.edges, (shape, mask))
+        edges = CACHE.edges.get((shape, mask))
         if edges is None:
             paths = paths or vertex_paths(t)
             edges = CACHE.put(CACHE.edges, (shape, mask),
@@ -488,7 +498,7 @@ def _delta(f: int) -> dict:
     the left factors are the trunks and the right ones the pruned forests of
     its admissible cuts.  A forest's coproduct is the product of its trees'.
     """
-    out = CACHE.get(CACHE.coproduct, f)
+    out = CACHE.coproduct.get(f)
     if out is not None:
         return out
     table = CACHE.trees
@@ -502,13 +512,17 @@ def _delta(f: int) -> dict:
                for (a, b), c in _delta(table.children[tid]).items()}
         out[(0, f)] = 1
     else:
-        out = {(0, 0): 1}
-        for tid in tids:
-            factor = _delta(table.single[tid])
+        # the product of the trees' coproducts; forest 0 is the unit of each join
+        forests, forest = table.forests, table.forest
+        out = _delta(table.single[tids[0]]) if tids else {(0, 0): 1}
+        for tid in tids[1:]:
+            factor = _delta(table.single[tid]).items()
             product: dict = {}
             for (a1, b1), c1 in out.items():
-                for (a2, b2), c2 in factor.items():
-                    k = (_join(a1, a2), _join(b1, b2))
+                left, right = forests[a1], forests[b1]
+                for (a2, b2), c2 in factor:
+                    k = (forest(tuple(sorted(left + forests[a2]))) if a1 and a2 else a1 or a2,
+                         forest(tuple(sorted(right + forests[b2]))) if b1 and b2 else b1 or b2)
                     product[k] = product.get(k, 0) + c1 * c2
             out = product
     return CACHE.put(CACHE.coproduct, f, out)
@@ -520,7 +534,7 @@ def _antipode(f: int) -> dict:
     S(X_t) = -X_t - sum over nonempty cuts of S(X_trunk) X_pruned, read off
     the coproduct; S is multiplicative on forests.
     """
-    out = CACHE.get(CACHE.antipode, f)
+    out = CACHE.antipode.get(f)
     if out is not None:
         return out
     table = CACHE.trees
@@ -545,9 +559,11 @@ def _antipode(f: int) -> dict:
 def coproduct(x: ForestPolynomial) -> PairPolynomial:
     """Cut coproduct, an algebra morphism to the pair algebra."""
     CACHE.trim()
+    keys = [(_forest_key(f), c) for f, c in x.terms.items()]
+    CACHE.count(all(f in CACHE.coproduct for f, _ in keys))
     out: dict = {}
-    for f, c in x.terms.items():
-        for (a, b), c2 in _delta(_forest_key(f)).items():
+    for f, c in keys:
+        for (a, b), c2 in _delta(f).items():
             _add(out, (_forest_tuple(a), _forest_tuple(b)), c * c2)
     return PairPolynomial(out)
 
@@ -560,9 +576,11 @@ def counit(x: ForestPolynomial):
 def antipode(x: ForestPolynomial) -> ForestPolynomial:
     """Hopf antipode: S(1) = 1, multiplicative on forests, linear."""
     CACHE.trim()
+    keys = [(_forest_key(f), c) for f, c in x.terms.items()]
+    CACHE.count(all(f in CACHE.antipode for f, _ in keys))
     out: dict = {}
-    for f, c in x.terms.items():
-        for g, s in _antipode(_forest_key(f)).items():
+    for f, c in keys:
+        for g, s in _antipode(f).items():
             _add(out, _forest_tuple(g), c * s)
     return ForestPolynomial(out)
 
@@ -570,24 +588,45 @@ def antipode(x: ForestPolynomial) -> ForestPolynomial:
 # --- Hopf identity checks (used by tests and the command line) --------------
 
 def coassociativity_holds(t) -> bool:
-    """(coproduct (x) id) coproduct == (id (x) coproduct) coproduct on X_t."""
+    """(coproduct (x) id) coproduct == (id (x) coproduct) coproduct on X_t.
+
+    Both sides are grouped by their last tensor factor z.  At z the left side
+    is the sum of c Delta(a) over the terms c a (x) z of Delta(X_t), so a lone
+    term with c = 1 is the memoised Delta(a) itself; only the right side, the
+    sum of c c2 a (x) b1 over the terms c a (x) b and c2 b1 (x) z of Delta(b),
+    is built.
+    """
     CACHE.trim()
-    left: dict = {}
-    right: dict = {}
-    for (a, b), c in _delta(_forest_key((t,))).items():
-        for (a1, a2), c2 in _delta(a).items():
-            k = (a1, a2, b)
-            left[k] = left.get(k, 0) + c * c2
-        for (b1, b2), c2 in _delta(b).items():
-            k = (a, b1, b2)
-            right[k] = right.get(k, 0) + c * c2
-    return left == right
+    f = _tree_key(t)
+    CACHE.count(f in CACHE.coproduct)
+    by_last: dict = {}      # z -> [(a, c)] over the terms c a (x) z
+    right: dict = {}        # z -> {(a, b1): coefficient}
+    for (a, b), c in _delta(f).items():
+        by_last.setdefault(b, []).append((a, c))
+        for (b1, z), c2 in _delta(b).items():
+            part = right.get(z)
+            if part is None:
+                part = right[z] = {}
+            k = (a, b1)
+            part[k] = part.get(k, 0) + c * c2
+    for z, terms in by_last.items():
+        if len(terms) == 1 and terms[0][1] == 1:
+            left = _delta(terms[0][0])
+        else:
+            left = {}
+            for a, c in terms:
+                for k, c2 in _delta(a).items():
+                    left[k] = left.get(k, 0) + c * c2
+        if left != right.pop(z, {}):
+            return False
+    return not right
 
 
 def counit_axioms_hold(t) -> bool:
     """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t."""
     CACHE.trim()
-    f = _forest_key((t,))
+    f = _tree_key(t)
+    CACHE.count(f in CACHE.coproduct)
     delta = _delta(f)
     left = {b: c for (a, b), c in delta.items() if not a}
     right = {a: c for (a, b), c in delta.items() if not b}
@@ -597,9 +636,11 @@ def counit_axioms_hold(t) -> bool:
 def antipode_identity_holds(t) -> bool:
     """m(S (x) id) coproduct == unit . counit == m(id (x) S) coproduct on X_t."""
     CACHE.trim()
+    f = _tree_key(t)
+    CACHE.count(f in CACHE.antipode)
     left: dict = {}
     right: dict = {}
-    for (a, b), c in _delta(_forest_key((t,))).items():
+    for (a, b), c in _delta(f).items():
         for g, s in _antipode(a).items():
             _add(left, _join(g, b), c * s)
         for g, s in _antipode(b).items():
@@ -659,7 +700,7 @@ def g_act(gamma, x):
 
 def _relabel(fid: int, memo: dict, fn) -> int:
     """Id of the forest relabelled by fn; memo holds the ids relabelled so far."""
-    out = CACHE.get(memo, fid)
+    out = memo.get(fid)
     if out is None:
         table = CACHE.trees
         tids = table.forests[fid]
@@ -684,22 +725,26 @@ def balanced_cuts(t, group):
     admissible_cuts(t)."""
     CACHE.trim()
     table = CACHE.trees
+    single = table.single
     tid = table.of(t)
+    CACHE.count(tid in CACHE.cuts)
     ids, cuts = _cuts(tid)
     keep = [True] * len(ids)
     for a in group.elements:
         gamma = group.element(a)
-        memo = CACHE.get(CACHE.relabel, gamma)
+        memo = CACHE.relabel.get(gamma)
         if memo is None:
             memo = CACHE.put(CACHE.relabel, gamma, {})
-
-        def act(f):
-            return _relabel(f, memo, gamma.on_label)
-
-        cut_pairs = _delta(act(table.single[tid]))
+        fn = gamma.on_label
+        cut_pairs = _delta(_relabel(single[tid], memo, fn))
         for i, (_, trunk, pruned) in enumerate(ids):
             if keep[i]:
-                keep[i] = (act(table.single[trunk]), act(pruned)) in cut_pairs
+                a, b = memo.get(single[trunk]), memo.get(pruned)
+                if a is None:
+                    a = _relabel(single[trunk], memo, fn)
+                if b is None:
+                    b = _relabel(pruned, memo, fn)
+                keep[i] = (a, b) in cut_pairs
     return [cut for cut, ok in zip(cuts, keep) if ok]
 
 
@@ -812,18 +857,22 @@ def forest_leq(f, g, max_nodes: int = 8) -> bool:
 def trees_with_n_nodes(labels, n: int) -> list:
     """All canonical labelled rooted trees with exactly n vertices."""
     CACHE.trim()
-    return list(_trees_cached(tuple(labels), n))
+    labels = tuple(labels)
+    CACHE.count(("trees", labels, n) in CACHE.enumeration)
+    return list(_trees_cached(labels, n))
 
 
 def enumerate_trees(labels, max_nodes: int) -> list:
     CACHE.trim()
     labels = tuple(labels)
+    # the list for max_nodes is built from those of every smaller size
+    CACHE.count(("trees", labels, max_nodes) in CACHE.enumeration)
     return [t for n in range(1, max_nodes + 1) for t in _trees_cached(labels, n)]
 
 
 def _trees_cached(labels, n):
     key = ("trees", labels, n)
-    out = CACHE.get(CACHE.enumeration, key)
+    out = CACHE.enumeration.get(key)
     if out is None:
         out = [(lab, f) for lab in labels for f in _forest_lists(labels, n - 1)] if n >= 1 else []
         CACHE.put(CACHE.enumeration, key, out)
@@ -833,7 +882,7 @@ def _trees_cached(labels, n):
 def _forest_lists(labels, total):
     """All canonical forests (sorted tuples of trees) with `total` vertices."""
     key = ("forests", labels, total)
-    out = CACHE.get(CACHE.enumeration, key)
+    out = CACHE.enumeration.get(key)
     if out is not None:
         return out
 

@@ -304,6 +304,30 @@ def test_cache_reports_size_hits_and_misses():
     assert hopf.CACHE.stats()["misses"] == stats["misses"]
 
 
+PUBLIC_MEMO_CALLS = {
+    "admissible_cuts": lambda t: admissible_cuts(t),
+    "balanced_cuts": lambda t: balanced_cuts(t, GaloisGroup.full(12)),
+    "coproduct": lambda t: coproduct(ForestPolynomial.generator(t)),
+    "antipode": lambda t: antipode(ForestPolynomial.generator(t)),
+    "coassociativity_holds": coassociativity_holds,
+    "counit_axioms_hold": counit_axioms_hold,
+    "antipode_identity_holds": antipode_identity_holds,
+    "enumerate_trees": lambda t: enumerate_trees((0, 1), 3),
+    "trees_with_n_nodes": lambda t: trees_with_n_nodes((0, 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_MEMO_CALLS)
+def test_cache_counts_one_hit_or_miss_per_public_call(name):
+    call = PUBLIC_MEMO_CALLS[name]
+    t = node(0, chain(1, 5), leaf(7))
+    hopf.clear_caches()
+    call(t)
+    assert (hopf.CACHE.hits, hopf.CACHE.misses) == (0, 1)
+    call(t)
+    assert (hopf.CACHE.hits, hopf.CACHE.misses) == (1, 1)
+
+
 def test_cache_bound_drops_entries_between_calls(monkeypatch):
     hopf.clear_caches()
     monkeypatch.setattr(hopf.CACHE, "max_entries", 40)
