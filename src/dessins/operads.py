@@ -5,13 +5,13 @@ fully parenthesized binary words.
 Grafting joins tails in the involution of a namespaced disjoint union
 (`graphs.disjoint_union_with_maps`) and validates the result once, however
 many tails a plan joins.  A magma tree's flag graph depends only on its
-word's bracketing, so one validated graph per bracketing, built on first use,
-serves every lettering.
+word's bracketing, so one validated graph per bracketing, built on first use
+with its index of flags by vertex, serves every lettering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -190,7 +190,9 @@ class OrientedBinaryTree:
     one leaf, one root tail) is allowed and flagged.
 
     Trees of one bracketing share one `graph` and one `orientation` object,
-    and grafting the unit shares t2's; both are read-only.
+    and grafting the unit shares t2's; both are read-only.  They also share
+    `flags_at`, `graphs.flags_by_vertex(graph)` built once with the graph;
+    a tree built over any other graph leaves it None and builds its own.
     """
 
     graph: CombinatorialGraph
@@ -198,6 +200,7 @@ class OrientedBinaryTree:
     root_flag: str
     leaf_order: tuple[tuple[str, object], ...]   # (tail flag, label), left to right
     degenerate: bool = False
+    flags_at: dict[str, list[str]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def labels(self) -> tuple:
@@ -217,15 +220,15 @@ def _skeleton(w, letters: list):
 
 # Keyed by bracketing, so Catalan(n-1) graphs serve all letterings of n
 # leaves.  1,024 entries hold every bracketing of <= 8 leaves (626 of them),
-# about 3.6 MiB measured with tracemalloc.
+# about 4.1 MiB with their vertex indexes, measured with tracemalloc.
 @lru_cache(maxsize=1024)
 def _bracketing_tree(skeleton):
-    """The validated graph, orientation, root flag and left-to-right leaf tails
-    of a bracketing; the arity-1 unit's skeleton is None."""
+    """The validated graph, orientation, root flag, left-to-right leaf tails
+    and flags by vertex of a bracketing; the arity-1 unit's skeleton is None."""
     if skeleton is None:
         v, leaf, out = "v", "v.i", "v.o"
         g = validate([leaf, out], [v], {leaf: v, out: v}, {leaf: leaf, out: out})
-        return g, {leaf: TOWARD, out: OUTWARD}, out, (leaf,)
+        return g, {leaf: TOWARD, out: OUTWARD}, out, (leaf,), graphs.flags_by_vertex(g)
     flags, vertices, boundary, involution, orientation = [], [], {}, {}, {}
     tails = []
 
@@ -254,13 +257,18 @@ def _bracketing_tree(skeleton):
     root_out = build(skeleton, "")
     involution[root_out] = root_out
     g = validate(flags, vertices, boundary, involution)
-    return g, orientation, root_out, tuple(tails)
+    return g, orientation, root_out, tuple(tails), graphs.flags_by_vertex(g)
 
 
 def _lettered(skeleton, letters) -> OrientedBinaryTree:
-    g, orientation, root, tails = _bracketing_tree(skeleton)
+    g, orientation, root, tails, at = _bracketing_tree(skeleton)
     return OrientedBinaryTree(g, orientation, root, tuple(zip(tails, letters)),
-                              degenerate=skeleton is None)
+                              degenerate=skeleton is None, flags_at=at)
+
+
+def _flags_at(t: OrientedBinaryTree) -> dict[str, list[str]]:
+    """The flags at each vertex of t's own graph."""
+    return graphs.flags_by_vertex(t.graph) if t.flags_at is None else t.flags_at
 
 
 def degenerate_magma_tree(label) -> OrientedBinaryTree:
@@ -285,7 +293,7 @@ def tree_to_word(t: OrientedBinaryTree):
     if t.degenerate:
         return t.leaf_order[0][1]
     g = t.graph
-    at = graphs.flags_by_vertex(g)
+    at = _flags_at(t)
     pos = {flag: i for i, (flag, _) in enumerate(t.leaf_order)}
     label = dict(t.leaf_order)
 
@@ -340,7 +348,7 @@ def validate_magma_tree(t: OrientedBinaryTree) -> None:
         if len(g.vertices) != 1 or g.edges or len(g.tails) != 2:
             raise MalformedWord("degenerate tree must be one vertex with two tails")
         return
-    at = graphs.flags_by_vertex(g)
+    at = _flags_at(t)
     for v in g.vertices:
         fl = at[v]
         if len(fl) != 3:

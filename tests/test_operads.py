@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessins.graphs import corolla, find_isomorphism, structure_report
-from dessins import operads
+from dessins import graphs, operads
 from dessins.operads import (
     ConsumedTail,
     MalformedWord,
@@ -263,6 +263,23 @@ def test_letterings_of_one_bracketing_share_one_graph():
     for u, v in zip(enumerate_magma_trees("abcd"), enumerate_magma_trees("wxyz")):
         assert u.graph is v.graph and u.orientation is v.orientation
     assert degenerate_magma_tree("a").graph is word_to_tree("b").graph
+
+
+def test_cached_bracketing_trees_do_not_rebuild_their_vertex_index(monkeypatch):
+    enumerate_magma_trees("abcde")         # every bracketing of 5 leaves is cached now
+    real = graphs.flags_by_vertex
+    calls = []
+    monkeypatch.setattr(graphs, "flags_by_vertex", lambda g: calls.append(g) or real(g))
+    trees = enumerate_magma_trees("abcde") + enumerate_magma_trees((5, 4, 3, 2, 1))
+    trees.append(word_to_tree(((("a", "b"), "c"), ("d", "e"))))
+    for t in trees:
+        validate_magma_tree(t)
+        assert word_to_tree(tree_to_word(t)).leaf_order == t.leaf_order
+    assert calls == []
+    grafted = graft_magma(trees[0], trees[1], "b")
+    validate_magma_tree(grafted)
+    tree_to_word(grafted)
+    assert [g is grafted.graph for g in calls] == [True, True]
 
 
 def magma_words(letters):
