@@ -27,7 +27,8 @@ EXIT_VERIFICATION = 2
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
-# 1.4 s; 7 vertices would mean 73,845 trees, 15 s and two cache trims.
+# 1.0 s on the same machine; 7 vertices would mean 73,845 trees, 12-13 s,
+# 175 MiB and two cache trims (9 s and 212 MiB with the cache unbounded).
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.
