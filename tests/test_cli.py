@@ -108,6 +108,22 @@ def test_hopf_coproduct(capsys):
     assert "(3 terms)" in out
 
 
+def test_hopf_antipode(capsys):
+    assert run_cli("hopf", "--tree", "j0[j1]", "--antipode") == 0
+    assert capsys.readouterr().out == "antipode of j0[j1]:\n  1 * j0 j1\n  -1 * j0[j1]\n"
+
+
+def test_hopf_tree_alone_prints_the_counit(capsys):
+    assert run_cli("hopf", "--tree", "j0[j1]") == 0
+    assert capsys.readouterr().out == "counit of j0[j1]: 0\n"
+
+
+def test_hopf_without_tree_or_verify_exits_one(capsys):
+    assert run_cli("hopf") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: provide --tree or --verify\n" and captured.out == ""
+
+
 def test_hopf_parse_error(capsys):
     assert run_cli("hopf", "--tree", "j0[j0") == 1
     assert "error" in capsys.readouterr().err
@@ -196,6 +212,18 @@ def test_qsm_partition_beta_range(tmp_path):
     assert run_cli("qsm", "partition", "--beta", "1..3", "--out", str(out)) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 4
+
+
+def test_qsm_partition_exact(capsys):
+    assert run_cli("qsm", "partition", "--exact", "--beta", "1..2") == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1:] == [["1", "5/4", "", "", "0"], ["2", "50/49", "", "", "0"]]
+
+
+def test_qsm_partition_without_betas_exits_one(capsys):
+    assert run_cli("qsm", "partition", "--beta", ",") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no inverse temperatures in ','\n" and captured.out == ""
 
 
 def test_qsm_gibbs(tmp_path):

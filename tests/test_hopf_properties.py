@@ -7,10 +7,11 @@ the size bound can be drawn.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dessins import hopf
+from dessins import hopf, qsm
 from dessins.galois import GaloisGroup
 from dessins.hopf import (
     ForestPolynomial,
@@ -22,6 +23,7 @@ from dessins.hopf import (
     counit_axioms_hold,
     format_tree,
     g_act,
+    leaf,
     node,
     parse_tree,
     relabel_tree,
@@ -55,6 +57,18 @@ def polynomials(draw, max_terms=3):
         f = draw(st.lists(trees(max_nodes=3), max_size=3))
         out = out + ForestPolynomial.from_forest(f, draw(coefficients))
     return out
+
+
+@st.composite
+def pair_polynomials(draw, max_terms=3):
+    out = PairPolynomial()
+    forests = st.lists(trees(max_nodes=3), max_size=2)
+    for _ in range(draw(st.integers(0, max_terms))):
+        out = out + PairPolynomial.of(draw(forests), draw(forests), draw(coefficients))
+    return out
+
+
+words = st.lists(st.integers(0, 2), max_size=3).map(tuple)
 
 
 def act_on_pairs(gamma, p: PairPolynomial) -> PairPolynomial:
@@ -121,3 +135,76 @@ def test_hopf_identities_beyond_the_exhaustive_sizes(t):
 def test_rational_coefficients_survive_the_coproduct():
     x = ForestPolynomial.from_forest((parse_tree("j0[j1]"),), Fraction(3, 4))
     assert set(coproduct(x).terms.values()) == {Fraction(3, 4)}
+
+
+# --- the arithmetic of forests and forest pairs ------------------------------
+
+ELEMENTS = pytest.mark.parametrize("elements", [polynomials(), pair_polynomials()],
+                                   ids=["forest", "pair"])
+
+
+@ELEMENTS
+@SETTINGS
+@given(data=st.data())
+def test_ring_laws(elements, data):
+    x, y, z = (data.draw(elements) for _ in range(3))
+    zero = type(x)()
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + x.scale(-1) == zero and x.scale(0) == zero
+    assert x + zero == x
+
+
+@SETTINGS
+@given(polynomials(), polynomials())
+def test_forest_polynomial_scalars_negation_and_hash(x, y):
+    zero = ForestPolynomial()
+    assert x - x == zero and 0 * x == zero and not (x - x)
+    assert 3 * x == x * 3 == x.scale(3)
+    assert -x == x.scale(-1) and x - y == x + (-y)
+    assert bool(x) == bool(x.terms)
+    # the same element built in the other order hashes alike
+    same = ForestPolynomial()
+    for f, c in reversed(list(x.terms.items())):
+        same = same + ForestPolynomial.from_forest(reversed(f), c)
+    assert same == x and hash(same) == hash(x)
+
+
+@SETTINGS
+@given(polynomials(), pair_polynomials())
+def test_forests_and_pairs_never_mix(x, p):
+    assert ForestPolynomial(p.terms) != p and p != ForestPolynomial(p.terms)
+    assert PairPolynomial(x.terms) != x and x != PairPolynomial(x.terms)
+    with pytest.raises(TypeError):
+        (x + ForestPolynomial.one()) * p
+
+
+def test_polynomial_repr():
+    j0 = leaf(0)
+    assert repr(ForestPolynomial({(j0, j0): 1, (j0,): -1})) == "-1*j0 + 1*j0 j0"
+    assert repr(PairPolynomial.of((j0,), ())) == "1*(j0 (x) 1)"
+    assert repr(ForestPolynomial()) == repr(PairPolynomial()) == "0"
+
+
+# --- the chain action: alpha grafts a word above every tree, beta strips it ---
+
+@SETTINGS
+@given(words, polynomials())
+def test_beta_inverts_alpha(w, x):
+    assert qsm.beta(w, qsm.alpha(w, x)) == x
+    assert qsm.alpha(iter(w), x) == qsm.alpha(w, x)
+    assert qsm.beta(iter(w), qsm.alpha(w, x)) == x
+
+
+@SETTINGS
+@given(words.filter(bool), polynomials(), trees())
+def test_beta_drops_terms_that_do_not_factor(w, x, t):
+    # leaf(9) carries no chain, so a forest holding it does not factor
+    grafted = qsm.chain_graft(w, t)
+    y = (qsm.alpha(w, x) + ForestPolynomial.from_forest((grafted, leaf(9)), 2)
+         + ForestPolynomial.from_forest((leaf(9),), 5))
+    assert qsm.beta(w, y) == x
+    assert qsm.beta_kills_nonfactoring(w, grafted)
+    assert qsm.beta_kills_nonfactoring(w, leaf(9))

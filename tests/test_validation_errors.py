@@ -1,0 +1,79 @@
+"""Each validation error of the strata, graphs and galois constructors, raised
+on the malformed input it names, with its exact exception type and message."""
+
+import pytest
+
+from dessins import galois, graphs, strata
+from dessins.galois import CyclotomicNumber, ExponentSumCharacter, GaloisGroup, zeta
+from dessins.graphs import corolla, disjoint_union, validate
+from dessins.strata import CurveCombinatorics, s_corolla, stratum
+
+
+def raises_exactly(exc_type, match, call):
+    with pytest.raises(exc_type, match=match) as info:
+        call()
+    assert info.type is exc_type
+
+
+ABC = corolla("v", "abc")
+
+
+@pytest.mark.parametrize("exc_type,match,call", [
+    (strata.StrataError, "connected",
+     lambda: strata.s_tree(disjoint_union(ABC, corolla("w", "def")),
+                           dict(zip("abcdef", range(6))))),
+    (strata.StrataError, "stable",
+     lambda: strata.s_tree(corolla("v", "ab"), {"a": 1, "b": 2})),
+    (strata.StrataError, "exactly on the tails",
+     lambda: strata.s_tree(ABC, {"a": 1, "b": 2})),
+    (strata.StrataError, "exactly on the tails",
+     lambda: strata.s_tree(ABC, {"a": 1, "b": 2, "d": 3})),
+    (strata.StrataError, "pairwise distinct",
+     lambda: strata.s_tree(ABC, {"a": 1, "b": 1, "c": 2})),
+    (strata.TooSmall, ">= 2 labels", lambda: strata.two_part_tree({1}, {2, 3, 4})),
+    (strata.LabelCollision, "overlap", lambda: strata.two_part_tree({1, 2}, {2, 3})),
+    (strata.StrataError, "double point on unknown component",
+     lambda: strata.curve_to_dessin(CurveCombinatorics(("A", "B"), (("A", "C"),),
+                                                       {1: "A", 2: "A", 3: "B", 4: "B"}))),
+    (strata.StrataError, "marked point 3 on unknown component",
+     lambda: strata.curve_to_dessin(CurveCombinatorics(("A",), (), {1: "A", 2: "A", 3: "Z"}))),
+    (strata.StrataError, "label not present",
+     lambda: strata.compose_strata(stratum(s_corolla([1, 2, 3])), 9,
+                                   stratum(s_corolla([4, 5, 6])), 4)),
+    (strata.LabelSetMismatch, "subset",
+     lambda: strata.admissible_projection(stratum(s_corolla([1, 2, 3, 4])), [1, 2, 9])),
+], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
+        "one-label-part", "overlapping-parts", "double-point-off-curve",
+        "marked-point-off-curve", "absent-grafting-label", "projection-off-stratum"])
+def test_strata_validation_errors(exc_type, match, call):
+    raises_exactly(exc_type, match, call)
+
+
+@pytest.mark.parametrize("exc_type,match,args", [
+    (graphs.GraphError, "duplicate flag", (["a", "a"], ["v"], {"a": "v"}, {"a": "a"})),
+    (graphs.GraphError, "duplicate vertex", (["a"], ["v", "v"], {"a": "v"}, {"a": "a"})),
+    (graphs.DanglingFlagReference, "involution of 'a' is unknown flag",
+     (["a"], ["v"], {"a": "v"}, {"a": "b"})),
+    (graphs.DanglingFlagReference, "involution defined on unknown flag",
+     (["a"], ["v"], {"a": "v"}, {"a": "a", "b": "a"})),
+], ids=["duplicate-flags", "duplicate-vertices", "involution-to-unknown-flag",
+        "involution-on-unknown-flag"])
+def test_graph_validation_errors(exc_type, match, args):
+    raises_exactly(exc_type, match, lambda: validate(*args))
+
+
+@pytest.mark.parametrize("exc_type,match,call", [
+    (ValueError, "contain 1", lambda: GaloisGroup(12, (5, 7, 11))),
+    (galois.NotCoprime, "2 is not invertible", lambda: GaloisGroup(12, (1, 2))),
+    (ValueError, "not closed", lambda: GaloisGroup(12, (1, 5, 7))),
+    (galois.NotCoprime, "2 is not invertible", lambda: GaloisGroup.generated(12, [5, 2])),
+    (galois.CyclotomicError, "mixed conductors", lambda: zeta(12) + zeta(5)),
+    (galois.CyclotomicError, "mixed conductors", lambda: zeta(12) * zeta(5)),
+    (galois.CyclotomicError, "expected 4 coefficients",
+     lambda: CyclotomicNumber.from_coeffs(12, (1, 2, 3))),
+    (ValueError, "positive integer", lambda: ExponentSumCharacter(12, 0)),
+], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
+        "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
+        "wrong-coefficient-count", "zero-denominator"])
+def test_galois_validation_errors(exc_type, match, call):
+    raises_exactly(exc_type, match, call)
