@@ -1,13 +1,14 @@
 """The commutative Hopf algebra of labelled rooted trees over exact rationals.
 
 Trees are non-planar (children unordered).  At the public boundary they are
-canonical nested tuples (label, children), forests are sorted tuples of trees
-and algebra elements are sparse maps forest -> exact coefficient.  Inside,
-trees and forests are hash-consed to integer ids: a forest id stands for the
-sorted tuple of its tree ids, forest 0 is the empty forest, every tree has a
-one-tree forest id and stores its children as one forest id.  Coproducts and
-antipodes are maps over forest ids, so memo keys and the identity checks
-hash ints, not nested tuples.
+canonical nested tuples (label, children), forests are sorted tuples of trees,
+and algebra elements and the coproduct's forest (x) forest pairs are sparse
+maps to exact coefficients that share one arithmetic.  Inside, trees and
+forests are hash-consed to integer ids: a forest id stands for the sorted
+tuple of its tree ids, forest 0 is the empty forest, every tree has a one-tree
+forest id and stores its children as one forest id.  Coproducts and antipodes
+are maps over forest ids, so memo keys and the identity checks hash ints, not
+nested tuples.
 
 The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
 sets meeting each root-to-leaf path at most once), plus the full cut
@@ -147,21 +148,51 @@ def _add(terms: dict, key, coeff):
         terms.pop(key, None)
 
 
-class ForestPolynomial:
-    """Finite exact linear combination of forests (monomials in trees)."""
+class _Polynomial:
+    """Finite exact linear combination: `terms` maps each key to a nonzero
+    coefficient.  A scalar factor scales; two elements of the same type
+    multiply key by key through `_key_product`, which each subclass supplies."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for f, c in terms.items():
-                if c:
-                    self.terms[f] = c
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add(out, k, c)
+        return type(self)(out)
+
+    def scale(self, scalar):
+        if not scalar:
+            return type(self)()
+        return type(self)({k: c * scalar for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, _Polynomial):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        product = self._key_product
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _add(out, product(k1, k2), c1 * c2)
+        return type(self)(out)
+
+
+class ForestPolynomial(_Polynomial):
+    """Finite exact linear combination of forests (monomials in trees)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key_product(f, g):
+        return tuple(sorted(f + g))
 
     @classmethod
     def one(cls):
@@ -175,89 +206,47 @@ class ForestPolynomial:
     def from_forest(cls, f, coeff=1):
         return cls({tuple(sorted(f)): coeff})
 
-    def __eq__(self, other):
-        return isinstance(other, ForestPolynomial) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            _add(out, f, c)
-        return ForestPolynomial(out)
-
     def __neg__(self):
-        return ForestPolynomial({f: -c for f, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, scalar):
-        if not scalar:
-            return ForestPolynomial()
-        return ForestPolynomial({f: c * scalar for f, c in self.terms.items()})
+    __rmul__ = _Polynomial.scale
 
-    def __mul__(self, other):
-        if not isinstance(other, ForestPolynomial):
-            return self.scale(other)
+    def map_trees(self, fn) -> ForestPolynomial:
+        """Apply fn to every tree, re-sort each forest and sum the coefficients;
+        a term is dropped when fn returns None for any of its trees."""
         out: dict = {}
-        for f1, c1 in self.terms.items():
-            for f2, c2 in other.terms.items():
-                _add(out, tuple(sorted(f1 + f2)), c1 * c2)
+        for f, c in self.terms.items():
+            g = [fn(t) for t in f]
+            if None not in g:
+                _add(out, tuple(sorted(g)), c)
         return ForestPolynomial(out)
 
-    __rmul__ = scale
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for f in sorted(self.terms):
-            c = self.terms[f]
-            bits.append(f"{c}*{format_forest(f)}")
-        return " + ".join(bits)
+        bits = [f"{c}*{format_forest(f)}" for f, c in sorted(self.terms.items())]
+        return " + ".join(bits) or "0"
 
 
-class PairPolynomial:
+class PairPolynomial(_Polynomial):
     """Linear combination of forest (x) forest pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
+    @staticmethod
+    def _key_product(p, q):
+        return tuple(sorted(p[0] + q[0])), tuple(sorted(p[1] + q[1]))
 
     @classmethod
     def of(cls, left, right, coeff=1):
         return cls({(tuple(sorted(left)), tuple(sorted(right))): coeff})
-
-    def __eq__(self, other):
-        return isinstance(other, PairPolynomial) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add(out, k, c)
-        return PairPolynomial(out)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                _add(out, (tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2))), c1 * c2)
-        return PairPolynomial(out)
-
-    def scale(self, scalar):
-        if not scalar:
-            return PairPolynomial()
-        return PairPolynomial({k: c * scalar for k, c in self.terms.items()})
 
     def __repr__(self):
         bits = [f"{c}*({format_forest(a)} (x) {format_forest(b)})"
@@ -680,14 +669,6 @@ def relabel_tree(t, fn):
     return (fn(label), tuple(sorted([relabel_tree(c, fn) for c in children])))
 
 
-def relabel(x: ForestPolynomial, fn) -> ForestPolynomial:
-    out: dict = {}
-    for f, c in x.terms.items():
-        k = tuple(sorted(relabel_tree(t, fn) for t in f))
-        out[k] = out.get(k, 0) + c
-    return ForestPolynomial(out)
-
-
 def g_act(gamma, x):
     """Relabel every vertex by a group element; an algebra and coalgebra map.
 
@@ -695,7 +676,7 @@ def g_act(gamma, x):
     """
     if isinstance(x, tuple):
         return relabel_tree(x, gamma.on_label)
-    return relabel(x, gamma.on_label)
+    return x.map_trees(lambda t: relabel_tree(t, gamma.on_label))
 
 
 def _relabel(fid: int, memo: dict, fn) -> int:

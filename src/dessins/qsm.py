@@ -96,31 +96,13 @@ def chain_strip(word, tree):
 def alpha(word, x: ForestPolynomial) -> ForestPolynomial:
     """Algebra endomorphism X_t -> X_(word * t), extended multiplicatively."""
     word = tuple(word)
-    out: dict = {}
-    for f, c in x.terms.items():
-        g = tuple(sorted(chain_graft(word, t) for t in f))
-        out[g] = out.get(g, 0) + c
-    return ForestPolynomial(out)
+    return x.map_trees(lambda t: chain_graft(word, t))
 
 
 def beta(word, x: ForestPolynomial) -> ForestPolynomial:
     """Partial inverse of alpha: strips the chain, kills non-factoring terms."""
     word = tuple(word)
-    out: dict = {}
-    for f, c in x.terms.items():
-        stripped = []
-        dead = False
-        for t in f:
-            s = chain_strip(word, t)
-            if s is None:
-                dead = True
-                break
-            stripped.append(s)
-        if dead:
-            continue
-        g = tuple(sorted(stripped))
-        out[g] = out.get(g, 0) + c
-    return ForestPolynomial(out)
+    return x.map_trees(lambda t: chain_strip(word, t))
 
 
 def words_upto(alphabet, max_length: int) -> list[tuple]:

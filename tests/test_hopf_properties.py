@@ -181,6 +181,13 @@ def test_forests_and_pairs_never_mix(x, p):
         (x + ForestPolynomial.one()) * p
 
 
+@SETTINGS
+@given(pair_polynomials())
+def test_pair_polynomial_times_a_scalar_scales(p):
+    assert p * 3 == p.scale(3) and p * Fraction(1, 2) == p.scale(Fraction(1, 2))
+    assert p * 0 == PairPolynomial()
+
+
 def test_polynomial_repr():
     j0 = leaf(0)
     assert repr(ForestPolynomial({(j0, j0): 1, (j0,): -1})) == "-1*j0 + 1*j0 j0"
