@@ -149,9 +149,9 @@ def _add(terms: dict, key, coeff):
 
 
 class _Polynomial:
-    """Finite exact linear combination: `terms` maps each key to a nonzero
-    coefficient.  A scalar factor scales; two elements of the same type
-    multiply key by key through `_key_product`, which each subclass supplies."""
+    """Finite exact linear combination: `terms` maps keys to nonzero coefficients.
+    A scalar scales; elements of one type add, and multiply through the product
+    of two keys that each subclass supplies as `_key_product`; types do not mix."""
 
     __slots__ = ("terms",)
 
@@ -162,6 +162,8 @@ class _Polynomial:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             _add(out, k, c)
@@ -176,7 +178,7 @@ class _Polynomial:
         if not isinstance(other, _Polynomial):
             return self.scale(other)
         if type(other) is not type(self):
-            return NotImplemented
+            raise TypeError(f"cannot multiply {type(self).__name__} by {type(other).__name__}")
         product = self._key_product
         out: dict = {}
         for k1, c1 in self.terms.items():

@@ -188,6 +188,16 @@ def test_pair_polynomial_times_a_scalar_scales(p):
     assert p * 0 == PairPolynomial()
 
 
+@SETTINGS
+@given(polynomials(), pair_polynomials())
+def test_forests_and_pairs_neither_add_nor_multiply(x, p):
+    for a, b in ((x, p), (p, x)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a * b
+
+
 def test_polynomial_repr():
     j0 = leaf(0)
     assert repr(ForestPolynomial({(j0, j0): 1, (j0,): -1})) == "-1*j0 + 1*j0 j0"
