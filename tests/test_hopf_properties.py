@@ -139,11 +139,7 @@ def test_rational_coefficients_survive_the_coproduct():
 
 # --- the arithmetic of forests and forest pairs ------------------------------
 
-ELEMENTS = pytest.mark.parametrize("elements", [polynomials(), pair_polynomials()],
-                                   ids=["forest", "pair"])
-
-
-@ELEMENTS
+@pytest.mark.parametrize("elements", [polynomials(), pair_polynomials()], ids=["forest", "pair"])
 @SETTINGS
 @given(data=st.data())
 def test_ring_laws(elements, data):
@@ -182,13 +178,6 @@ def test_forests_and_pairs_never_mix(x, p):
 
 
 @SETTINGS
-@given(pair_polynomials())
-def test_pair_polynomial_times_a_scalar_scales(p):
-    assert p * 3 == p.scale(3) and p * Fraction(1, 2) == p.scale(Fraction(1, 2))
-    assert p * 0 == PairPolynomial()
-
-
-@SETTINGS
 @given(polynomials(), pair_polynomials())
 def test_forests_and_pairs_neither_add_nor_multiply(x, p):
     for a, b in ((x, p), (p, x)):
@@ -196,6 +185,13 @@ def test_forests_and_pairs_neither_add_nor_multiply(x, p):
             a + b
         with pytest.raises(TypeError):
             a * b
+
+
+@SETTINGS
+@given(pair_polynomials())
+def test_pair_polynomial_times_a_scalar_scales(p):
+    assert p * 3 == p.scale(3) and p * Fraction(1, 2) == p.scale(Fraction(1, 2))
+    assert p * 0 == PairPolynomial()
 
 
 def test_polynomial_repr():
