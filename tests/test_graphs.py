@@ -232,14 +232,23 @@ def test_json_round_trip():
     assert g == g2
 
 
+# --- the search as it was before colour refinement, copied as the reference ---
+
+def ref_vertex_signature(g, flags, labels):
+    tails = [f for f in flags if g.involution[f] == f]
+    tail_sig = tuple(sorted(str(labels[f]) for f in tails)) if labels is not None \
+        else len(tails)
+    return (len(flags), tail_sig)
+
+
 def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
     """Test-local copy of the search that recounted edges per candidate."""
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
     at1, at2 = graphs.flags_by_vertex(g1), graphs.flags_by_vertex(g2)
-    sig1 = {v: graphs._vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
-    sig2 = {v: graphs._vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
+    sig1 = {v: ref_vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
+    sig2 = {v: ref_vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     verts1 = list(g1.vertices)
@@ -259,7 +268,7 @@ def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
 
     def assign(i):
         if i == len(verts1):
-            return graphs._match_flags(g1, g2, vmap, labels1, labels2, at1, at2)
+            return ref_match_flags(g1, g2, vmap, labels1, labels2, at1, at2)
         v = verts1[i]
         for w in g2.vertices:
             if w in used or not vertex_ok(v, w):
@@ -274,6 +283,89 @@ def reference_find_isomorphism(g1, g2, labels1=None, labels2=None):
         return None
 
     return assign(0)
+
+
+def ref_match_flags(g1, g2, vmap, labels1, labels2, at1, at2):
+    """Extend a vertex bijection to a flag bijection, or fail."""
+    fwd = {}
+    for v in g1.vertices:
+        t1 = [f for f in at1[v] if g1.involution[f] == f]
+        t2 = [f for f in at2[vmap[v]] if g2.involution[f] == f]
+        if len(t1) != len(t2):
+            return None
+        if labels1 is not None:
+            by_label = {str(labels2[f]): f for f in t2}
+            try:
+                pairing = [(f, by_label[str(labels1[f])]) for f in t1]
+            except KeyError:
+                return None
+        else:
+            pairing = list(zip(sorted(t1), sorted(t2)))
+        fwd.update(pairing)
+
+    buckets1, buckets2 = {}, {}
+    for e in g1.edges:
+        buckets1.setdefault(g1.edge_endpoints(e), []).append(sorted(e))
+    for e in g2.edges:
+        buckets2.setdefault(g2.edge_endpoints(e), []).append(sorted(e))
+    for key1, group1 in sorted(buckets1.items()):
+        u, w = key1
+        group2 = buckets2.get(tuple(sorted((vmap[u], vmap[w]))), [])
+        if len(group1) != len(group2):
+            return None
+        matched = ref_pair_edge_group(g1, g2, vmap, sorted(group1), sorted(group2))
+        if matched is None:
+            return None
+        fwd.update(matched)
+
+    if len(fwd) != len(g1.flags):
+        return None
+    iso = graphs.GraphIso(dict(vmap), {v: k for k, v in fwd.items()})
+    if not ref_is_valid_iso(g1, g2, iso, labels1, labels2):
+        return None
+    return iso
+
+
+def ref_is_valid_iso(g1, g2, iso, labels1=None, labels2=None):
+    vm, fm = iso.vertex_map, iso.flag_map
+    if sorted(vm) != list(g1.vertices) or sorted(set(vm.values())) != list(g2.vertices):
+        return False
+    if sorted(fm) != list(g2.flags) or sorted(set(fm.values())) != list(g1.flags):
+        return False
+    fwd = iso.flag_forward()
+    for f in g1.flags:
+        if g2.boundary[fwd[f]] != vm[g1.boundary[f]]:
+            return False
+        if fwd[g1.involution[f]] != g2.involution[fwd[f]]:
+            return False
+    if labels1 is not None:
+        for f in g1.tails:
+            if labels1[f] != labels2[fwd[f]]:
+                return False
+    return True
+
+
+def ref_pair_edge_group(g1, g2, vmap, group1, group2):
+    """Match parallel edges between one endpoint pair (tiny brute force)."""
+    if not group1:
+        return {}
+    for perm in itertools.permutations(range(len(group2))):
+        fwd = {}
+        ok = True
+        for (h1a, h1b), j in zip(group1, perm):
+            h2a, h2b = group2[j]
+            if vmap[g1.boundary[h1a]] == g2.boundary[h2a] and \
+               vmap[g1.boundary[h1b]] == g2.boundary[h2b]:
+                fwd[h1a], fwd[h1b] = h2a, h2b
+            elif vmap[g1.boundary[h1a]] == g2.boundary[h2b] and \
+                 vmap[g1.boundary[h1b]] == g2.boundary[h2a]:
+                fwd[h1a], fwd[h1b] = h2b, h2a
+            else:
+                ok = False
+                break
+        if ok:
+            return fwd
+    return None
 
 
 def _renamed(g, labels, rng):
@@ -299,3 +391,70 @@ def test_find_isomorphism_keeps_its_witness_on_renamed_strata():
             witness = find_isomorphism(*args)
             assert witness is not None and is_valid_iso(*args[:2], witness, *args[2:])
             assert witness == reference_find_isomorphism(*args)
+
+
+SMALL_FAMILY = _all_small_graphs(4, 2) + _all_small_graphs(3, 3) + \
+    [g for g in _all_small_graphs(6, 2) if len(g.flags) > 4]
+
+
+def _tail_labels(g, rng, distinct):
+    """Distinct tail labels, or labels from a two-letter alphabet that may repeat."""
+    if distinct:
+        return dict(zip(g.tails, rng.sample(range(len(g.tails)), len(g.tails))))
+    return {t: rng.choice("xy") for t in g.tails}
+
+
+def _same_answer(g, h, labels=None, h_labels=None):
+    for args in ((g, h, labels, h_labels), (h, g, h_labels, labels)):
+        got = find_isomorphism(*args)
+        assert got == reference_find_isomorphism(*args), (args[0], args[1])
+        if got is not None:
+            assert is_valid_iso(*args[:2], got, *args[2:])
+
+
+def test_find_isomorphism_matches_reference_on_every_small_graph():
+    # every graph against a renamed copy and against the next graph of the
+    # family with the same flag, vertex and edge counts (mostly not isomorphic)
+    rng = random.Random(14)
+    assert len(SMALL_FAMILY) == 6029
+    by_shape = {}
+    for g in SMALL_FAMILY:
+        by_shape.setdefault((len(g.flags), len(g.vertices), g.n_edges), []).append(g)
+    for group in by_shape.values():
+        for g, nb in zip(group, group[1:] + group[:1]):
+            _same_answer(g, _renamed(g, {}, rng)[0])
+            _same_answer(g, _renamed(nb, {}, rng)[0])
+
+
+def test_find_isomorphism_matches_reference_on_every_small_labelled_graph():
+    # labelled copies, copies with the labels shuffled, and labelled
+    # neighbours; graphs alternate between distinct and repeating labels
+    rng = random.Random(15)
+    by_shape = {}
+    for g in SMALL_FAMILY:
+        by_shape.setdefault((len(g.flags), len(g.vertices), g.n_edges), []).append(g)
+    for group in by_shape.values():
+        for i, (g, nb) in enumerate(zip(group, group[1:] + group[:1])):
+            labels = _tail_labels(g, rng, distinct=i % 2 == 0)
+            h, h_labels = _renamed(g, labels, rng)
+            _same_answer(g, h, labels, h_labels)
+            shuffled = dict(zip(h_labels, rng.sample(list(h_labels.values()), len(h_labels))))
+            _same_answer(g, h, labels, shuffled)
+            if nb.n_tails == g.n_tails:
+                k, k_labels = _renamed(nb, dict(zip(nb.tails, labels.values())), rng)
+                _same_answer(g, k, labels, k_labels)
+
+
+def test_two_equally_labelled_tails_at_one_vertex_have_no_witness():
+    g = corolla("v", ["a", "b", "c"])
+    labels = {"a": 1, "b": 1, "c": 2}
+    assert find_isomorphism(g, g, labels, labels) is None
+    assert reference_find_isomorphism(g, g, labels, labels) is None
+    h = validate(["a", "b", "c", "p", "q", "r"], ["u", "w"],
+                 {"a": "u", "b": "u", "p": "u", "c": "w", "q": "w", "r": "w"},
+                 {"a": "a", "b": "b", "c": "c", "p": "q", "q": "p", "r": "r"})
+    h_labels = {"a": 0, "b": 0, "c": 1, "r": 2}
+    h2, h2_labels = _renamed(h, h_labels, random.Random(3))
+    for args in ((h, h, h_labels, h_labels), (h, h2, h_labels, h2_labels)):
+        assert find_isomorphism(*args) is None
+        assert reference_find_isomorphism(*args) is None

@@ -16,6 +16,31 @@ def raises_exactly(exc_type, match, call):
 
 
 ABC = corolla("v", "abc")
+CONNECTED = r"^tree must be connected$"
+STABLE = r"^tree must be stable \(every vertex bounds >= 3 flags\)$"
+
+
+def _graph(boundary, involution):
+    return validate(boundary, set(boundary.values()), boundary, involution)
+
+
+def _tail_labels(g):
+    return {t: i for i, t in enumerate(g.tails)}
+
+
+# Stable at every vertex, but not trees: a triangle, a self-loop and two
+# parallel edges; then the empty graph and a forest of two stable trees.
+TRIANGLE = _graph({"a": "u", "b": "u", "c": "v", "d": "v", "e": "w", "f": "w",
+                   "s": "u", "t": "v", "r": "w"},
+                  {"a": "d", "d": "a", "c": "f", "f": "c", "e": "b", "b": "e",
+                   "s": "s", "t": "t", "r": "r"})
+SELF_LOOP = _graph({"a": "v", "b": "v", "t": "v"}, {"a": "b", "b": "a", "t": "t"})
+PARALLEL = _graph({"a": "u", "c": "u", "s": "u", "b": "v", "d": "v", "t": "v"},
+                  {"a": "b", "b": "a", "c": "d", "d": "c", "s": "s", "t": "t"})
+TWO_TREES = disjoint_union(ABC, graphs.validate(
+    ["a", "b", "h", "k", "c", "d"], ["u", "w"],
+    {"a": "u", "b": "u", "h": "u", "k": "w", "c": "w", "d": "w"},
+    {"a": "a", "b": "b", "h": "k", "k": "h", "c": "c", "d": "d"}))
 
 
 @pytest.mark.parametrize("exc_type,match,call", [
@@ -42,9 +67,20 @@ ABC = corolla("v", "abc")
                                    stratum(s_corolla([4, 5, 6])), 4)),
     (strata.LabelSetMismatch, "subset",
      lambda: strata.admissible_projection(stratum(s_corolla([1, 2, 3, 4])), [1, 2, 9])),
+    (strata.StrataError, STABLE, lambda: strata.s_tree(TRIANGLE, _tail_labels(TRIANGLE))),
+    (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, _tail_labels(SELF_LOOP))),
+    (strata.StrataError, STABLE, lambda: strata.s_tree(PARALLEL, _tail_labels(PARALLEL))),
+    (strata.StrataError, CONNECTED, lambda: strata.s_tree(graphs.empty_graph(), {})),
+    (strata.StrataError, CONNECTED, lambda: strata.s_tree(TWO_TREES, _tail_labels(TWO_TREES))),
+    # the connectivity check comes before stability, and stability before labels
+    (strata.StrataError, CONNECTED,
+     lambda: strata.s_tree(disjoint_union(SELF_LOOP, ABC), {})),
+    (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, {})),
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
         "one-label-part", "overlapping-parts", "double-point-off-curve",
-        "marked-point-off-curve", "absent-grafting-label", "projection-off-stratum"])
+        "marked-point-off-curve", "absent-grafting-label", "projection-off-stratum",
+        "cyclic", "self-loop", "parallel-edges", "empty", "two-stable-trees",
+        "disconnected-before-unstable", "unstable-before-unlabelled"])
 def test_strata_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
 
