@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 
 
 class GraphError(ValueError):
@@ -255,9 +254,9 @@ class GraphIso:
 def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
                  labels1=None, labels2=None) -> bool:
     vm, fm = iso.vertex_map, iso.flag_map
-    if sorted(vm) != list(g1.vertices) or sorted(set(vm.values())) != list(g2.vertices):
+    if vm.keys() != set(g1.vertices) or set(vm.values()) != set(g2.vertices):
         return False
-    if sorted(fm) != list(g2.flags) or sorted(set(fm.values())) != list(g1.flags):
+    if fm.keys() != set(g2.flags) or set(fm.values()) != set(g1.flags):
         return False
     fwd = iso.flag_forward()
     for f in g1.flags:
@@ -279,46 +278,67 @@ def _vertex_signature(g: CombinatorialGraph, flags, labels):
     return (len(flags), tail_sig)
 
 
+def _neighbours(g: CombinatorialGraph, at) -> dict[str, list[str]]:
+    """The far end of each edge half at each vertex (a loop gives v twice)."""
+    inv, bdry = g.involution, g.boundary
+    return {v: [bdry[inv[f]] for f in flags if inv[f] != f] for v, flags in at.items()}
+
+
 def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
                      labels1=None, labels2=None) -> GraphIso | None:
     """Search for an isomorphism witness, or return None.
 
     When tail label maps are supplied, the witness must carry each tail of g1
-    to the tail of g2 with the same label.  The search assigns vertices in
-    lexicographic order trying lexicographically least images first, so the
-    returned witness is deterministic (and the identity when g1 is g2).
+    to the tail of g2 with the same label.  Vertices are first coloured by
+    degree and sorted tail labels (or tail count), and the colours refined by
+    the multiset of neighbour colours until no class splits; an isomorphism
+    keeps colours, so each vertex is tried only against the images of its own
+    colour.  The search assigns vertices in lexicographic order trying
+    lexicographically least images first, so the witness is deterministic
+    (and the identity when g1 is g2): the first vertex map in that order that
+    extends to an isomorphism, whatever the refinement pruned.
     """
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
     at1, at2 = flags_by_vertex(g1), flags_by_vertex(g2)
-    sig1 = {v: _vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
-    sig2 = {v: _vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
+    col1 = {v: _vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
+    col2 = {v: _vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
+    nbrs1, nbrs2 = _neighbours(g1, at1), _neighbours(g2, at2)
+    n_classes = 0
+    while True:
+        # flat integer class ids, shared by both graphs within a round
+        ids: dict = {}
+        col1 = {v: ids.setdefault(key, len(ids)) for v, key in col1.items()}
+        col2 = {v: ids.setdefault(key, len(ids)) for v, key in col2.items()}
+        if sorted(col1.values()) != sorted(col2.values()):
+            return None
+        if len(ids) == n_classes or len(ids) == len(col1):
+            break
+        n_classes = len(ids)
+        col1 = {v: (c, tuple(sorted(col1[u] for u in nbrs1[v]))) for v, c in col1.items()}
+        col2 = {v: (c, tuple(sorted(col2[u] for u in nbrs2[v]))) for v, c in col2.items()}
+    images: dict[int, list[str]] = {}
+    for w in g2.vertices:
+        images.setdefault(col2[w], []).append(w)
 
-    verts1 = list(g1.vertices)
+    verts1 = g1.vertices
     vmap: dict[str, str] = {}
     used: set[str] = set()
-    # edge multiplicity of each endpoint pair (sorted; loops are (v, v))
-    pairs1 = Counter(g1.edge_endpoints(e) for e in g1.edges)
-    pairs2 = Counter(g2.edge_endpoints(e) for e in g2.edges)
 
-    def vertex_ok(v, w):
-        if sig1[v] != sig2[w]:
-            return False
-        # edge counts towards already-assigned vertices must agree
-        for u, x in vmap.items():
-            if pairs1[(v, u) if v < u else (u, v)] != pairs2[(w, x) if w < x else (x, w)]:
-                return False
-        return pairs1[(v, v)] == pairs2[(w, w)]
+    def edges_ok(v, w):
+        # edge counts towards already-assigned vertices, and loops, must agree
+        n1, n2 = nbrs1[v], nbrs2[w]
+        return n1.count(v) == n2.count(w) and all(
+            n1.count(u) == n2.count(x) for u, x in vmap.items())
 
     def assign(i):
         if i == len(verts1):
-            return _match_flags(g1, g2, vmap, labels1, labels2, at1, at2)
+            return _match_flags(g1, g2, vmap, labels1, labels2)
         v = verts1[i]
-        for w in g2.vertices:
-            if w in used or not vertex_ok(v, w):
+        options = images[col1[v]]
+        for w in options:
+            if w in used or (len(options) > 1 and not edges_ok(v, w)):
                 continue
             vmap[v] = w
             used.add(w)
@@ -332,76 +352,46 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     return assign(0)
 
 
-def _match_flags(g1, g2, vmap, labels1, labels2, at1, at2):
-    """Extend a vertex bijection to a flag bijection, or fail."""
+def _match_flags(g1, g2, vmap, labels1, labels2):
+    """Extend a vertex bijection to a flag bijection, or fail.
+
+    Tails pair by (image vertex, label), or without labels by their rank at
+    the vertex; edges pair by sorted endpoint pair, in sorted order, each
+    oriented by its endpoints.
+    """
+    b1, b2 = g1.boundary, g2.boundary
+    tails2 = dict(zip(_tail_keys(g2, labels2), g2.tails))
     fwd: dict[str, str] = {}
-    # tails vertex by vertex, paired in sorted (or label) order
-    for v in g1.vertices:
-        t1 = [f for f in at1[v] if g1.involution[f] == f]
-        t2 = [f for f in at2[vmap[v]] if g2.involution[f] == f]
-        if len(t1) != len(t2):
+    for f, (v, label) in zip(g1.tails, _tail_keys(g1, labels1)):
+        image = tails2.get((vmap[v], label))
+        if image is None:
             return None
-        if labels1 is not None:
-            by_label = {str(labels2[f]): f for f in t2}
-            try:
-                pairing = [(f, by_label[str(labels1[f])]) for f in t1]
-            except KeyError:
-                return None
-        else:
-            pairing = list(zip(sorted(t1), sorted(t2)))
-        fwd.update(pairing)
-
-    # edges: group by endpoint pair, rely on backtracking only for parallels
-    buckets1: dict[tuple, list] = {}
-    for e in g1.edges:
-        buckets1.setdefault(g1.edge_endpoints(e), []).append(sorted(e))
-    buckets2: dict[tuple, list] = {}
-    for e in g2.edges:
-        buckets2.setdefault(g2.edge_endpoints(e), []).append(sorted(e))
-
-    for key1, group1 in sorted(buckets1.items()):
-        u, w = key1
-        key2 = tuple(sorted((vmap[u], vmap[w])))
-        group2 = buckets2.get(key2, [])
-        if len(group1) != len(group2):
+        fwd[f] = image
+    edges2: dict[tuple, list] = {}
+    for e in sorted((sorted(e) for e in g2.edges), reverse=True):
+        edges2.setdefault(g2.edge_endpoints(e), []).append(e)
+    for a, b in sorted(sorted(e) for e in g1.edges):
+        group = edges2.get(tuple(sorted((vmap[b1[a]], vmap[b1[b]]))))
+        if not group:
             return None
-        group1 = sorted(group1)
-        group2 = sorted(group2)
-        matched = _pair_edge_group(g1, g2, vmap, group1, group2)
-        if matched is None:
-            return None
-        fwd.update(matched)
-
-    if len(fwd) != len(g1.flags):
-        return None
+        c, d = group.pop()
+        fwd[a], fwd[b] = (c, d) if vmap[b1[a]] == b2[c] else (d, c)
     iso = GraphIso(dict(vmap), {v: k for k, v in fwd.items()})
     if not is_valid_iso(g1, g2, iso, labels1, labels2):
         return None
     return iso
 
 
-def _pair_edge_group(g1, g2, vmap, group1, group2):
-    """Match parallel edges between one endpoint pair (tiny brute force)."""
-    if not group1:
-        return {}
-    for perm in permutations(range(len(group2))):
-        fwd = {}
-        ok = True
-        for (h1a, h1b), j in zip(group1, perm):
-            h2a, h2b = group2[j]
-            # orient halves so boundaries correspond
-            if vmap[g1.boundary[h1a]] == g2.boundary[h2a] and \
-               vmap[g1.boundary[h1b]] == g2.boundary[h2b]:
-                fwd[h1a], fwd[h1b] = h2a, h2b
-            elif vmap[g1.boundary[h1a]] == g2.boundary[h2b] and \
-                 vmap[g1.boundary[h1b]] == g2.boundary[h2a]:
-                fwd[h1a], fwd[h1b] = h2b, h2a
-            else:
-                ok = False
-                break
-        if ok:
-            return fwd
-    return None
+def _tail_keys(g, labels):
+    """(vertex, label) of each tail in flag order; without labels the rank of
+    the tail among the tails at its vertex stands for the label."""
+    rank: Counter = Counter()
+    keys = []
+    for f in g.tails:
+        v = g.boundary[f]
+        keys.append((v, str(labels[f]) if labels is not None else rank[v]))
+        rank[v] += 1
+    return keys
 
 
 def to_dot(g: CombinatorialGraph, tail_labels=None, name: str = "g") -> str:

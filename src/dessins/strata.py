@@ -232,12 +232,30 @@ def _order(labels, least) -> tuple:
 
 def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
     """Stable S-tree of an explicit flag graph, which must be connected and
-    stable with its tails labelled bijectively by distinct labels."""
+    stable with its tails labelled bijectively by distinct labels.
+
+    One walk from the first vertex checks the graph and orders the splits: it
+    is connected when the walk reaches every vertex, and then a tree exactly
+    when E = V - 1; each edge's split is the far side of the walk from it, or
+    that side's complement when it holds the least label."""
     tail_labels = dict(tail_labels)
-    rep = structure_report(graph)
-    if rep.n_components != 1:
+    bdry = graph.boundary
+    nbrs = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        a, b = e
+        nbrs[bdry[a]].append((bdry[b], e))
+        nbrs[bdry[b]].append((bdry[a], e))
+    walk = list(graph.vertices[:1])
+    parent = dict.fromkeys(walk)
+    for v in walk:
+        for w, e in nbrs[v]:
+            if w not in parent:
+                parent[w] = (v, e)
+                walk.append(w)
+    if not walk or len(walk) != len(graph.vertices):
         raise StrataError("tree must be connected")
-    if not rep.is_stable:
+    n_flags = Counter(bdry.values())
+    if graph.n_edges != len(walk) - 1 or any(n_flags[v] < 3 for v in walk):
         raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
     if sorted(tail_labels) != list(graph.tails):
         raise StrataError("tail_labels must be defined exactly on the tails")
@@ -247,24 +265,13 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
     bit = {lab: 1 << i for i, lab in enumerate(order)}
     below = dict.fromkeys(graph.vertices, 0)
     for f, lab in tail_labels.items():
-        below[graph.boundary[f]] |= bit[lab]
-    nbrs = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        a, b = e
-        nbrs[graph.boundary[a]].append((graph.boundary[b], e))
-        nbrs[graph.boundary[b]].append((graph.boundary[a], e))
+        below[bdry[f]] |= bit[lab]
+    everything = (1 << len(order)) - 1
     edge_split = {}
-
-    def side(v, parent):
-        m = below[v]
-        for w, e in nbrs[v]:
-            if w != parent:
-                edge_split[e] = side(w, v)
-                m |= edge_split[e]
-        return m
-
-    (anchor,) = [f for f, lab in tail_labels.items() if lab == order[0]]
-    side(graph.boundary[anchor], None)
+    for w in reversed(walk[1:]):
+        v, e = parent[w]
+        below[v] |= below[w]
+        edge_split[e] = everything ^ below[w] if below[w] & 1 else below[w]
     t = StableSTree(order, tuple(sorted(edge_split.values())))
     t._flag_view = (graph, tail_labels, edge_split)
     return t
