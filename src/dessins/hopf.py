@@ -174,6 +174,8 @@ class _Polynomial:
             return type(self)()
         return type(self)({k: c * scalar for k, c in self.terms.items()})
 
+    __rmul__ = scale
+
     def __mul__(self, other):
         if not isinstance(other, _Polynomial):
             return self.scale(other)
@@ -219,8 +221,6 @@ class ForestPolynomial(_Polynomial):
 
     def __sub__(self, other):
         return self + (-other)
-
-    __rmul__ = _Polynomial.scale
 
     def map_trees(self, fn) -> ForestPolynomial:
         """Apply fn to every tree, re-sort each forest and sum the coefficients;
@@ -343,7 +343,7 @@ class HopfCache:
         self.edges: dict = {}        # (ordered shape, edge mask) -> frozenset of vertex paths
         self.coproduct: dict = {}    # forest id -> {(left id, right id): coeff}
         self.antipode: dict = {}     # forest id -> {forest id: coeff}
-        self.relabel: dict = {}      # group element -> {forest id: relabelled forest id}
+        self.relabel: dict = {}      # group -> [(on_label, {forest id: relabelled id})]
         self.enumeration: dict = {}  # (kind, labels, vertices) -> list of trees or forests
 
     @property
@@ -703,9 +703,9 @@ def balanced_cuts(t, group):
     relabelled tree for every group element.
 
     Per element, the tree is relabelled once and its cut pairs are the keys of
-    the relabelled tree's coproduct; elements must be hashable, since they
-    key the relabelling memo.  For label-only actions this is all of
-    admissible_cuts(t)."""
+    the relabelled tree's coproduct.  Each group's elements are built once,
+    each with its own relabelling memo, so the group must be hashable: it keys
+    those memos.  For label-only actions this is all of admissible_cuts(t)."""
     CACHE.trim()
     table = CACHE.trees
     single = table.single
@@ -713,12 +713,11 @@ def balanced_cuts(t, group):
     CACHE.count(tid in CACHE.cuts)
     ids, cuts = _cuts(tid)
     keep = [True] * len(ids)
-    for a in group.elements:
-        gamma = group.element(a)
-        memo = CACHE.relabel.get(gamma)
-        if memo is None:
-            memo = CACHE.put(CACHE.relabel, gamma, {})
-        fn = gamma.on_label
+    memos = CACHE.relabel.get(group)
+    if memos is None:
+        memos = CACHE.put(CACHE.relabel, group,
+                          [(group.element(a).on_label, {}) for a in group.elements])
+    for fn, memo in memos:
         cut_pairs = _delta(_relabel(single[tid], memo, fn))
         for i, (_, trunk, pruned) in enumerate(ids):
             if keep[i]:

@@ -194,6 +194,16 @@ def test_pair_polynomial_times_a_scalar_scales(p):
     assert p * 0 == PairPolynomial()
 
 
+@pytest.mark.parametrize("elements", [polynomials(), pair_polynomials()], ids=["forest", "pair"])
+@SETTINGS
+@given(data=st.data())
+def test_a_scalar_scales_from_either_side(elements, data):
+    x = data.draw(elements)
+    assert 2 * x == x * 2 == x.scale(2)
+    assert Fraction(1, 2) * x == x * Fraction(1, 2) == x.scale(Fraction(1, 2))
+    assert 0 * x == type(x)()
+
+
 def test_polynomial_repr():
     j0 = leaf(0)
     assert repr(ForestPolynomial({(j0, j0): 1, (j0,): -1})) == "-1*j0 + 1*j0 j0"
