@@ -14,7 +14,6 @@ parts, namespaces part i with the prefix "i." and validates only the union;
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -271,17 +270,17 @@ def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
     return True
 
 
-def _vertex_signature(g: CombinatorialGraph, flags, labels):
-    tails = [f for f in flags if g.involution[f] == f]
-    tail_sig = tuple(sorted(str(labels[f]) for f in tails)) if labels is not None \
-        else len(tails)
-    return (len(flags), tail_sig)
-
-
-def _neighbours(g: CombinatorialGraph, at) -> dict[str, list[str]]:
-    """The far end of each edge half at each vertex (a loop gives v twice)."""
+def _colours_and_neighbours(g: CombinatorialGraph, labels):
+    """Each vertex's first colour, its degree and sorted tail labels (or tail
+    count), and the far end of each edge half at it (a loop gives v twice)."""
     inv, bdry = g.involution, g.boundary
-    return {v: [bdry[inv[f]] for f in flags if inv[f] != f] for v, flags in at.items()}
+    colours, nbrs = {}, {}
+    for v, flags in flags_by_vertex(g).items():
+        tails = [f for f in flags if inv[f] == f]
+        colours[v] = (len(flags), len(tails) if labels is None
+                      else tuple(sorted(str(labels[f]) for f in tails)))
+        nbrs[v] = [bdry[inv[f]] for f in flags if inv[f] != f]
+    return colours, nbrs
 
 
 def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
@@ -301,10 +300,8 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    at1, at2 = flags_by_vertex(g1), flags_by_vertex(g2)
-    col1 = {v: _vertex_signature(g1, at1[v], labels1) for v in g1.vertices}
-    col2 = {v: _vertex_signature(g2, at2[v], labels2) for v in g2.vertices}
-    nbrs1, nbrs2 = _neighbours(g1, at1), _neighbours(g2, at2)
+    col1, nbrs1 = _colours_and_neighbours(g1, labels1)
+    col2, nbrs2 = _colours_and_neighbours(g2, labels2)
     n_classes = 0
     while True:
         # flat integer class ids, shared by both graphs within a round
@@ -355,18 +352,22 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 def _match_flags(g1, g2, vmap, labels1, labels2):
     """Extend a vertex bijection to a flag bijection, or fail.
 
-    Tails pair by (image vertex, label), or without labels by their rank at
-    the vertex; edges pair by sorted endpoint pair, in sorted order, each
-    oriented by its endpoints.
+    Tails pair by (image vertex, label), or without labels the k-th tail at a
+    vertex with the k-th at its image; edges pair by sorted endpoint pair, in
+    sorted order, each oriented by its endpoints.
     """
     b1, b2 = g1.boundary, g2.boundary
-    tails2 = dict(zip(_tail_keys(g2, labels2), g2.tails))
-    fwd: dict[str, str] = {}
-    for f, (v, label) in zip(g1.tails, _tail_keys(g1, labels1)):
-        image = tails2.get((vmap[v], label))
-        if image is None:
+    if labels1 is None:
+        spare: dict[str, list[str]] = {}
+        for f in reversed(g2.tails):
+            spare.setdefault(b2[f], []).append(f)
+        fwd = {f: spare[vmap[b1[f]]].pop() for f in g1.tails}
+    else:
+        by_label = {(b2[f], str(labels2[f])): f for f in g2.tails}
+        try:
+            fwd = {f: by_label[vmap[b1[f]], str(labels1[f])] for f in g1.tails}
+        except KeyError:
             return None
-        fwd[f] = image
     edges2: dict[tuple, list] = {}
     for e in sorted((sorted(e) for e in g2.edges), reverse=True):
         edges2.setdefault(g2.edge_endpoints(e), []).append(e)
@@ -380,18 +381,6 @@ def _match_flags(g1, g2, vmap, labels1, labels2):
     if not is_valid_iso(g1, g2, iso, labels1, labels2):
         return None
     return iso
-
-
-def _tail_keys(g, labels):
-    """(vertex, label) of each tail in flag order; without labels the rank of
-    the tail among the tails at its vertex stands for the label."""
-    rank: Counter = Counter()
-    keys = []
-    for f in g.tails:
-        v = g.boundary[f]
-        keys.append((v, str(labels[f]) if labels is not None else rank[v]))
-        rank[v] += 1
-    return keys
 
 
 def to_dot(g: CombinatorialGraph, tail_labels=None, name: str = "g") -> str:
