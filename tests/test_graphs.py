@@ -397,6 +397,16 @@ SMALL_FAMILY = _all_small_graphs(4, 2) + _all_small_graphs(3, 3) + \
     [g for g in _all_small_graphs(6, 2) if len(g.flags) > 4]
 
 
+def _with_neighbours():
+    """Each graph of the family with the next one of the same flag, vertex and
+    edge counts (mostly not isomorphic to it)."""
+    by_shape = {}
+    for g in SMALL_FAMILY:
+        by_shape.setdefault((len(g.flags), len(g.vertices), g.n_edges), []).append(g)
+    for group in by_shape.values():
+        yield from zip(group, group[1:] + group[:1])
+
+
 def _tail_labels(g, rng, distinct):
     """Distinct tail labels, or labels from a two-letter alphabet that may repeat."""
     if distinct:
@@ -413,36 +423,27 @@ def _same_answer(g, h, labels=None, h_labels=None):
 
 
 def test_find_isomorphism_matches_reference_on_every_small_graph():
-    # every graph against a renamed copy and against the next graph of the
-    # family with the same flag, vertex and edge counts (mostly not isomorphic)
+    # every graph against a renamed copy of itself and of its neighbour
     rng = random.Random(14)
     assert len(SMALL_FAMILY) == 6029
-    by_shape = {}
-    for g in SMALL_FAMILY:
-        by_shape.setdefault((len(g.flags), len(g.vertices), g.n_edges), []).append(g)
-    for group in by_shape.values():
-        for g, nb in zip(group, group[1:] + group[:1]):
-            _same_answer(g, _renamed(g, {}, rng)[0])
-            _same_answer(g, _renamed(nb, {}, rng)[0])
+    for g, nb in _with_neighbours():
+        _same_answer(g, _renamed(g, {}, rng)[0])
+        _same_answer(g, _renamed(nb, {}, rng)[0])
 
 
 def test_find_isomorphism_matches_reference_on_every_small_labelled_graph():
     # labelled copies, copies with the labels shuffled, and labelled
     # neighbours; graphs alternate between distinct and repeating labels
     rng = random.Random(15)
-    by_shape = {}
-    for g in SMALL_FAMILY:
-        by_shape.setdefault((len(g.flags), len(g.vertices), g.n_edges), []).append(g)
-    for group in by_shape.values():
-        for i, (g, nb) in enumerate(zip(group, group[1:] + group[:1])):
-            labels = _tail_labels(g, rng, distinct=i % 2 == 0)
-            h, h_labels = _renamed(g, labels, rng)
-            _same_answer(g, h, labels, h_labels)
-            shuffled = dict(zip(h_labels, rng.sample(list(h_labels.values()), len(h_labels))))
-            _same_answer(g, h, labels, shuffled)
-            if nb.n_tails == g.n_tails:
-                k, k_labels = _renamed(nb, dict(zip(nb.tails, labels.values())), rng)
-                _same_answer(g, k, labels, k_labels)
+    for i, (g, nb) in enumerate(_with_neighbours()):
+        labels = _tail_labels(g, rng, distinct=i % 2 == 0)
+        h, h_labels = _renamed(g, labels, rng)
+        _same_answer(g, h, labels, h_labels)
+        shuffled = dict(zip(h_labels, rng.sample(list(h_labels.values()), len(h_labels))))
+        _same_answer(g, h, labels, shuffled)
+        if nb.n_tails == g.n_tails:
+            k, k_labels = _renamed(nb, dict(zip(nb.tails, labels.values())), rng)
+            _same_answer(g, k, labels, k_labels)
 
 
 def test_two_equally_labelled_tails_at_one_vertex_have_no_witness():
