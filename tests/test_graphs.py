@@ -459,3 +459,51 @@ def test_two_equally_labelled_tails_at_one_vertex_have_no_witness():
     for args in ((h, h, h_labels, h_labels), (h, h2, h_labels, h2_labels)):
         assert find_isomorphism(*args) is None
         assert reference_find_isomorphism(*args) is None
+
+
+# --- structure_report as it was with a union-find, copied as the reference ---
+
+def ref_union_find_components(g):
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    cyclic = False
+    for edge in sorted(g.edges, key=sorted):
+        u, w = (g.boundary[f] for f in sorted(edge))
+        if u == w:
+            cyclic = True
+            continue
+        ru, rw = find(u), find(w)
+        if ru == rw:
+            cyclic = True
+        else:
+            parent[max(ru, rw)] = min(ru, rw)
+
+    comps = {}
+    for v in g.vertices:
+        comps.setdefault(find(v), []).append(v)
+    return tuple(tuple(sorted(c)) for c in sorted(comps.values())), cyclic
+
+
+def reference_structure_report(g):
+    components, cyclic = ref_union_find_components(g)
+    mult = {v: len(flags) for v, flags in graphs.flags_by_vertex(g).items()}
+    return graphs.StructureReport(
+        edges=g.n_edges, tails=g.n_tails, components=components, is_tree=not cyclic,
+        is_stable=not cyclic and all(m >= 3 for m in mult.values()),
+        is_corolla=len(g.vertices) == 1 and not g.edges, vertex_multiplicities=mult)
+
+
+def test_structure_report_matches_union_find_on_every_small_graph():
+    # loops and parallel edges included; the empty graph has no components
+    for g in [empty_graph(), *SMALL_FAMILY]:
+        got, want = structure_report(g), reference_structure_report(g)
+        for name in ("edges", "tails", "components", "is_tree", "is_stable", "is_corolla",
+                     "vertex_multiplicities"):
+            assert getattr(got, name) == getattr(want, name), (g, name)
+        assert list(got.vertex_multiplicities) == list(want.vertex_multiplicities)
