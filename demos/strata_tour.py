@@ -1,15 +1,19 @@
 """Boundary strata of genus-zero moduli spaces as stable labelled trees.
 
 Counts by codimension, the substratum partial order, projections that forget
-marked points, and the black/white re-encoding of caterpillar corners.
+marked points, the dual tree of a stable curve, and the black/white
+re-encoding of caterpillar corners.
 
 Run with:  python3 demos/strata_tour.py
 """
 
 from dessins.strata import (
+    CurveCombinatorics,
+    NotATreeOfComponents,
     admissible_projection,
     clean_dessin,
     contract_edge,
+    curve_to_dessin,
     divisorial_strata,
     enumerate_strata,
     is_substratum,
@@ -55,6 +59,16 @@ print("forget 5      ->", sorted(admissible_projection(s, ["1", "2", "3", "4"]).
       "codim", admissible_projection(s, ["1", "2", "3", "4"]).codim)
 out = admissible_projection(s, ["1", "2", "3"])
 print("forget 4 and 5 -> corolla over {1,2,3}: codim", out.codim)
+
+print("\n== the dual tree of a stable curve ==")
+marked = {"1": "A", "2": "A", "3": "B", "4": "B", "5": "B"}
+dual = curve_to_dessin(CurveCombinatorics(("A", "B"), (("A", "B"),), marked))
+print(f"two components meeting once: codim {stratum(dual).codim}, "
+      f"split {sorted(map(sorted, dual.label_splits()))}")
+try:
+    curve_to_dessin(CurveCombinatorics(("A", "B"), (("A", "B"), ("A", "B")), marked))
+except NotATreeOfComponents as exc:
+    print(f"meeting twice is refused: {exc}")
 
 print("\n== a caterpillar corner re-encoded with black and white vertices ==")
 cat = next(s for s, caterpillar in maximal_codim_strata(["1", "2", "3", "4", "5"])

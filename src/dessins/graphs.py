@@ -6,7 +6,8 @@ involution are edges, fixed flags are tails (leaves).  All values are immutable
 after validation and every operation here is a pure function.
 
 Identifiers are opaque strings; canonical ordering is lexicographic, so all
-outputs are deterministic across runs.  A disjoint union takes any number of
+outputs are deterministic across runs (the visiting order inside a walk of
+`spanning_forest` aside).  A disjoint union takes any number of
 parts, namespaces part i with the prefix "i." and validates only the union;
 `flags_by_vertex` is the one index of the flags at each vertex.
 """
@@ -144,34 +145,6 @@ class StructureReport:
         return len(self.components)
 
 
-def _union_find_components(g: CombinatorialGraph):
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    cyclic = False
-    for edge in sorted(g.edges, key=sorted):
-        u, w = (g.boundary[f] for f in sorted(edge))
-        if u == w:
-            cyclic = True          # self-loop
-            continue
-        ru, rw = find(u), find(w)
-        if ru == rw:
-            cyclic = True          # second path between two vertices
-        else:
-            parent[max(ru, rw)] = min(ru, rw)
-
-    comps: dict[str, list[str]] = {}
-    for v in g.vertices:
-        comps.setdefault(find(v), []).append(v)
-    components = tuple(tuple(sorted(c)) for c in sorted(comps.values()))
-    return components, cyclic
-
-
 def flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
     """Each vertex's flags in flag order; build it once per graph read."""
     at: dict[str, list[str]] = {v: [] for v in g.vertices}
@@ -180,22 +153,50 @@ def flags_by_vertex(g: CombinatorialGraph) -> dict[str, list[str]]:
     return at
 
 
+def spanning_forest(g: CombinatorialGraph):
+    """Breadth-first walks that span g: each starts at the least vertex not yet
+    reached and lists its component in visiting order.  Returns the walks and
+    each vertex's (parent vertex, edge), or None where a walk starts.  The
+    walks' vertex sets and starts are canonical; the visiting order after
+    each start follows the iteration order of `g.edges`."""
+    bdry = g.boundary
+    nbrs = {v: [] for v in g.vertices}
+    for e in g.edges:
+        a, b = e
+        nbrs[bdry[a]].append((bdry[b], e))
+        nbrs[bdry[b]].append((bdry[a], e))
+    parent, walks = {}, []
+    for start in g.vertices:
+        if start in parent:
+            continue
+        parent[start] = None
+        walk = [start]
+        for v in walk:
+            for w, e in nbrs[v]:
+                if w not in parent:
+                    parent[w] = (v, e)
+                    walk.append(w)
+        walks.append(walk)
+    return walks, parent
+
+
 def structure_report(g: CombinatorialGraph) -> StructureReport:
     """Connectivity, treeness, stability and multiplicities of a validated graph.
 
-    A graph is a tree when no two vertices are joined by more than one edge and
-    no path of length >= 2 revisits a vertex; stability asks every vertex to
+    The components are the walks of `spanning_forest`.  A multigraph is a
+    forest ("tree" here, component by component) exactly when E = V - C, so
+    a loop or two parallel edges make a cycle; stability asks every vertex to
     bound at least three flags and every component to be a tree.
     """
-    components, cyclic = _union_find_components(g)
+    walks, _ = spanning_forest(g)
     mult = {v: len(flags) for v, flags in flags_by_vertex(g).items()}
-    is_tree = not cyclic
+    is_tree = g.n_edges == len(g.vertices) - len(walks)
     is_stable = is_tree and all(m >= 3 for m in mult.values())
     is_corolla = len(g.vertices) == 1 and not g.edges
     return StructureReport(
         edges=g.n_edges,
         tails=g.n_tails,
-        components=components,
+        components=tuple(tuple(sorted(w)) for w in walks),
         is_tree=is_tree,
         is_stable=is_stable,
         is_corolla=is_corolla,
@@ -250,8 +251,14 @@ class GraphIso:
                         {f: self.flag_map[g] for f, g in other.flag_map.items()})
 
 
+def _both_or_neither(labels1, labels2):
+    if (labels1 is None) != (labels2 is None):
+        raise GraphError("tail labels must be given for both graphs or for neither")
+
+
 def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
                  labels1=None, labels2=None) -> bool:
+    _both_or_neither(labels1, labels2)
     vm, fm = iso.vertex_map, iso.flag_map
     if vm.keys() != set(g1.vertices) or set(vm.values()) != set(g2.vertices):
         return False
@@ -295,8 +302,10 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     colour.  The search assigns vertices in lexicographic order trying
     lexicographically least images first, so the witness is deterministic
     (and the identity when g1 is g2): the first vertex map in that order that
-    extends to an isomorphism, whatever the refinement pruned.
+    extends to an isomorphism, whatever the refinement pruned.  Label maps
+    come for both graphs or for neither (else GraphError).
     """
+    _both_or_neither(labels1, labels2)
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None

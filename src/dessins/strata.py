@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from dessins import graphs
-from dessins.graphs import CombinatorialGraph, structure_report, validate
+from dessins.graphs import CombinatorialGraph, spanning_forest, validate
 
 
 class StrataError(ValueError):
@@ -234,26 +234,16 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
     """Stable S-tree of an explicit flag graph, which must be connected and
     stable with its tails labelled bijectively by distinct labels.
 
-    One walk from the first vertex checks the graph and orders the splits: it
-    is connected when the walk reaches every vertex, and then a tree exactly
-    when E = V - 1; each edge's split is the far side of the walk from it, or
-    that side's complement when it holds the least label."""
+    The walks of `graphs.spanning_forest` check the graph and order the
+    splits: it is connected when there is exactly one walk, and then a tree
+    exactly when E = V - 1; each edge's split is the far side of the walk
+    from it, or that side's complement when it holds the least label."""
     tail_labels = dict(tail_labels)
     bdry = graph.boundary
-    nbrs = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        a, b = e
-        nbrs[bdry[a]].append((bdry[b], e))
-        nbrs[bdry[b]].append((bdry[a], e))
-    walk = list(graph.vertices[:1])
-    parent = dict.fromkeys(walk)
-    for v in walk:
-        for w, e in nbrs[v]:
-            if w not in parent:
-                parent[w] = (v, e)
-                walk.append(w)
-    if not walk or len(walk) != len(graph.vertices):
+    walks, parent = spanning_forest(graph)
+    if len(walks) != 1:
         raise StrataError("tree must be connected")
+    walk = walks[0]
     n_flags = Counter(bdry.values())
     if graph.n_edges != len(walk) - 1 or any(n_flags[v] < 3 for v in walk):
         raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
@@ -307,8 +297,9 @@ class CurveCombinatorics:
 
 def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
     """Dual tree: vertices are components, edges are double points, tails are
-    labelled marked points.  Raises if a component carries fewer than three
-    special points or the components fail to form a tree.
+    labelled marked points.  Raises UnstableComponent if a component carries
+    fewer than three special points, else NotATreeOfComponents when `s_tree`
+    finds the components disconnected or not a tree.
     """
     comps = [str(c) for c in curve.components]
     flags, boundary, involution, tail_labels = [], {}, {}, {}
@@ -330,13 +321,14 @@ def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
         involution[f] = f
         tail_labels[f] = lab
     g = validate(flags, comps, boundary, involution)
-    rep = structure_report(g)
-    unstable = [v for v, m in rep.vertex_multiplicities.items() if m < 3]
+    n_flags = Counter(g.boundary.values())
+    unstable = [v for v in g.vertices if n_flags[v] < 3]
     if unstable:
-        raise UnstableComponent(f"components with < 3 special points: {sorted(unstable)}")
-    if rep.n_components != 1 or not rep.is_tree:
-        raise NotATreeOfComponents("component graph must be a connected tree")
-    return s_tree(g, tail_labels)
+        raise UnstableComponent(f"components with < 3 special points: {unstable}")
+    try:
+        return s_tree(g, tail_labels)
+    except StrataError as exc:      # every component is stable: connectivity or treeness
+        raise NotATreeOfComponents("component graph must be a connected tree") from exc
 
 
 # --- enumeration ------------------------------------------------------------
@@ -575,67 +567,65 @@ def clean_dessin(s: Stratum) -> CleanDessin:
 
     A vertex is added at the free end of every leaf and at the midpoint of
     every old edge; old vertices and leaf-end vertices are black, midpoints
-    are white.
+    are white.  Midpoints are named w{i} in sorted edge order and leaf ends
+    end_{label}, both behind the fewest underscores that keep them apart from
+    every old vertex name (none for the v0, v1, ... of trees built from
+    splits); when two labels print alike (1 and "1") every leaf end gets
+    "#{i}" appended, i in tail order.
     """
     t = s.tree
     if not is_caterpillar(t):
         raise NotCaterpillar("clean dessins are defined for caterpillar strata")
-    g = t.graph
-    black = list(g.vertices)
-    white = []
-    new_edges = []
-    for i, e in enumerate(sorted(g.edges, key=sorted)):
-        a, b = sorted(e)
-        mid = f"w{i}"
-        white.append(mid)
-        new_edges.append(tuple(sorted((g.boundary[a], mid))))
-        new_edges.append(tuple(sorted((g.boundary[b], mid))))
-    for f in g.tails:
-        end = f"end_{t.tail_labels[f]}"
-        black.append(end)
-        new_edges.append(tuple(sorted((g.boundary[f], end))))
-    return CleanDessin(tuple(sorted(black)), tuple(sorted(white)), tuple(sorted(new_edges)))
+    g, labels, bdry = t.graph, t.tail_labels, t.graph.boundary
+    pre = ""
+    while any(v.startswith((pre + "w", pre + "end_")) for v in g.vertices):
+        pre += "_"
+    ends = [f"{pre}end_{labels[f]}" for f in g.tails]
+    if len(set(ends)) < len(ends):
+        ends = [f"{end}#{i}" for i, end in enumerate(ends)]
+    white = [f"{pre}w{i}" for i in range(g.n_edges)]
+    new_edges = [tuple(sorted((bdry[f], end))) for f, end in zip(g.tails, ends)]
+    for mid, (a, b) in zip(white, sorted(g.edges, key=sorted)):
+        new_edges.append(tuple(sorted((bdry[a], mid))))
+        new_edges.append(tuple(sorted((bdry[b], mid))))
+    return CleanDessin(tuple(sorted((*g.vertices, *ends))), tuple(sorted(white)),
+                       tuple(sorted(new_edges)))
+
+
+def _colour_walk(d: CleanDessin):
+    """Two-colour the vertices of d, listed or only named by an edge, by one
+    walk per component.  Returns the number of walks and whether some edge
+    joins two vertices of one colour."""
+    nbrs = {v: [] for v in (*d.black, *d.white)}
+    for a, b in d.edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    colour, walks, clash = {}, 0, False
+    for start in nbrs:
+        if start in colour:
+            continue
+        walks += 1
+        colour[start] = 0
+        queue = [start]
+        for v in queue:
+            c = colour[v]
+            for w in nbrs[v]:
+                if w not in colour:
+                    colour[w] = 1 - c
+                    queue.append(w)
+                elif colour[w] == c:
+                    clash = True
+    return walks, clash
 
 
 def clean_dessin_is_bipartite(d: CleanDessin) -> bool:
     """Two-colorability of the re-encoded graph."""
-    nbrs: dict[str, list[str]] = {}
-    for a, b in d.edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    color: dict[str, int] = {}
-    for start in sorted(nbrs):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in nbrs[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return not _colour_walk(d)[1]
 
 
 def clean_dessin_is_connected(d: CleanDessin) -> bool:
-    verts = set(d.black) | set(d.white)
-    if not verts:
-        return True
-    nbrs: dict[str, set[str]] = {v: set() for v in verts}
-    for a, b in d.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    seen, queue = set(), [sorted(verts)[0]]
-    while queue:
-        v = queue.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        queue.extend(nbrs[v] - seen)
-    return seen == verts
+    """One component, counting isolated vertices; the empty dessin is connected."""
+    return _colour_walk(d)[0] <= 1
 
 
 # --- serialization ----------------------------------------------------------
@@ -652,7 +642,16 @@ def stratum_to_json(s: Stratum) -> dict:
 
 
 def stratum_from_json(obj) -> Stratum:
-    return Stratum(s_tree(graphs.graph_from_json(obj["tree"]), obj["tail_labels"]))
+    """Read `tree` and `tail_labels` through `s_tree`; `labels` (in any order)
+    and `codim` must agree with the tree read."""
+    s = Stratum(s_tree(graphs.graph_from_json(obj["tree"]), obj["tail_labels"]))
+    if sorted(obj["labels"], key=_labelkey) != list(s.tree.order):
+        raise StrataError(f"labels {obj['labels']!r} disagree with the tree's "
+                          f"tail labels {list(s.tree.order)!r}")
+    if obj["codim"] != s.codim:
+        raise StrataError(f"codim {obj['codim']!r} disagrees with the tree's "
+                          f"{s.codim} edges")
+    return s
 
 
 def stratum_to_dot(s: Stratum, name="stratum") -> str:

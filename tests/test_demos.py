@@ -9,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# lines that a demo's output must hold
+EXPECTED = {"strata_tour": "two components meeting once: codim 1, split [['3', '4', '5']]\n"
+                           "meeting twice is refused: component graph must be a connected tree\n"}
 
 
 def test_the_five_demos_are_found():
@@ -22,4 +25,5 @@ def test_demo_runs_cleanly(demo):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert EXPECTED.get(demo.stem, "") in proc.stdout
     assert proc.stderr == ""

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import graphs, strata
 from dessins.graphs import (
@@ -15,6 +17,7 @@ from dessins.graphs import (
     graph_from_json,
     graph_to_json,
     is_valid_iso,
+    spanning_forest,
     structure_report,
     to_dot,
     validate,
@@ -507,3 +510,42 @@ def test_structure_report_matches_union_find_on_every_small_graph():
                      "vertex_multiplicities"):
             assert getattr(got, name) == getattr(want, name), (g, name)
         assert list(got.vertex_multiplicities) == list(want.vertex_multiplicities)
+
+
+# --- the spanning forest ------------------------------------------------------
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with loops, parallel edges, tails and isolated
+    vertices; vertex names whose lexicographic order is not their index order."""
+    n = draw(st.integers(0, 7))
+    names = draw(st.permutations([f"v{i}" for i in (0, 1, 2, 10, 11, 20, 3)]))[:n]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=8)) if n else []
+    tails = draw(st.lists(st.integers(0, n - 1), max_size=5)) if n else []
+    boundary, involution = {}, {}
+    for i, (u, w) in enumerate(pairs):
+        boundary[f"e{i}a"], boundary[f"e{i}b"] = names[u], names[w]
+        involution[f"e{i}a"], involution[f"e{i}b"] = f"e{i}b", f"e{i}a"
+    for i, u in enumerate(tails):
+        boundary[f"t{i}"], involution[f"t{i}"] = names[u], f"t{i}"
+    return validate(boundary, names, boundary, involution)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs())
+def test_spanning_forest_walks_partition_and_parents_come_earlier(g):
+    walks, parent = spanning_forest(g)
+    assert sorted(v for walk in walks for v in walk) == list(g.vertices)
+    assert parent.keys() == set(g.vertices)
+    starts = [walk[0] for walk in walks]
+    assert starts == sorted(starts)                 # each at the least vertex not yet reached
+    for walk in walks:
+        assert walk[0] == min(walk) and parent[walk[0]] is None
+        for i, v in enumerate(walk[1:], 1):
+            p, e = parent[v]
+            assert e in g.edges and sorted(g.boundary[f] for f in e) == sorted((p, v))
+            assert p in walk[:i]
+    rep = structure_report(g)
+    assert rep.components == tuple(tuple(sorted(walk)) for walk in walks)
+    assert rep.is_tree == (g.n_edges == len(g.vertices) - len(walks))

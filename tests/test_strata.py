@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dessins import strata
+from dessins import graphs, strata
 from dessins.strata import (
     CurveCombinatorics,
     LabelCollision,
@@ -81,6 +81,39 @@ def test_curve_to_dessin_cycle_rejected():
     )
     with pytest.raises(strata.NotATreeOfComponents):
         curve_to_dessin(c)
+
+
+def test_curve_to_dessin_walks_once_without_structure_report(monkeypatch):
+    def refuse(g):
+        raise AssertionError("structure_report called")
+
+    monkeypatch.setattr(graphs, "structure_report", refuse)
+    assert not hasattr(strata, "structure_report")
+    walks = []
+    monkeypatch.setattr(strata, "spanning_forest",
+                        lambda g: walks.append(g) or graphs.spanning_forest(g))
+    marked = dict(zip("123456", ["c0"] * 3 + ["c1"] * 3))
+    assert curve_to_dessin(CurveCombinatorics(("c0", "c1"), (("c0", "c1"),), marked)) == \
+        two_part_tree(["1", "2", "3"], ["4", "5", "6"])
+    for dps in ((), (("c0", "c1"), ("c0", "c1")), (("c0", "c0"),)):
+        with pytest.raises(strata.NotATreeOfComponents):
+            curve_to_dessin(CurveCombinatorics(("c0", "c1"), dps, marked))
+    with pytest.raises(UnstableComponent):
+        curve_to_dessin(CurveCombinatorics(("c0", "c1", "c2"), (("c0", "c1"),), marked))
+    assert len(walks) == 4          # one for each curve whose components are stable
+
+
+def test_curve_to_dessin_reraises_the_s_tree_error():
+    with pytest.raises(strata.NotATreeOfComponents,
+                       match="^component graph must be a connected tree$") as info:
+        curve_to_dessin(CurveCombinatorics(("A", "B"), (), {i: c for i, c in
+                                                            zip(range(6), "AAABBB")}))
+    assert str(info.value.__cause__) == "tree must be connected"
+    with pytest.raises(strata.NotATreeOfComponents) as info:
+        curve_to_dessin(CurveCombinatorics(("A",), (("A", "A"),), {1: "A"}))
+    assert "stable" in str(info.value.__cause__)
+    with pytest.raises(strata.NotATreeOfComponents):
+        curve_to_dessin(CurveCombinatorics((), (), {}))
 
 
 def test_enumerate_strata_four_labels():
@@ -358,6 +391,44 @@ def test_clean_dessin_all_caterpillars():
                 d = clean_dessin(s)
                 assert clean_dessin_is_bipartite(d)
                 assert clean_dessin_is_connected(d)
+
+
+def _renamed_vertices(t, names):
+    """t loaded through s_tree with its vertices renamed."""
+    g = t.graph
+    rename = dict(zip(g.vertices, names))
+    h = graphs.validate(g.flags, rename.values(), {f: rename[v] for f, v in g.boundary.items()},
+                        g.involution)
+    return stratum(strata.s_tree(h, t.tail_labels))
+
+
+def test_clean_dessin_names_never_collide_with_tree_vertices():
+    first = next(s for s, flag in maximal_codim_strata(labels(5)) if flag)
+    base = clean_dessin(first)
+    for names, pre in ((["w0", "w1", "w2"], "_"), (["end_1", "x", "_w1"], "__"),
+                       (["a", "b", "c"], "")):
+        s = _renamed_vertices(first.tree, names)
+        assert s == first
+        d = clean_dessin(s)
+        assert not set(d.black) & set(d.white)
+        assert len(set(d.black)) == 3 + 5 and d.white == (f"{pre}w0", f"{pre}w1")
+        assert clean_dessin_is_bipartite(d) and clean_dessin_is_connected(d)
+        # the same dessin as before the renaming, up to the names
+        rename = {**dict(zip(first.tree.graph.vertices, names)),
+                  **{f"end_{i}": f"{pre}end_{i}" for i in range(1, 6)},
+                  **{f"w{i}": f"{pre}w{i}" for i in range(2)}}
+        assert d.black == tuple(sorted(rename[v] for v in base.black))
+        assert d.edges == tuple(sorted(tuple(sorted(rename[v] for v in e)) for e in base.edges))
+
+
+def test_clean_dessin_leaf_ends_of_labels_that_print_alike():
+    for s, flag in maximal_codim_strata([1, "1", 2, 3, "x"]):
+        if flag:
+            d = clean_dessin(s)
+            assert len(set(d.black)) == len(d.black) == 3 + 5
+            assert sorted(v for v in d.black if v.startswith("end_")) == \
+                sorted(f"end_{lab}#{i}" for i, lab in enumerate(s.tree.order))
+            assert clean_dessin_is_bipartite(d) and clean_dessin_is_connected(d)
 
 
 def test_clean_dessin_rejects_non_caterpillar():

@@ -98,6 +98,51 @@ def test_graph_validation_errors(exc_type, match, args):
     raises_exactly(exc_type, match, lambda: validate(*args))
 
 
+ONE_SIDED = r"^tail labels must be given for both graphs or for neither$"
+ABC_LABELS = {"a": 1, "b": 2, "c": 3}
+ABC_IDENTITY = graphs.GraphIso({"v": "v"}, {f: f for f in "abc"})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: graphs.find_isomorphism(ABC, ABC, ABC_LABELS, None),
+    lambda: graphs.find_isomorphism(ABC, ABC, None, ABC_LABELS),
+    lambda: graphs.find_isomorphism(ABC, corolla("v", "ab"), ABC_LABELS),
+    lambda: graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, ABC_LABELS, None),
+    lambda: graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, None, ABC_LABELS),
+], ids=["find-first-only", "find-second-only", "find-before-size-check",
+        "valid-first-only", "valid-second-only"])
+def test_one_sided_tail_labels_are_refused(call):
+    raises_exactly(graphs.GraphError, ONE_SIDED, call)
+    assert graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, ABC_LABELS, ABC_LABELS)
+
+
+def _payload(**changes):
+    obj = strata.stratum_to_json(stratum(strata.two_part_tree([1, 2], [3, 4, 5])))
+    return {**obj, **changes}
+
+
+@pytest.mark.parametrize("match,obj", [
+    (r"^codim 0 disagrees with the tree's 1 edges$", _payload(codim=0)),
+    (r"^codim 2 disagrees with the tree's 1 edges$", _payload(codim=2)),
+    (r"^labels \['9'\] disagree with the tree's tail labels \[1, 2, 3, 4, 5\]$",
+     _payload(labels=["9"])),
+    (r"^labels \[1, 2, 3, 4\] disagree with the tree's tail labels \[1, 2, 3, 4, 5\]$",
+     _payload(labels=[1, 2, 3, 4])),
+    (r"^labels \['1', '2', '3', '4', '5'\] disagree with the tree's tail labels "
+     r"\[1, 2, 3, 4, 5\]$", _payload(labels=["1", "2", "3", "4", "5"])),
+    # labels are checked before codim
+    (r"^labels \['9'\] disagree", _payload(codim=0, labels=["9"])),
+], ids=["codim-low", "codim-high", "labels-foreign", "labels-short", "labels-as-text",
+        "labels-first"])
+def test_stratum_from_json_checks_labels_and_codim(match, obj):
+    raises_exactly(strata.StrataError, match, lambda: strata.stratum_from_json(obj))
+
+
+def test_stratum_from_json_takes_labels_in_any_order():
+    s = stratum(strata.two_part_tree([1, 2], [3, 4, 5]))
+    assert strata.stratum_from_json(_payload(labels=[5, 3, 1, 4, 2])) == s
+
+
 @pytest.mark.parametrize("exc_type,match,call", [
     (ValueError, "contain 1", lambda: GaloisGroup(12, (5, 7, 11))),
     (galois.NotCoprime, "2 is not invertible", lambda: GaloisGroup(12, (1, 2))),
