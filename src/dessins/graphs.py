@@ -6,10 +6,10 @@ involution are edges, fixed flags are tails (leaves).  All values are immutable
 after validation and every operation here is a pure function.
 
 Identifiers are opaque strings; canonical ordering is lexicographic, so all
-outputs are deterministic across runs (the visiting order inside a walk of
-`spanning_forest` aside).  A disjoint union takes any number of
-parts, namespaces part i with the prefix "i." and validates only the union;
-`flags_by_vertex` is the one index of the flags at each vertex.
+outputs but the visiting order in a walk of `spanning_forest` are the same on
+every run.  A disjoint union takes any number of parts, namespaces part i with
+the prefix "i." and validates only the union; `flags_by_vertex` is the one
+index of the flags at each vertex.
 """
 
 from __future__ import annotations

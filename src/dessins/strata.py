@@ -567,11 +567,9 @@ def clean_dessin(s: Stratum) -> CleanDessin:
 
     A vertex is added at the free end of every leaf and at the midpoint of
     every old edge; old vertices and leaf-end vertices are black, midpoints
-    are white.  Midpoints are named w{i} in sorted edge order and leaf ends
-    end_{label}, both behind the fewest underscores that keep them apart from
-    every old vertex name (none for the v0, v1, ... of trees built from
-    splits); when two labels print alike (1 and "1") every leaf end gets
-    "#{i}" appended, i in tail order.
+    are white.  They are named w{i} and end_{label} behind the fewest
+    underscores that keep them apart from the old vertex names; when labels
+    print alike (1 and "1"), each leaf end gets "#{i}" appended.
     """
     t = s.tree
     if not is_caterpillar(t):
@@ -649,8 +647,7 @@ def stratum_from_json(obj) -> Stratum:
         raise StrataError(f"labels {obj['labels']!r} disagree with the tree's "
                           f"tail labels {list(s.tree.order)!r}")
     if obj["codim"] != s.codim:
-        raise StrataError(f"codim {obj['codim']!r} disagrees with the tree's "
-                          f"{s.codim} edges")
+        raise StrataError(f"codim {obj['codim']!r} disagrees with the tree's codim {s.codim}")
     return s
 
 

@@ -113,7 +113,6 @@ ABC_IDENTITY = graphs.GraphIso({"v": "v"}, {f: f for f in "abc"})
         "valid-first-only", "valid-second-only"])
 def test_one_sided_tail_labels_are_refused(call):
     raises_exactly(graphs.GraphError, ONE_SIDED, call)
-    assert graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, ABC_LABELS, ABC_LABELS)
 
 
 def _payload(**changes):
@@ -122,8 +121,8 @@ def _payload(**changes):
 
 
 @pytest.mark.parametrize("match,obj", [
-    (r"^codim 0 disagrees with the tree's 1 edges$", _payload(codim=0)),
-    (r"^codim 2 disagrees with the tree's 1 edges$", _payload(codim=2)),
+    (r"^codim 0 disagrees with the tree's codim 1$", _payload(codim=0)),
+    (r"^codim 2 disagrees with the tree's codim 1$", _payload(codim=2)),
     (r"^labels \['9'\] disagree with the tree's tail labels \[1, 2, 3, 4, 5\]$",
      _payload(labels=["9"])),
     (r"^labels \[1, 2, 3, 4\] disagree with the tree's tail labels \[1, 2, 3, 4, 5\]$",
