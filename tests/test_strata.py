@@ -106,8 +106,7 @@ def test_curve_to_dessin_walks_once_without_structure_report(monkeypatch):
 def test_curve_to_dessin_reraises_the_s_tree_error():
     with pytest.raises(strata.NotATreeOfComponents,
                        match="^component graph must be a connected tree$") as info:
-        curve_to_dessin(CurveCombinatorics(("A", "B"), (), {i: c for i, c in
-                                                            zip(range(6), "AAABBB")}))
+        curve_to_dessin(CurveCombinatorics(("A", "B"), (), dict(zip(range(6), "AAABBB"))))
     assert str(info.value.__cause__) == "tree must be connected"
     with pytest.raises(strata.NotATreeOfComponents) as info:
         curve_to_dessin(CurveCombinatorics(("A",), (("A", "A"),), {1: "A"}))
