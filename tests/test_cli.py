@@ -158,6 +158,14 @@ def test_hopf_verify_json(capsys):
     assert payload["cache"]["trims"] == 0 and payload["cache"]["size"] > 0
 
 
+def test_hopf_verify_json_at_six_vertices_keeps_the_cache_small(capsys):
+    # a memo of every checked tree's own coproduct would read about 40,000 here
+    hopf.clear_caches()                    # as in a fresh process
+    assert run_cli("hopf", "--verify", "--max-vertices", "6", "--json") == 0
+    cache = json.loads(capsys.readouterr().out)["cache"]
+    assert cache["trims"] == 0 and cache["size"] < 35_000
+
+
 def test_hopf_verify_json_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(hopf, "counit_axioms_hold", lambda t: False)
     assert run_cli("hopf", "--verify", "--max-vertices", "3", "--json") == 2

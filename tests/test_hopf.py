@@ -343,6 +343,51 @@ def test_cache_bound_drops_entries_between_calls(monkeypatch):
     assert hopf.CACHE.stats()["trims"] == 0
 
 
+def _recount(c) -> int:
+    """The cache size recounted from its tables: every memo entry, each
+    group's relabelling memos included, plus the trees and nonempty forests."""
+    memos = (c.cuts, c.edges, c.coproduct, c.antipode, c.enumeration, c.relabel)
+    relabelled = sum(len(memo) for pairs in c.relabel.values() for _, memo in pairs)
+    return (sum(map(len, memos)) + relabelled
+            + len(c.trees.tuple) + len(c.trees.forests) - 1)
+
+
+def _coproduct_held(t) -> bool:
+    table = hopf.CACHE.trees
+    tid = table.by_tuple.get(t)
+    return tid is not None and table.single[tid] in hopf.CACHE.coproduct
+
+
+def test_identity_checks_keep_no_coproduct_of_the_tree_under_check():
+    hopf.clear_caches()
+    trees = enumerate_trees((0, 1, 2), 6)
+    for t in trees:                     # as the hopf-identities workload checks them
+        assert coassociativity_holds(t)
+        assert counit_axioms_hold(t)
+    top = [t for t in trees if hopf.tree_nodes(t) == 6]
+    assert len(top) == 9_432
+    # only the last checked tree's coproduct may stay; no larger tree reads the others
+    assert sum(map(_coproduct_held, top)) <= 1
+    assert hopf.CACHE.size == _recount(hopf.CACHE)
+    assert hopf.CACHE.trims == 0
+
+
+def test_a_trim_between_two_checks_clears_the_checked_tree(monkeypatch):
+    hopf.clear_caches()
+    c = hopf.CACHE
+    monkeypatch.setattr(c, "max_entries", 40)
+    for t in enumerate_trees((0, 1), 4):
+        assert coassociativity_holds(t) and counit_axioms_hold(t)
+        assert c.size == _recount(c)
+        if c.size > c.max_entries:
+            assert c.checked is not None
+            trims = c.trims
+            admissible_cuts(leaf(0))        # trims on entry, between two checks
+            assert c.trims == trims + 1 and c.checked is None
+            assert c.size == _recount(c)
+    assert c.trims > 0
+
+
 @pytest.fixture
 def corrupt_delta(monkeypatch):
     """install(change) replaces hopf._delta by change(f, copy of the true
