@@ -26,9 +26,9 @@ EXIT_VERIFICATION = 2
 # which would need about 3 GiB for the counts alone.
 MAX_STRATA_LABELS = 9
 
-# `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in about
-# 1.0 s on the same machine; 7 vertices would mean 73,845 trees, 12-13 s,
-# 175 MiB and two cache trims (9 s and 212 MiB with the cache unbounded).
+# `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in
+# 1.1-1.7 s with a peak RSS of 29 MiB on the same machine; 7 vertices would
+# mean 73,845 trees, 9-11 s and 105 MiB, with no cache trim.
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.

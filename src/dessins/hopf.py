@@ -326,6 +326,10 @@ class HopfCache:
     (the cut list, coproduct or antipode of its tree or forest, or its list of
     trees) was already held, a miss when the call had to compute it.  Lookups
     inside the recursion are plain dict reads and are not counted.
+
+    `checked` is the forest id of the tree whose coproduct the last
+    coassociativity or counit check memoised itself; the next check of
+    another tree drops that entry (see `_checked_tree`).
     """
 
     def __init__(self, max_entries: int):
@@ -338,6 +342,7 @@ class HopfCache:
 
     def _drop(self):
         self.entries = 0
+        self.checked = None          # forest ids restart with the new table
         self.trees = _TreeTable()
         self.cuts: dict = {}         # tree id -> (id cuts, admissible_cuts(tree))
         self.edges: dict = {}        # (ordered shape, edge mask) -> frozenset of vertex paths
@@ -374,12 +379,13 @@ class HopfCache:
 
 
 # Sizes measured with tracemalloc on Python 3.11.  `dessins hopf --verify
-# --max-vertices 6` fills about 40,000 entries in 22 MiB (0.6 KiB an entry),
-# and the hopf-identities benchmark workload about 74,000 in 30 MiB.  Cut
-# lists over 104,000 trees of 4 or 5 vertices take 3 entries a tree (the
-# tree, its forests and its cut list) and 0.53 KiB an entry.  So 200,000
-# entries keep the cache under about 120 MiB, and the cut lists of all
-# 59,892 trees over 12 labels with at most 4 vertices fit without a trim.
+# --max-vertices 6` fills about 30,000 entries in 11 MiB (0.4 KiB an entry),
+# and the hopf-identities benchmark workload about 67,000 in 22 MiB; at 7
+# vertices the suite fills 188,000 and needs no trim.  Cut lists over
+# 104,000 trees of 4 or 5 vertices take 3 entries a tree (the tree, its
+# forests and its cut list) and 0.53 KiB an entry.  So 200,000 entries keep
+# the cache under about 120 MiB, and the cut lists of all 59,892 trees over
+# 12 labels with at most 4 vertices fit without a trim.
 CACHE = HopfCache(max_entries=200_000)
 
 
@@ -578,6 +584,23 @@ def antipode(x: ForestPolynomial) -> ForestPolynomial:
 
 # --- Hopf identity checks (used by tests and the command line) --------------
 
+def _checked_tree(t) -> int:
+    """Forest id of X_t for a coassociativity or counit check.
+
+    Drops the coproduct that the last such check memoised for its own tree,
+    unless t is that tree: no check of a tree of the same size reads it, and
+    a larger tree's check memoises it again as a sub-result.
+    """
+    CACHE.trim()
+    f = _tree_key(t)
+    if f != CACHE.checked:
+        if CACHE.coproduct.pop(CACHE.checked, None) is not None:
+            CACHE.entries -= 1
+        CACHE.checked = None if f in CACHE.coproduct else f
+    CACHE.count(f in CACHE.coproduct)
+    return f
+
+
 def coassociativity_holds(t) -> bool:
     """(coproduct (x) id) coproduct == (id (x) coproduct) coproduct on X_t.
 
@@ -587,9 +610,7 @@ def coassociativity_holds(t) -> bool:
     sum of c c2 a (x) b1 over the terms c a (x) b and c2 b1 (x) z of Delta(b),
     is built.
     """
-    CACHE.trim()
-    f = _tree_key(t)
-    CACHE.count(f in CACHE.coproduct)
+    f = _checked_tree(t)
     by_last: dict = {}      # z -> [(a, c)] over the terms c a (x) z
     right: dict = {}        # z -> {(a, b1): coefficient}
     for (a, b), c in _delta(f).items():
@@ -615,9 +636,7 @@ def coassociativity_holds(t) -> bool:
 
 def counit_axioms_hold(t) -> bool:
     """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t."""
-    CACHE.trim()
-    f = _tree_key(t)
-    CACHE.count(f in CACHE.coproduct)
+    f = _checked_tree(t)
     delta = _delta(f)
     left = {b: c for (a, b), c in delta.items() if not a}
     right = {a: c for (a, b), c in delta.items() if not b}

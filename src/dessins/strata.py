@@ -64,6 +64,10 @@ class NotATreeOfComponents(StrataError):
     pass
 
 
+class DuplicateComponent(StrataError):
+    pass
+
+
 def _labelkey(x):
     return (type(x).__name__, x)
 
@@ -297,11 +301,19 @@ class CurveCombinatorics:
 
 def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
     """Dual tree: vertices are components, edges are double points, tails are
-    labelled marked points.  Raises UnstableComponent if a component carries
-    fewer than three special points, else NotATreeOfComponents when `s_tree`
-    finds the components disconnected or not a tree.
+    labelled marked points.  Components are named by their text, so two
+    that print alike raise DuplicateComponent.  Raises UnstableComponent if a
+    component carries fewer than three special points, else
+    NotATreeOfComponents when `s_tree` finds the components disconnected or
+    not a tree.
     """
     comps = [str(c) for c in curve.components]
+    first = {}
+    for c, name in zip(curve.components, comps):
+        if name in first:
+            raise DuplicateComponent(f"components {first[name]!r} and {c!r} "
+                                     f"share the name {name!r}")
+        first[name] = c
     flags, boundary, involution, tail_labels = [], {}, {}, {}
     for i, (ca, cb) in enumerate(curve.double_points):
         ca, cb = str(ca), str(cb)

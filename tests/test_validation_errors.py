@@ -62,6 +62,12 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
                                                        {1: "A", 2: "A", 3: "B", 4: "B"}))),
     (strata.StrataError, "marked point 3 on unknown component",
      lambda: strata.curve_to_dessin(CurveCombinatorics(("A",), (), {1: "A", 2: "A", 3: "Z"}))),
+    (strata.DuplicateComponent, r"^components 'A' and 'A' share the name 'A'$",
+     lambda: strata.curve_to_dessin(CurveCombinatorics(("A", "A"), (),
+                                                       {1: "A", 2: "A", 3: "A"}))),
+    (strata.DuplicateComponent, r"^components 1 and '1' share the name '1'$",
+     lambda: strata.curve_to_dessin(CurveCombinatorics((1, "1"), ((1, "1"),),
+                                                       {1: 1, 2: 1, 3: "1", 4: "1"}))),
     (strata.StrataError, "label not present",
      lambda: strata.compose_strata(stratum(s_corolla([1, 2, 3])), 9,
                                    stratum(s_corolla([4, 5, 6])), 4)),
@@ -78,7 +84,8 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
     (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, {})),
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
         "one-label-part", "overlapping-parts", "double-point-off-curve",
-        "marked-point-off-curve", "absent-grafting-label", "projection-off-stratum",
+        "marked-point-off-curve", "components-share-a-name",
+        "components-print-alike", "absent-grafting-label", "projection-off-stratum",
         "cyclic", "self-loop", "parallel-edges", "empty", "two-stable-trees",
         "disconnected-before-unstable", "unstable-before-unlabelled"])
 def test_strata_validation_errors(exc_type, match, call):
