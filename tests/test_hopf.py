@@ -162,6 +162,23 @@ def test_tree_enumeration_counts():
     assert len(trees_with_n_nodes((0, 1, 2), 3)) == 45
 
 
+@pytest.mark.parametrize("labels", [(0,), (0, 1), (0, 1, 2)])
+def test_tree_counts_follow_the_rooted_tree_recurrence(labels):
+    # a(1) = k, a(n+1) = (1/n) sum_{i=1..n} (sum_{d|i} d a(d)) a(n-i+1):
+    # A000081 at k = 1
+    a = {1: len(labels)}
+    for n in range(1, 6):
+        total = sum(sum(d * a[d] for d in range(1, i + 1) if i % d == 0) * a[n - i + 1]
+                    for i in range(1, n + 1))
+        assert total % n == 0
+        a[n + 1] = total // n
+    assert [len(trees_with_n_nodes(labels, n)) for n in range(1, 7)] == [a[n] for n in range(1, 7)]
+    if len(labels) == 1:
+        assert list(a.values()) == [1, 1, 2, 4, 9, 20]
+    if len(labels) == 3:
+        assert list(a.values()) == [3, 9, 45, 246, 1_485, 9_432]
+
+
 def test_forest_leq_reflexive():
     f = forest(chain(0, 1))
     assert forest_leq(f, f)

@@ -129,6 +129,48 @@ def test_gibbs_closed_exact_matches_reference(m):
             assert qsm.gibbs_closed_exact(system, t, beta) == ref_gibbs_closed_exact(system, t, beta)
 
 
+def ref_window_sums(system, tree, beta):
+    """Exact series and trace routes at integer beta, word by word: the
+    window's sum of phi(X_(w*t)) N^(-beta len(w)) over the closed-form Z, read
+    from the words and from the diagonal of pi(X_t)."""
+    scale = Fraction(1, system.N ** beta)
+    z = qsm.partition_function(beta, len(ref_fixed_labels(system)), system.N).value
+    char = ExponentSumCharacter(system.m, system.D)
+    zero = CyclotomicNumber.zero(system.m)
+    series = sum((char.on_tree(chain_graft(w, tree)) * scale ** len(w)
+                  for w in qsm.words_upto(ref_fixed_labels(system), system.max_length)), zero)
+    rep = system.rep
+    diag = rep.diag(tree)
+    trace = sum((diag.cols[i][1] * scale ** len(w)
+                 for i, w in enumerate(rep.basis) if i in diag.cols), zero)
+    return series / z, trace / z
+
+
+def ref_closed_less_tail(system, tree, beta):
+    """(1 - q^(L+1)) times the closed form, q the level ratio and L the window
+    length: the closed form without its levels beyond the window."""
+    q = ref_level_phase_sum(system) * Fraction(1, system.D * system.N ** beta)
+    q_past_window = CyclotomicNumber.one(system.m)
+    for _ in range(system.max_length + 1):
+        q_past_window = q_past_window * q
+    return (1 - q_past_window) * qsm.gibbs_closed_exact(system, tree, beta)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_series_and_trace_are_the_closed_form_less_its_tail_exactly(m):
+    """series_L = trace_L = (1 - q^(L+1)) closed in Q(zeta_m), at every
+    conductor up to 60 and every beta in {1, 2, 5} where the series converges."""
+    system = QsmSystem(m=m, N=10, D=2, max_length=6)
+    for beta in (1, 2, 5):
+        try:
+            system.check_convergence(beta)
+        except Divergent:
+            continue
+        for t in (hopf.leaf(0), hopf.node(1 % m, hopf.leaf(7 % m))):
+            series, trace = ref_window_sums(system, t, beta)
+            assert series == trace == ref_closed_less_tail(system, t, beta), (beta, t)
+
+
 @pytest.mark.parametrize("m", CONDUCTORS)
 def test_closed_route_and_phase_sum_match_reference(m):
     system = QsmSystem(m=m)

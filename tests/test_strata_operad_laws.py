@@ -1,11 +1,13 @@
 """The operad laws of grafting strata at tails, checked exhaustively on small
 label sets: sequential and parallel associativity of `compose_strata`, and
-its equivariance under renaming labels.
+its equivariance under renaming labels, and the count of (stratum, edge)
+pairs that cutting at an edge puts in bijection with pairs of strata.
 
 s1 o_{a,b} s2 grafts tail a of s1 to tail b of s2.  Renamed strata are read
 off their flag graphs through `s_tree`, not built from splits."""
 
 import itertools
+import math
 
 from dessins.strata import compose_strata, enumerate_strata, s_tree, stratum
 
@@ -71,3 +73,20 @@ def test_equivariance_under_renaming():
                     assert rename(composite, sigma) == want, (s1, s2, a, sigma)
                     checks += 1
     assert checks == (4 * 4 + 3 * 4) * 720
+
+
+def test_codim_weighted_count_is_the_count_of_edge_decompositions():
+    # each (stratum, edge) pair over n labels is one stable split A|B with a
+    # stratum over A plus a graft label on one side and over B plus one on the
+    # other: sum_c c N_c(n) = sum over splits A|B of T(|A| + 1) T(|B| + 1)
+    counts = {n: {c: len(layer) for c, layer in enumerate_strata(range(n)).items()}
+              for n in range(3, 9)}
+    total = {n: sum(by_codim.values()) for n, by_codim in counts.items()}
+    pairs = {}
+    for n in range(4, 9):
+        left = sum(c * count for c, count in counts[n].items())
+        # ordered splits with both sides of size >= 2, so each split twice
+        ordered = sum(math.comb(n, a) * total[a + 1] * total[n - a + 1] for a in range(2, n - 1))
+        assert left * 2 == ordered, n
+        pairs[n] = left
+    assert pairs == {4: 3, 5: 40, 6: 550, 7: 8_596, 8: 153_580}
