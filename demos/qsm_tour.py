@@ -16,6 +16,7 @@ from dessins.qsm import (
     time_evolution_report,
     verify_crossed_relations,
     verify_intertwining,
+    verify_system,
 )
 
 system = QsmSystem(m=12, N=10, D=2, max_length=6)
@@ -53,6 +54,10 @@ for beta in (1, 2, 5):
     print(f"  beta={beta}: closed {closed:.12f}, series {series:.12f}, "
           f"trace {trace:.12f}")
 print(f"  exact value at beta=1: {gibbs_closed_exact(system, t, 1)}")
+exact = next(c for c in verify_system(system).checks
+             if c.name == "Gibbs three-route agreement at beta=1")
+print(f"  series = trace = (1 - q^{system.max_length + 1}) * closed in Q(zeta_{system.m}) "
+      f"at beta=1, exactly on {exact.cases} sample trees: {exact.passed}")
 ground = complex_embed(system.char.on_tree(t))
 print(f"  beta=50 approaches the ground value {ground:.6f}: "
       f"{gibbs_value(system, t, 50, route='closed'):.6f}")

@@ -19,6 +19,7 @@ import cmath
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -548,24 +549,28 @@ def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
         phase = complex_embed(system.phase_sum)
         q = phase / (system.D * float(system.N) ** float(beta))
         return complex_embed(system.char.on_tree(tree)) / (1 - q) / z
-    if route == "series":
-        scale = float(system.N) ** (-float(beta))
-        words = words_upto(system.fixed_labels, system.max_length)
-        acc = 0j
-        for w in words:
-            acc += complex_embed(system.char.on_tree(chain_graft(w, tree))) * scale ** len(w)
-        return acc / z
-    if route == "trace":
-        rep = system.rep
-        diag = rep.diag(tree)
-        scale = float(system.N) ** (-float(beta))
-        acc = 0j
-        for i in range(rep.dim):
-            hit = diag.cols.get(i)
-            if hit is not None:
-                acc += complex_embed(hit[1]) * scale ** len(rep.basis[i])
-        return acc / z
+    if route in ("series", "trace"):
+        return _window_sum(system, tree, route, float(system.N) ** (-float(beta))) / z
     raise QsmError(f"unknown route {route!r}")
+
+
+def _window_sum(system: QsmSystem, tree, route: str, scale):
+    """Sum over the window of phi(X_(w*t)) scale^len(w), the values read from
+    the words ("series") or the diagonal of pi(X_t) ("trace").  A level's values
+    are powers of zeta over one denominator, so each is added once times its
+    count.  Exact for a Fraction scale; one embedding per level for a float."""
+    if route == "series":
+        values = ((len(w), system.char.on_tree(chain_graft(w, tree)))
+                  for w in words_upto(system.fixed_labels, system.max_length))
+    else:
+        rep = system.rep
+        values = ((len(rep.basis[i]), value) for i, (_, value) in rep.diag(tree).cols.items())
+    level_sums = [CyclotomicNumber.zero(system.m)] * (system.max_length + 1)
+    for (level, value), count in Counter(values).items():
+        level_sums[level] += value * count
+    if isinstance(scale, float):
+        level_sums = [complex_embed(x) for x in level_sums]
+    return sum(x * scale ** level for level, x in enumerate(level_sums))
 
 
 # --- ground states and intertwining ----------------------------------------------------
@@ -647,24 +652,19 @@ def verify_system(system: QsmSystem, seed: int = 0) -> Report:
     trees += [hopf.node(1 % m, hopf.leaf(7 % m)), hopf.node(6 % m, hopf.leaf(0), hopf.leaf(3 % m))]
     checks.extend(verify_intertwining(system, trees, betas).checks)
 
-    # The series and trace routes stop at the window, so they miss the closed
-    # form's levels beyond it: phi(X_t) q^(L+1) / ((1 - q) Z), q the level ratio.
-    phase = abs(complex_embed(system.phase_sum)) / system.D
+    # The series and trace routes stop at the window, so they miss exactly the
+    # closed form's levels beyond it: series = trace = (1 - q^(L+1)) closed.
     for beta_val in betas:
-        start = time.perf_counter()
-        q = phase / system.N ** beta_val
-        z = float(partition_function(beta_val, system.k, system.N).value)
-        excess = []
-        for t in trees[:4]:
-            closed = gibbs_value(system, t, beta_val, route="closed")
-            series = gibbs_value(system, t, beta_val, route="series")
-            trace = gibbs_value(system, t, beta_val, route="trace")
-            tail = (abs(complex_embed(system.char.on_tree(t)))
-                    * q ** (system.max_length + 1) / (1 - q) / z)
-            excess.append(max(abs(closed - series), abs(closed - trace)) - tail)
-        checks.append(Check(f"Gibbs three-route agreement at beta={beta_val}",
-                            max(excess) <= 1e-10, len(excess), time.perf_counter() - start,
-                            f"max gap beyond the window's tail {max(excess):.2e}"))
+        scale = _n_pow_minus_beta(system.N, beta_val)
+        q = system.phase_sum * (Fraction(1, system.D) * scale)
+        kept = 1 - math.prod([q] * (system.max_length + 1))
+        z = partition_function(beta_val, system.k, system.N).value
+        checks.append(check_all(
+            f"Gibbs three-route agreement at beta={beta_val}", trees[:4],
+            lambda t: _window_sum(system, t, "series", scale) / z
+            == _window_sum(system, t, "trace", scale) / z
+            == kept * gibbs_closed_exact(system, t, beta_val),
+            show=hopf.format_tree))
 
     shifts = [(kind, lab) for lab in system.fixed_labels for kind in ("S", "S*")]
     checks.append(check_all(

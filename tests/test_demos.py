@@ -11,7 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # lines that a demo's output must hold
 EXPECTED = {"strata_tour": "two components meeting once: codim 1, split [['3', '4', '5']]\n"
-                           "meeting twice is refused: component graph must be a connected tree\n"}
+                           "meeting twice is refused: component graph must be a connected tree\n",
+            "qsm_tour": "series = trace = (1 - q^7) * closed in Q(zeta_12) at beta=1, "
+                        "exactly on 4 sample trees: True\n"}
 
 
 def test_the_five_demos_are_found():

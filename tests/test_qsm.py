@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dessins.galois import (
     complex_embed,
     zeta,
 )
-from dessins.hopf import ForestPolynomial, leaf, node
+from dessins.hopf import ForestPolynomial, format_tree, leaf, node
 from dessins.qsm import (
     Divergent,
     LabelNotFixed,
@@ -605,6 +606,22 @@ def test_verify_system_reads_evolution_at_the_tolerance(monkeypatch):
     assert [c.name for c in report.failed()] == ["time evolution at t=0.5",
                                                  "time evolution at t=1.0"]
     assert "max deviation 2.00e-10" in report.failed()[0].detail
+
+
+def test_verify_system_three_routes_are_exact(monkeypatch):
+    # a closed form off by one part in 10^15 is within any float tolerance of
+    # the truncated routes, but breaks the exact identity; a rational factor
+    # commutes with the Galois action, so the intertwining checks still pass
+    closed = qsm.gibbs_closed_exact
+    monkeypatch.setattr(qsm, "gibbs_closed_exact", lambda system, tree, beta:
+                        closed(system, tree, beta) * Fraction(10 ** 15 + 1, 10 ** 15))
+    report = qsm.verify_system(QsmSystem())
+    assert [c.name for c in report.failed()] == ["Gibbs three-route agreement at beta=1",
+                                                 "Gibbs three-route agreement at beta=2"]
+    first = format_tree(leaf(random.Random(0).randrange(12)))   # the first sample tree
+    for check in report.failed():
+        assert check.cases == 4
+        assert check.detail.startswith(f"4 failing, e.g. {first}; ")
 
 
 @pytest.mark.parametrize("m", [1, 5, 7])
