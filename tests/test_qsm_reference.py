@@ -144,15 +144,6 @@ def ref_window_sums(system, tree, scale):
     return series, trace
 
 
-def ref_routes_agree_exactly(system, tree, beta):
-    """series_L = trace_L = (1 - q^(L+1)) closed at integer beta, each
-    truncated route normalized by the closed-form Z."""
-    scale = Fraction(1, system.N ** beta)
-    z = qsm.partition_function(beta, len(ref_fixed_labels(system)), system.N).value
-    series, trace = ref_window_sums(system, tree, scale)
-    return series / z == trace / z == ref_closed_less_tail(system, tree, beta)
-
-
 def ref_closed_less_tail(system, tree, beta):
     """(1 - q^(L+1)) times the closed form, q the level ratio and L the window
     length: the closed form without its levels beyond the window."""
@@ -161,6 +152,15 @@ def ref_closed_less_tail(system, tree, beta):
     for _ in range(system.max_length + 1):
         q_past_window = q_past_window * q
     return (1 - q_past_window) * qsm.gibbs_closed_exact(system, tree, beta)
+
+
+def ref_routes_agree_exactly(system, tree, beta):
+    """series_L = trace_L = (1 - q^(L+1)) closed at integer beta, each
+    truncated route normalized by the closed-form Z."""
+    scale = Fraction(1, system.N ** beta)
+    z = qsm.partition_function(beta, len(ref_fixed_labels(system)), system.N).value
+    series, trace = ref_window_sums(system, tree, scale)
+    return series / z == trace / z == ref_closed_less_tail(system, tree, beta)
 
 
 @pytest.mark.parametrize("m", range(1, 61))

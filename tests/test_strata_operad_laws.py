@@ -1,7 +1,7 @@
 """The operad laws of grafting strata at tails, checked exhaustively on small
-label sets: sequential and parallel associativity of `compose_strata`, and
-its equivariance under renaming labels, and the count of (stratum, edge)
-pairs that cutting at an edge puts in bijection with pairs of strata.
+label sets: sequential and parallel associativity of `compose_strata`, its
+equivariance under renaming labels, and the count of (stratum, edge) pairs,
+which cutting at the edge puts in bijection with pairs of strata.
 
 s1 o_{a,b} s2 grafts tail a of s1 to tail b of s2.  Renamed strata are read
 off their flag graphs through `s_tree`, not built from splits."""
