@@ -10,6 +10,7 @@ maps, words and tree fields; failures are compared by exception type and
 message.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -449,6 +450,50 @@ def test_magma_trees_match_per_tree_reference_on_every_bracketing(n):
             continue
         got = [tree_fields(t) for t in operads.enumerate_magma_trees(seq)]
         assert got == [tree_fields(t) for t in ref_enumerate_magma_trees(seq)]
+
+
+def replaced_variants(t):
+    """Copies of t made with dataclasses.replace, so each keeps t's link to its
+    bracketing's cache entry while changing what the tree says: the leaf
+    order reversed, the root moved to each other flag, one flag flipped in a
+    copied orientation, an equal copy of the orientation or the graph, or the
+    degenerate flag negated."""
+    opposite = {operads.TOWARD: operads.OUTWARD, operads.OUTWARD: operads.TOWARD}
+    g = t.graph
+    yield dataclasses.replace(t, leaf_order=t.leaf_order[::-1])
+    yield dataclasses.replace(t, orientation=dict(t.orientation))
+    yield dataclasses.replace(t, graph=validate(g.flags, g.vertices, g.boundary, g.involution))
+    yield dataclasses.replace(t, degenerate=not t.degenerate)
+    for f in g.flags:
+        if f != t.root_flag:
+            yield dataclasses.replace(t, root_flag=f)
+        yield dataclasses.replace(t, orientation=dict(t.orientation,
+                                                      **{f: opposite[t.orientation[f]]}))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_magma_words_and_checks_match_reference_on_every_bracketing(n):
+    """tree_to_word and validate_magma_tree agree with the per-tree reference
+    on every bracketing of n leaves over str, int and repeated letters, and on
+    replaced copies that keep the cache link but change the graph, the
+    orientation, the root, the leaf order or degeneracy."""
+    reads, checks = set(), set()
+    for letters in LETTERINGS:
+        seq = tuple(letters[:n])
+        trees = [operads.word_to_tree(w) for w in ref_bracketings(seq)]
+        if n == 1:
+            trees.append(operads.degenerate_magma_tree(seq[0]))
+        for t in trees:
+            assert outcome(operads.tree_to_word, t) == outcome(ref_tree_to_word, t)
+            assert outcome(operads.validate_magma_tree, t) == ("ok", None)
+            for v in replaced_variants(t):
+                word = outcome(operads.tree_to_word, v)
+                assert word == outcome(ref_tree_to_word, v), v
+                check = outcome(operads.validate_magma_tree, v)
+                assert check == outcome(ref_validate_magma_tree, v), v
+                reads.add(word[0])
+                checks.add(check[0])
+    assert reads == checks == {"ok", "raised"}
 
 
 def test_grafting_magma_trees_leaves_the_shared_graphs_unchanged():
