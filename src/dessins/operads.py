@@ -6,7 +6,11 @@ Grafting joins tails in the involution of a namespaced disjoint union
 (`graphs.disjoint_union_with_maps`) and validates the result once, however
 many tails a plan joins.  A magma tree's flag graph depends only on its
 word's bracketing, so one validated graph per bracketing, built on first use
-with its index of flags by vertex, serves every lettering.
+with its index of flags by vertex, serves every lettering.  Each bracketing
+is also validated as an oriented tree and read as a word once, when its
+graph is built; a lettered tree that still has its bracketing's graph,
+orientation, root and leaf tails passes the check at once and reads its word
+by filling the bracketing with its labels.
 """
 
 from __future__ import annotations
@@ -94,15 +98,18 @@ def iterate_grafts(parts, plan) -> CombinatorialGraph:
     """Left-to-right fold of grafting instructions over a forest.
 
     `parts` is a sequence of graphs, namespaced as "0.", "1.", ...; each plan
-    entry (i, tail_i, j, tail_j) joins two tails named in the original parts.
-    Instructions with disjoint sites commute up to isomorphism.  The joined
-    graph is validated once, after the last instruction.
+    entry (i, tail_i, j, tail_j) joins two tails named in the original parts;
+    a part index outside range(len(parts)) names no tail.  Instructions with
+    disjoint sites commute up to isomorphism.  The joined graph is validated
+    once, after the last instruction.
     """
     g, *renames = graphs.disjoint_union_with_maps(*parts)
     involution = dict(g.involution)
     consumed = set()
+    indices = range(len(renames))
     for i, ti, j, tj in plan:
-        a, b = renames[i].get(ti), renames[j].get(tj)
+        a = renames[i].get(ti) if i in indices else None
+        b = renames[j].get(tj) if j in indices else None
         if a is None or b is None:
             raise NotATail(f"unknown tail in instruction ({i}, {ti!r}, {j}, {tj!r})")
         for f in (a, b):
@@ -191,8 +198,8 @@ class OrientedBinaryTree:
 
     Trees of one bracketing share one `graph` and one `orientation` object,
     and grafting the unit shares t2's; both are read-only.  They also share
-    `flags_at`, `graphs.flags_by_vertex(graph)` built once with the graph;
-    a tree built over any other graph leaves it None and builds its own.
+    `bracketing`, the cache entry they were lettered from; a tree built over
+    any other graph leaves it None.
     """
 
     graph: CombinatorialGraph
@@ -200,11 +207,25 @@ class OrientedBinaryTree:
     root_flag: str
     leaf_order: tuple[tuple[str, object], ...]   # (tail flag, label), left to right
     degenerate: bool = False
-    flags_at: dict[str, list[str]] | None = field(default=None, compare=False, repr=False)
+    bracketing: _Bracketing | None = field(default=None, compare=False, repr=False)
 
     @property
     def labels(self) -> tuple:
         return tuple(label for _, label in self.leaf_order)
+
+
+@dataclass(frozen=True)
+class _Bracketing:
+    """A bracketing's validated tree, shared by all its letterings: its word
+    with every letter None, graph, orientation, root flag, left-to-right leaf
+    tails and flags by vertex."""
+
+    skeleton: tuple | None
+    graph: CombinatorialGraph
+    orientation: dict[str, str]
+    root: str
+    tails: tuple[str, ...]
+    flags_at: dict[str, list[str]]
 
 
 def _skeleton(w, letters: list):
@@ -218,17 +239,24 @@ def _skeleton(w, letters: list):
     return (_skeleton(w[0], letters), _skeleton(w[1], letters))
 
 
+def _fill(skeleton, letters):
+    """The word of a skeleton with its letters taken from an iterator."""
+    if skeleton is None:
+        return next(letters)
+    return (_fill(skeleton[0], letters), _fill(skeleton[1], letters))
+
+
 # Keyed by bracketing, so Catalan(n-1) graphs serve all letterings of n
 # leaves.  1,024 entries hold every bracketing of <= 8 leaves (626 of them),
-# about 4.1 MiB with their vertex indexes, measured with tracemalloc.
+# about 4.0 MiB with their vertex indexes and words, measured with
+# tracemalloc.
 @lru_cache(maxsize=1024)
-def _bracketing_tree(skeleton):
-    """The validated graph, orientation, root flag, left-to-right leaf tails
-    and flags by vertex of a bracketing; the arity-1 unit's skeleton is None."""
+def _bracketing_tree(skeleton) -> _Bracketing:
+    """The entry of a bracketing; the arity-1 unit's skeleton is None."""
     if skeleton is None:
         v, leaf, out = "v", "v.i", "v.o"
         g = validate([leaf, out], [v], {leaf: v, out: v}, {leaf: leaf, out: out})
-        return g, {leaf: TOWARD, out: OUTWARD}, out, (leaf,), graphs.flags_by_vertex(g)
+        return _new_entry(skeleton, g, {leaf: TOWARD, out: OUTWARD}, out, (leaf,))
     flags, vertices, boundary, involution, orientation = [], [], {}, {}, {}
     tails = []
 
@@ -257,18 +285,40 @@ def _bracketing_tree(skeleton):
     root_out = build(skeleton, "")
     involution[root_out] = root_out
     g = validate(flags, vertices, boundary, involution)
-    return g, orientation, root_out, tuple(tails), graphs.flags_by_vertex(g)
+    return _new_entry(skeleton, g, orientation, root_out, tuple(tails))
+
+
+def _new_entry(skeleton, g, orientation, root, tails) -> _Bracketing:
+    """Run the oriented-tree checks and the read of the word, once, on the
+    bracketing's tree with every letter None."""
+    at = graphs.flags_by_vertex(g)
+    probe = OrientedBinaryTree(g, orientation, root, tuple((f, None) for f in tails),
+                               degenerate=skeleton is None)
+    _check(probe, at)
+    return _Bracketing(_read(probe, at), g, orientation, root, tails, at)
 
 
 def _lettered(skeleton, letters) -> OrientedBinaryTree:
-    g, orientation, root, tails, at = _bracketing_tree(skeleton)
-    return OrientedBinaryTree(g, orientation, root, tuple(zip(tails, letters)),
-                              degenerate=skeleton is None, flags_at=at)
+    e = _bracketing_tree(skeleton)
+    return OrientedBinaryTree(e.graph, e.orientation, e.root, tuple(zip(e.tails, letters)),
+                              degenerate=skeleton is None, bracketing=e)
+
+
+def _entry(t: OrientedBinaryTree) -> _Bracketing | None:
+    """t's bracketing entry, if t still has the entry's graph and orientation
+    (the same objects), root flag, leaf tails in order and degeneracy."""
+    e = t.bracketing
+    if (e is not None and t.graph is e.graph and t.orientation is e.orientation
+            and t.root_flag == e.root and t.degenerate == (e.skeleton is None)
+            and tuple(f for f, _ in t.leaf_order) == e.tails):
+        return e
+    return None
 
 
 def _flags_at(t: OrientedBinaryTree) -> dict[str, list[str]]:
     """The flags at each vertex of t's own graph."""
-    return graphs.flags_by_vertex(t.graph) if t.flags_at is None else t.flags_at
+    e = t.bracketing
+    return e.flags_at if e is not None and e.graph is t.graph else graphs.flags_by_vertex(t.graph)
 
 
 def degenerate_magma_tree(label) -> OrientedBinaryTree:
@@ -289,11 +339,19 @@ def tree_to_word(t: OrientedBinaryTree):
 
     The two branches at each vertex are ordered by the position of their
     leaves in the linear leaf order; branches must cover contiguous runs.
+    A tree that still has its bracketing's entry fills the entry's word,
+    read when the entry was built, with its own labels.
     """
+    e = _entry(t)
+    if e is not None:
+        return _fill(e.skeleton, iter(t.labels))
+    return _read(t, _flags_at(t))
+
+
+def _read(t: OrientedBinaryTree, at: dict[str, list[str]]):
     if t.degenerate:
         return t.leaf_order[0][1]
     g = t.graph
-    at = _flags_at(t)
     pos = {flag: i for i, (flag, _) in enumerate(t.leaf_order)}
     label = dict(t.leaf_order)
 
@@ -342,13 +400,19 @@ def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
 
 
 def validate_magma_tree(t: OrientedBinaryTree) -> None:
-    """Check the oriented-tree conditions; raises MalformedWord on failure."""
+    """Check the oriented-tree conditions; raises MalformedWord on failure.
+    A tree that still has its bracketing's entry passed them when the entry
+    was built."""
+    if _entry(t) is None:
+        _check(t, _flags_at(t))
+
+
+def _check(t: OrientedBinaryTree, at: dict[str, list[str]]) -> None:
     g = t.graph
     if t.degenerate:
         if len(g.vertices) != 1 or g.edges or len(g.tails) != 2:
             raise MalformedWord("degenerate tree must be one vertex with two tails")
         return
-    at = _flags_at(t)
     for v in g.vertices:
         fl = at[v]
         if len(fl) != 3:

@@ -473,6 +473,29 @@ def test_verify_identities_passes():
     assert report.checks[0].cases == len(hopf.enumerate_trees(tuple(range(3)), 4))
 
 
+def test_verify_identities_checks_counit_in_the_coassociativity_pass():
+    # counit right after coassociativity on each tree is one memo hit, so no
+    # 6-vertex coproduct is built twice
+    hopf.clear_caches()
+    report = hopf.verify_identities(6)
+    assert report.ok, report.failed()
+    assert [(c.name, c.cases) for c in report.checks] == [
+        ("coassociativity on trees <= 6 vertices", 11_220),
+        ("antipode convolution on trees <= 5 vertices", 1_788),
+        ("counit axioms", 11_220),
+        ("coproduct is an algebra morphism on sampled products", 3)]
+    assert all(c.seconds > 0 for c in report.checks)
+    assert (hopf.CACHE.hits, hopf.CACHE.misses) == (11_227, 13_012)
+
+
+def test_verify_identities_names_failing_counit_trees(monkeypatch):
+    monkeypatch.setattr(hopf, "counit_axioms_hold", lambda t: t != hopf.leaf(2))
+    report = hopf.verify_identities(2)
+    (failed,) = report.failed()
+    assert failed.name == "counit axioms"
+    assert failed.detail == "1 failing, e.g. j2"
+
+
 def test_verify_identities_names_failing_trees(monkeypatch):
     monkeypatch.setattr(hopf, "coassociativity_holds", lambda t: t != hopf.leaf(1))
     report = hopf.verify_identities(2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +282,29 @@ def test_cached_bracketing_trees_do_not_rebuild_their_vertex_index(monkeypatch):
     validate_magma_tree(grafted)
     tree_to_word(grafted)
     assert [g is grafted.graph for g in calls] == [True, True]
+
+
+def test_lettered_trees_are_checked_and_read_once_per_bracketing(monkeypatch):
+    operads._bracketing_tree.cache_clear()
+    calls = []
+    for name in ("_check", "_read"):
+        real = getattr(operads, name)
+        monkeypatch.setattr(operads, name,
+                            lambda t, at, name=name, real=real: calls.append(name) or real(t, at))
+    trees = enumerate_magma_trees("abcd") + enumerate_magma_trees((4, 3, 2, 1))
+    trees.append(degenerate_magma_tree("u"))
+    for t in trees:
+        validate_magma_tree(t)
+        assert word_to_tree(tree_to_word(t)).leaf_order == t.leaf_order
+    # one check and one read for each of the 5 bracketings and the unit
+    assert calls == ["_check", "_read"] * 6
+    calls.clear()
+    moved = dataclasses.replace(trees[0], root_flag=trees[0].leaf_order[0][0])
+    with pytest.raises(MalformedWord):
+        validate_magma_tree(moved)
+    with pytest.raises(MalformedWord):
+        tree_to_word(moved)
+    assert calls == ["_check", "_read"]
 
 
 def magma_words(letters):

@@ -1,9 +1,10 @@
-"""Each validation error of the strata, graphs and galois constructors, raised
-on the malformed input it names, with its exact exception type and message."""
+"""Each validation error of the strata, graphs, operads and galois
+constructors, raised on the malformed input it names, with its exact exception
+type and message."""
 
 import pytest
 
-from dessins import galois, graphs, strata
+from dessins import galois, graphs, operads, strata
 from dessins.galois import CyclotomicNumber, ExponentSumCharacter, GaloisGroup, zeta
 from dessins.graphs import corolla, disjoint_union, validate
 from dessins.strata import CurveCombinatorics, s_corolla, stratum
@@ -120,6 +121,19 @@ ABC_IDENTITY = graphs.GraphIso({"v": "v"}, {f: f for f in "abc"})
         "valid-first-only", "valid-second-only"])
 def test_one_sided_tail_labels_are_refused(call):
     raises_exactly(graphs.GraphError, ONE_SIDED, call)
+
+
+# two parts that share their tail names, so a wrong part index can still
+# name a tail of some part
+SHARED_TAILS = [corolla("v", ["s0", "t0", "x"]), corolla("w", ["s0", "t0", "y"])]
+
+
+@pytest.mark.parametrize("plan,match", [
+    ([(-1, "s0", 0, "t0")], r"^unknown tail in instruction \(-1, 's0', 0, 't0'\)$"),
+    ([(0, "s0", 2, "t0")], r"^unknown tail in instruction \(0, 's0', 2, 't0'\)$"),
+], ids=["negative-part", "part-past-the-end"])
+def test_iterate_grafts_refuses_a_part_index_outside_the_parts(plan, match):
+    raises_exactly(operads.NotATail, match, lambda: operads.iterate_grafts(SHARED_TAILS, plan))
 
 
 def _payload(**changes):
