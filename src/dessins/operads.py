@@ -131,7 +131,8 @@ def enumerate_magma_words(letters, arity: int):
     """
     if arity < 1:
         raise MalformedWord("arity must be >= 1")
-    words = [w for seq in product(letters, repeat=arity) for w in _shapes(seq)]
+    skeletons = _skeletons(arity)
+    words = [_fill(s, iter(seq)) for seq in product(letters, repeat=arity) for s in skeletons]
     return sorted(words, key=word_to_text)
 
 
@@ -239,6 +240,16 @@ def _skeleton(w, letters: list):
     return (_skeleton(w[0], letters), _skeleton(w[1], letters))
 
 
+def _skeletons(n: int) -> list:
+    """Every bracketing of n leaves as a skeleton: a pair (left, right) with
+    p and n - p leaves, for p = 1 .. n-1 in turn, or None for one leaf."""
+    table = [None, [None]]
+    for m in range(2, n + 1):
+        table.append([(left, right) for p in range(1, m)
+                      for left in table[p] for right in table[m - p]])
+    return table[n]
+
+
 def _fill(skeleton, letters):
     """The word of a skeleton with its letters taken from an iterator."""
     if skeleton is None:
@@ -304,15 +315,16 @@ def _lettered(skeleton, letters) -> OrientedBinaryTree:
                               degenerate=skeleton is None, bracketing=e)
 
 
-def _entry(t: OrientedBinaryTree) -> _Bracketing | None:
-    """t's bracketing entry, if t still has the entry's graph and orientation
+def _lettering(t: OrientedBinaryTree) -> tuple | None:
+    """t's labels, if t still has its bracketing entry's graph and orientation
     (the same objects), root flag, leaf tails in order and degeneracy."""
     e = t.bracketing
-    if (e is not None and t.graph is e.graph and t.orientation is e.orientation
-            and t.root_flag == e.root and t.degenerate == (e.skeleton is None)
-            and tuple(f for f, _ in t.leaf_order) == e.tails):
-        return e
-    return None
+    if (e is None or t.graph is not e.graph or t.orientation is not e.orientation
+            or t.root_flag != e.root or t.degenerate != (e.skeleton is None)
+            or len(t.leaf_order) != len(e.tails)):
+        return None
+    tails, labels = zip(*t.leaf_order)
+    return labels if tails == e.tails else None
 
 
 def _flags_at(t: OrientedBinaryTree) -> dict[str, list[str]]:
@@ -342,9 +354,9 @@ def tree_to_word(t: OrientedBinaryTree):
     A tree that still has its bracketing's entry fills the entry's word,
     read when the entry was built, with its own labels.
     """
-    e = _entry(t)
-    if e is not None:
-        return _fill(e.skeleton, iter(t.labels))
+    labels = _lettering(t)
+    if labels is not None:
+        return _fill(t.bracketing.skeleton, iter(labels))
     return _read(t, _flags_at(t))
 
 
@@ -379,13 +391,6 @@ def _read(t: OrientedBinaryTree, at: dict[str, list[str]]):
     return w
 
 
-def _shapes(seq):
-    if len(seq) == 1:
-        return [seq[0]]
-    return [(left, right) for p in range(1, len(seq))
-            for left in _shapes(seq[:p]) for right in _shapes(seq[p:])]
-
-
 def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
     """All magma trees over a fixed left-to-right leaf order.
 
@@ -395,15 +400,15 @@ def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
     leaves = tuple(leaves)
     if len(leaves) < 2:
         raise TooSmall("need at least two leaves; the arity-1 tree is degenerate_magma_tree")
-    shapes = sorted(_shapes(leaves), key=word_to_text)
-    return [word_to_tree(s) for s in shapes]
+    skeletons = sorted(_skeletons(len(leaves)), key=lambda s: word_to_text(_fill(s, iter(leaves))))
+    return [_lettered(s, leaves) for s in skeletons]
 
 
 def validate_magma_tree(t: OrientedBinaryTree) -> None:
     """Check the oriented-tree conditions; raises MalformedWord on failure.
     A tree that still has its bracketing's entry passed them when the entry
     was built."""
-    if _entry(t) is None:
+    if _lettering(t) is None:
         _check(t, _flags_at(t))
 
 
