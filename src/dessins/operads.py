@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import comb
 
 from dessins import graphs
@@ -218,10 +218,12 @@ class OrientedBinaryTree:
 @dataclass(frozen=True)
 class _Bracketing:
     """A bracketing's validated tree, shared by all its letterings: its word
-    with every letter None, graph, orientation, root flag, left-to-right leaf
-    tails and flags by vertex."""
+    with every letter None, the text of that word with %s for each letter,
+    graph, orientation, root flag, left-to-right leaf tails and flags by
+    vertex."""
 
     skeleton: tuple | None
+    text: str
     graph: CombinatorialGraph
     orientation: dict[str, str]
     root: str
@@ -259,7 +261,7 @@ def _fill(skeleton, letters):
 
 # Keyed by bracketing, so Catalan(n-1) graphs serve all letterings of n
 # leaves.  1,024 entries hold every bracketing of <= 8 leaves (626 of them),
-# about 4.0 MiB with their vertex indexes and words, measured with
+# about 4.0 MiB with their vertex indexes, words and texts, measured with
 # tracemalloc.
 @lru_cache(maxsize=1024)
 def _bracketing_tree(skeleton) -> _Bracketing:
@@ -306,13 +308,14 @@ def _new_entry(skeleton, g, orientation, root, tails) -> _Bracketing:
     probe = OrientedBinaryTree(g, orientation, root, tuple((f, None) for f in tails),
                                degenerate=skeleton is None)
     _check(probe, at)
-    return _Bracketing(_read(probe, at), g, orientation, root, tails, at)
+    skeleton = _read(probe, at)
+    text = word_to_text(_fill(skeleton, repeat("%s")))
+    return _Bracketing(skeleton, text, g, orientation, root, tails, at)
 
 
-def _lettered(skeleton, letters) -> OrientedBinaryTree:
-    e = _bracketing_tree(skeleton)
+def _lettered(e: _Bracketing, letters) -> OrientedBinaryTree:
     return OrientedBinaryTree(e.graph, e.orientation, e.root, tuple(zip(e.tails, letters)),
-                              degenerate=skeleton is None, bracketing=e)
+                              degenerate=e.skeleton is None, bracketing=e)
 
 
 def _lettering(t: OrientedBinaryTree) -> tuple | None:
@@ -335,7 +338,7 @@ def _flags_at(t: OrientedBinaryTree) -> dict[str, list[str]]:
 
 def degenerate_magma_tree(label) -> OrientedBinaryTree:
     """The arity-1 unit: a single vertex carrying one labelled leaf and the root."""
-    return _lettered(None, (label,))
+    return _lettered(_bracketing_tree(None), (label,))
 
 
 def word_to_tree(w) -> OrientedBinaryTree:
@@ -343,7 +346,7 @@ def word_to_tree(w) -> OrientedBinaryTree:
     tuple but not a pair."""
     letters = []
     skeleton = _skeleton(w, letters)
-    return _lettered(skeleton, letters)
+    return _lettered(_bracketing_tree(skeleton), letters)
 
 
 def tree_to_word(t: OrientedBinaryTree):
@@ -400,8 +403,11 @@ def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
     leaves = tuple(leaves)
     if len(leaves) < 2:
         raise TooSmall("need at least two leaves; the arity-1 tree is degenerate_magma_tree")
-    skeletons = sorted(_skeletons(len(leaves)), key=lambda s: word_to_text(_fill(s, iter(leaves))))
-    return [_lettered(s, leaves) for s in skeletons]
+    # word_to_text of a lettered word is the bracketing's text with each
+    # letter's own text in place of %s
+    texts = tuple(word_to_text(leaf) for leaf in leaves)
+    entries = sorted(map(_bracketing_tree, _skeletons(len(leaves))), key=lambda e: e.text % texts)
+    return [_lettered(e, leaves) for e in entries]
 
 
 def validate_magma_tree(t: OrientedBinaryTree) -> None:

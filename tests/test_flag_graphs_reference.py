@@ -430,7 +430,9 @@ def tree_fields(t):
             t.orientation, t.root_flag, t.leaf_order, t.degenerate)
 
 
-LETTERINGS = ("abcdefg", tuple(range(7)), "xyxxyyx")
+# the last lettering has letters whose texts hold brackets, "%" or nothing,
+# so that texts of distinct bracketings can coincide
+LETTERINGS = ("abcdefg", tuple(range(7)), "xyxxyyx", ("(", "%s", ")", "", "%", "a)", "(b"))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -455,14 +457,17 @@ def test_magma_trees_match_per_tree_reference_on_every_bracketing(n):
 def replaced_variants(t):
     """Copies of t made with dataclasses.replace, so each keeps t's link to its
     bracketing's cache entry while changing what the tree says: the leaf
-    order reversed, the root moved to each other flag, one flag flipped in a
-    copied orientation, an equal copy of the orientation or the graph, or the
-    degenerate flag negated."""
+    order reversed or without its last leaf, the root moved to each other
+    flag, one flag flipped in a copied orientation, an equal copy of the
+    orientation or the graph, a graph whose first leaf is joined to the root,
+    or the degenerate flag negated."""
     opposite = {operads.TOWARD: operads.OUTWARD, operads.OUTWARD: operads.TOWARD}
     g = t.graph
     yield dataclasses.replace(t, leaf_order=t.leaf_order[::-1])
+    yield dataclasses.replace(t, leaf_order=t.leaf_order[:-1])
     yield dataclasses.replace(t, orientation=dict(t.orientation))
     yield dataclasses.replace(t, graph=validate(g.flags, g.vertices, g.boundary, g.involution))
+    yield dataclasses.replace(t, graph=operads.graft_within(g, t.leaf_order[0][0], t.root_flag))
     yield dataclasses.replace(t, degenerate=not t.degenerate)
     for f in g.flags:
         if f != t.root_flag:
