@@ -200,7 +200,10 @@ class OrientedBinaryTree:
     Trees of one bracketing share one `graph` and one `orientation` object,
     and grafting the unit shares t2's; both are read-only.  They also share
     `bracketing`, the cache entry they were lettered from; a tree built over
-    any other graph leaves it None.
+    any other graph leaves it None.  A tree that still has its entry's graph,
+    orientation, root flag, leaf tails and degeneracy is checked and read
+    through the entry; any other tree, a `replace`d copy that changed one of
+    them included, is checked and read in full.
     """
 
     graph: CombinatorialGraph
@@ -308,9 +311,9 @@ def _new_entry(skeleton, g, orientation, root, tails) -> _Bracketing:
     probe = OrientedBinaryTree(g, orientation, root, tuple((f, None) for f in tails),
                                degenerate=skeleton is None)
     _check(probe, at)
-    skeleton = _read(probe, at)
-    text = word_to_text(_fill(skeleton, repeat("%s")))
-    return _Bracketing(skeleton, text, g, orientation, root, tails, at)
+    word = _read(probe, at)
+    return _Bracketing(word, word_to_text(_fill(word, repeat("%s"))), g, orientation, root,
+                       tails, at)
 
 
 def _lettered(e: _Bracketing, letters) -> OrientedBinaryTree:

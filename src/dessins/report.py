@@ -35,19 +35,10 @@ class Report:
         return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
-def _detail(bad, show) -> str:
-    if not bad:
-        return ""
-    return f"{len(bad)} failing, e.g. " + "; ".join(show(c) for c in bad[:3])
-
-
 def check_all(name: str, cases, holds, show=repr) -> Check:
     """One Check that `holds(case)` is true for every case; the detail
     names the first few failing cases."""
-    start = time.perf_counter()
-    cases = list(cases)
-    bad = [c for c in cases if not holds(c)]
-    return Check(name, not bad, len(cases), time.perf_counter() - start, _detail(bad, show))
+    return check_together([(name, holds)], cases, show)[0]
 
 
 def check_together(checks, cases, show=repr) -> list[Check]:
@@ -64,5 +55,6 @@ def check_together(checks, cases, show=repr) -> list[Check]:
             if not holds(c):
                 bad[k].append(c)
             seconds[k] += time.perf_counter() - start
-    return [Check(name, not b, len(cases), s, _detail(b, show))
+    return [Check(name, not b, len(cases), s,
+                  f"{len(b)} failing, e.g. " + "; ".join(show(c) for c in b[:3]) if b else "")
             for (name, _), b, s in zip(checks, bad, seconds)]

@@ -307,6 +307,18 @@ def test_lettered_trees_are_checked_and_read_once_per_bracketing(monkeypatch):
     assert calls == ["_check", "_read"]
 
 
+def test_a_replaced_graph_is_read_through_its_own_vertex_index():
+    # the copy keeps its link to the bracketing's cache entry, whose vertex
+    # index names the old vertices
+    t = word_to_tree((("a", "b"), "c"))
+    g = t.graph
+    renamed = {v: v + "'" for v in g.vertices}
+    moved = dataclasses.replace(t, graph=graphs.validate(
+        g.flags, renamed.values(), {f: renamed[v] for f, v in g.boundary.items()}, g.involution))
+    validate_magma_tree(moved)
+    assert tree_to_word(moved) == (("a", "b"), "c")
+
+
 def magma_words(letters):
     return st.recursive(letters, lambda sub: st.tuples(sub, sub), max_leaves=8)
 
