@@ -8,8 +8,15 @@ after validation and every operation here is a pure function.
 Identifiers are opaque strings; canonical ordering is lexicographic, so all
 outputs but the visiting order in a walk of `spanning_forest` are the same on
 every run.  A disjoint union takes any number of parts, namespaces part i with
-the prefix "i." and validates only the union; `flags_by_vertex` is the one
-index of the flags at each vertex.
+the prefix "i." and validates only the union; `flags_by_vertex` indexes the
+flags at each vertex.
+
+Each read of a graph is one pass.  `validate` checks containment and totality
+as set operations (per-entry loops run only to name the first fault), then
+checks the involution and derives edges and tails in one loop over the sorted
+flags.  `find_isomorphism` takes each graph's colours, tails and edges from
+one pass over its flags; when colour refinement leaves every class a single
+vertex the vertex map is forced and goes straight to flag matching.
 """
 
 from __future__ import annotations
@@ -64,20 +71,55 @@ class CombinatorialGraph:
 def validate(flags, vertices, boundary, involution) -> CombinatorialGraph:
     """Check raw graph data and return a graph with derived sets cached.
 
-    Raises InvolutionNotInvolutive, BoundaryNotTotal or DanglingFlagReference
-    on malformed input.
+    Raises GraphError on duplicate names or map keys that print alike, then
+    DanglingFlagReference, BoundaryNotTotal or InvolutionNotInvolutive.
+    Containment and totality are set operations; only when one fails do
+    `_first_fault`'s per-entry loops run, to name the first fault.  One loop
+    over the sorted flags then checks the involution and builds edges and tails.
     """
-    flag_list = tuple(sorted(str(f) for f in flags))
-    vertex_list = tuple(sorted(str(v) for v in vertices))
+    flag_list = tuple(sorted([str(f) for f in flags]))
+    vertex_list = tuple(sorted([str(v) for v in vertices]))
     flag_set, vertex_set = set(flag_list), set(vertex_list)
     if len(flag_set) != len(flag_list):
         raise GraphError("duplicate flag identifiers")
     if len(vertex_set) != len(vertex_list):
         raise GraphError("duplicate vertex identifiers")
+    bdry = _text_map(boundary, "boundary")
+    invl = _text_map(involution, "involution")
+    if not (len(bdry) == len(invl) == len(flag_set) and flag_set.issuperset(bdry)
+            and flag_set.issuperset(invl) and vertex_set.issuperset(bdry.values())
+            and flag_set.issuperset(invl.values())):
+        _first_fault(flag_set, vertex_set, bdry, invl)
 
-    bdry = {str(k): str(v) for k, v in dict(boundary).items()}
-    invl = {str(k): str(v) for k, v in dict(involution).items()}
+    edges, tails = [], []
+    for f in flag_list:
+        g = invl[f]
+        if g == f:
+            tails.append(f)
+        elif invl[g] != f:
+            raise InvolutionNotInvolutive(f"involution squared moves {f!r}")
+        elif f < g:
+            edges.append(frozenset((f, g)))
+    return CombinatorialGraph(flag_list, vertex_list, bdry, invl, frozenset(edges),
+                              tuple(tails))
 
+
+def _text_map(mapping, name) -> dict[str, str]:
+    """A map with its keys and values as text, refusing keys that print alike."""
+    mapping = mapping if isinstance(mapping, dict) else dict(mapping)
+    out = {str(k): str(v) for k, v in mapping.items()}
+    if len(out) != len(mapping):
+        seen = {}
+        for k in mapping:
+            if seen.setdefault(str(k), k) is not k:
+                raise GraphError(f"{name} keys {seen[str(k)]!r} and {k!r} "
+                                 f"share the name {str(k)!r}")
+    return out
+
+
+def _first_fault(flag_set, vertex_set, bdry, invl):
+    """Raise the first fault of maps that are not total on the flags or reach
+    outside them, in the order of the per-entry checks."""
     for f in bdry:
         if f not in flag_set:
             raise DanglingFlagReference(f"boundary defined on unknown flag {f!r}")
@@ -89,26 +131,20 @@ def validate(flags, vertices, boundary, involution) -> CombinatorialGraph:
             raise DanglingFlagReference(f"involution defined on unknown flag {f!r}")
         if g not in flag_set:
             raise DanglingFlagReference(f"involution of {f!r} is unknown flag {g!r}")
-
     missing = flag_set - set(bdry)
     if missing:
         raise BoundaryNotTotal(f"flags without boundary vertex: {sorted(missing)}")
-    missing = flag_set - set(invl)
-    if missing:
-        raise BoundaryNotTotal(f"involution not total, missing: {sorted(missing)}")
-    for f in flag_list:
-        if invl[invl[f]] != f:
-            raise InvolutionNotInvolutive(f"involution squared moves {f!r}")
-
-    edges = frozenset(frozenset((f, invl[f])) for f in flag_list if invl[f] != f)
-    tails = tuple(f for f in flag_list if invl[f] == f)
-    return CombinatorialGraph(flag_list, vertex_list, bdry, invl, edges, tails)
+    raise BoundaryNotTotal(f"involution not total, missing: {sorted(flag_set - set(invl))}")
 
 
 def graph_from_json(text_or_obj) -> CombinatorialGraph:
     """Build a graph from the JSON schema {flags, vertices, boundary, involution}."""
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, (str, bytes)) else text_or_obj
-    return validate(obj["flags"], obj["vertices"], obj["boundary"], obj["involution"])
+    try:
+        raw = obj["flags"], obj["vertices"], obj["boundary"], obj["involution"]
+    except KeyError as exc:
+        raise GraphError(f"graph JSON is missing the key {exc.args[0]!r}") from None
+    return validate(*raw)
 
 
 def graph_to_json(g: CombinatorialGraph) -> dict:
@@ -264,30 +300,66 @@ def is_valid_iso(g1: CombinatorialGraph, g2: CombinatorialGraph, iso: GraphIso,
         return False
     if fm.keys() != set(g2.flags) or set(fm.values()) != set(g1.flags):
         return False
-    fwd = iso.flag_forward()
+    return _preserves(g1, g2, vm, iso.flag_forward(), labels1, labels2)
+
+
+def _preserves(g1, g2, vm, fwd, labels1, labels2) -> bool:
+    """Whether flag bijection fwd: g1 -> g2 over vertex map vm keeps
+    boundaries, the involution and (when given) tail labels."""
+    b1, b2, i1, i2 = g1.boundary, g2.boundary, g1.involution, g2.involution
     for f in g1.flags:
-        if g2.boundary[fwd[f]] != vm[g1.boundary[f]]:
-            return False
-        if fwd[g1.involution[f]] != g2.involution[fwd[f]]:
+        h = fwd[f]
+        if b2[h] != vm[b1[f]] or fwd[i1[f]] != i2[h]:
             return False
     if labels1 is not None:
-        for f in g1.tails:
-            if labels1[f] != labels2[fwd[f]]:
-                return False
+        try:
+            for f in g1.tails:
+                if labels1[f] != labels2[fwd[f]]:
+                    return False
+        except KeyError as exc:
+            raise GraphError(f"no tail label for tail {exc.args[0]!r}") from None
     return True
 
 
-def _colours_and_neighbours(g: CombinatorialGraph, labels):
-    """Each vertex's first colour, its degree and sorted tail labels (or tail
-    count), and the far end of each edge half at it (a loop gives v twice)."""
-    inv, bdry = g.involution, g.boundary
-    colours, nbrs = {}, {}
-    for v, flags in flags_by_vertex(g).items():
-        tails = [f for f in flags if inv[f] == f]
-        colours[v] = (len(flags), len(tails) if labels is None
-                      else tuple(sorted(str(labels[f]) for f in tails)))
-        nbrs[v] = [bdry[inv[f]] for f in flags if inv[f] != f]
-    return colours, nbrs
+def _read_flags(g: CombinatorialGraph, labels):
+    """One pass over the sorted flags.  Returns each vertex's first colour
+    (its degree, then its sorted tail label texts or its tail count), its
+    tails (keyed by vertex, label type and label text, or listed in order
+    without labels), and each endpoint pair's edges as (lesser flag, greater
+    flag) in order."""
+    bdry, inv = g.boundary, g.involution
+    at = {v: [] for v in g.vertices}        # tail flags, or their label texts
+    degree = dict.fromkeys(g.vertices, 0)
+    tails, edges = {}, {}
+    try:
+        for f in g.flags:
+            v, h = bdry[f], inv[f]
+            degree[v] += 1
+            if h == f:
+                if labels is None:
+                    at[v].append(f)
+                else:
+                    label = labels[f]
+                    text = str(label)
+                    at[v].append(text)
+                    tails[v, type(label), text] = f
+            elif f < h:
+                w = bdry[h]
+                edges.setdefault((v, w) if v <= w else (w, v), []).append((f, h))
+    except KeyError as exc:
+        raise GraphError(f"no tail label for tail {exc.args[0]!r}") from None
+    if labels is None:
+        return {v: (degree[v], len(t)) for v, t in at.items()}, at, edges
+    return {v: (degree[v], *sorted(t)) for v, t in at.items()}, tails, edges
+
+
+def _neighbours(g: CombinatorialGraph, edges):
+    """The far end of each edge half at each vertex (a loop gives v twice)."""
+    nbrs = {v: [] for v in g.vertices}
+    for (u, w), group in edges.items():
+        nbrs[u] += [w] * len(group)
+        nbrs[w] += [u] * len(group)
+    return nbrs
 
 
 def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
@@ -299,18 +371,20 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     degree and sorted tail labels (or tail count), and the colours refined by
     the multiset of neighbour colours until no class splits; an isomorphism
     keeps colours, so each vertex is tried only against the images of its own
-    colour.  The search assigns vertices in lexicographic order trying
-    lexicographically least images first, so the witness is deterministic
-    (and the identity when g1 is g2): the first vertex map in that order that
-    extends to an isomorphism, whatever the refinement pruned.  Label maps
-    come for both graphs or for neither (else GraphError).
+    colour.  When every class is one vertex the map is forced and goes
+    straight to flag matching.  Otherwise the search assigns vertices in
+    lexicographic order trying lexicographically least images first, so the
+    witness is deterministic (and the identity when g1 is g2): the first
+    vertex map in that order that extends to an isomorphism, whatever the
+    refinement pruned.  Label maps come for both graphs or for neither (else
+    GraphError, as for a map that misses a tail).
     """
     _both_or_neither(labels1, labels2)
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    col1, nbrs1 = _colours_and_neighbours(g1, labels1)
-    col2, nbrs2 = _colours_and_neighbours(g2, labels2)
+    col1, *halves1 = _read_flags(g1, labels1)
+    col2, *halves2 = _read_flags(g2, labels2)
     n_classes = 0
     while True:
         # flat integer class ids, shared by both graphs within a round
@@ -319,8 +393,15 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
         col2 = {v: ids.setdefault(key, len(ids)) for v, key in col2.items()}
         if sorted(col1.values()) != sorted(col2.values()):
             return None
-        if len(ids) == n_classes or len(ids) == len(col1):
+        if len(ids) == len(col1):
+            # every class is one vertex: the search could only find this map
+            image = {c: w for w, c in col2.items()}
+            vmap = {v: image[c] for v, c in col1.items()}
+            return _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2)
+        if len(ids) == n_classes:
             break
+        if not n_classes:
+            nbrs1, nbrs2 = _neighbours(g1, halves1[1]), _neighbours(g2, halves2[1])
         n_classes = len(ids)
         col1 = {v: (c, tuple(sorted(col1[u] for u in nbrs1[v]))) for v, c in col1.items()}
         col2 = {v: (c, tuple(sorted(col2[u] for u in nbrs2[v]))) for v, c in col2.items()}
@@ -340,7 +421,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 
     def assign(i):
         if i == len(verts1):
-            return _match_flags(g1, g2, vmap, labels1, labels2)
+            return _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2)
         v = verts1[i]
         options = images[col1[v]]
         for w in options:
@@ -358,52 +439,63 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     return assign(0)
 
 
-def _match_flags(g1, g2, vmap, labels1, labels2):
+def _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2):
     """Extend a vertex bijection to a flag bijection, or fail.
 
-    Tails pair by (image vertex, label), or without labels the k-th tail at a
-    vertex with the k-th at its image; edges pair by sorted endpoint pair, in
-    sorted order, each oriented by its endpoints.
+    Tails pair by (image vertex, label type, label text), or without labels
+    the k-th tail at a vertex with the k-th at its image; the k-th edge
+    between two vertices, in sorted order, pairs with the k-th between their
+    images, each oriented by its endpoints.  The halves are `_read_flags`'s
+    tails and edges.  The map is checked once before it becomes a witness.
     """
+    (tails1, edges1), (tails2, edges2) = halves1, halves2
     b1, b2 = g1.boundary, g2.boundary
+    fwd = {}
     if labels1 is None:
-        spare: dict[str, list[str]] = {}
-        for f in reversed(g2.tails):
-            spare.setdefault(b2[f], []).append(f)
-        fwd = {f: spare[vmap[b1[f]]].pop() for f in g1.tails}
+        for v, flags in tails1.items():
+            fwd.update(zip(flags, tails2[vmap[v]]))
     else:
-        by_label = {(b2[f], str(labels2[f])): f for f in g2.tails}
-        try:
-            fwd = {f: by_label[vmap[b1[f]], str(labels1[f])] for f in g1.tails}
-        except KeyError:
+        for (v, kind, text), f in tails1.items():
+            h = tails2.get((vmap[v], kind, text))
+            if h is None:
+                return None
+            fwd[f] = h
+    for (u, w), group in edges1.items():
+        x, y = vmap[u], vmap[w]
+        group2 = edges2.get((x, y) if x <= y else (y, x), ())
+        if len(group2) != len(group):
             return None
-    edges2: dict[tuple, list] = {}
-    for e in sorted((sorted(e) for e in g2.edges), reverse=True):
-        edges2.setdefault(g2.edge_endpoints(e), []).append(e)
-    for a, b in sorted(sorted(e) for e in g1.edges):
-        group = edges2.get(tuple(sorted((vmap[b1[a]], vmap[b1[b]]))))
-        if not group:
-            return None
-        c, d = group.pop()
-        fwd[a], fwd[b] = (c, d) if vmap[b1[a]] == b2[c] else (d, c)
-    iso = GraphIso(dict(vmap), {v: k for k, v in fwd.items()})
-    if not is_valid_iso(g1, g2, iso, labels1, labels2):
+        for (a, b), (c, d) in zip(group, group2):
+            fwd[a], fwd[b] = (c, d) if vmap[b1[a]] == b2[c] else (d, c)
+    # distinct tail keys, vertices and edge groups reach distinct flags, so
+    # the map is one-to-one once it covers every flag
+    if len(fwd) != len(g1.flags):
         return None
-    return iso
+    if not _preserves(g1, g2, vmap, fwd, labels1, labels2):
+        return None
+    return GraphIso(dict(vmap), {v: k for k, v in fwd.items()})
+
+
+def dot_text(name) -> str:
+    """A name's text for a double-quoted DOT ID, backslashes and quotes escaped."""
+    text = f"{name}"
+    if '"' in text or "\\" in text:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+    return text
 
 
 def to_dot(g: CombinatorialGraph, tail_labels=None, name: str = "g") -> str:
     """DOT text; tails are drawn as half-edges to anonymous point nodes."""
+    bdry = g.boundary
+    ids = {v: dot_text(v) for v in g.vertices}
     lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for e in sorted(g.edges, key=sorted):
-        u, w = (g.boundary[f] for f in sorted(e))
-        lines.append(f'  "{u}" -- "{w}";')
+    lines.extend(f'  "{i}";' for i in ids.values())
+    for a, b in sorted(sorted(e) for e in g.edges):
+        lines.append(f'  "{ids[bdry[a]]}" -- "{ids[bdry[b]]}";')
     for t in g.tails:
-        stub = f"__tail_{t}"
+        stub = f"__tail_{dot_text(t)}"
         lines.append(f'  "{stub}" [shape=point, label=""];')
-        label = "" if tail_labels is None else f' [label="{tail_labels[t]}"]'
-        lines.append(f'  "{g.boundary[t]}" -- "{stub}"{label};')
+        label = "" if tail_labels is None else f' [label="{dot_text(tail_labels[t])}"]'
+        lines.append(f'  "{ids[bdry[t]]}" -- "{stub}"{label};')
     lines.append("}")
     return "\n".join(lines) + "\n"

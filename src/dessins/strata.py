@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from dessins import graphs
-from dessins.graphs import CombinatorialGraph, spanning_forest, validate
+from dessins.graphs import CombinatorialGraph, dot_text, spanning_forest, validate
 
 
 class StrataError(ValueError):
@@ -238,26 +238,27 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
     """Stable S-tree of an explicit flag graph, which must be connected and
     stable with its tails labelled bijectively by distinct labels.
 
-    The walks of `graphs.spanning_forest` check the graph and order the
+    The walk of `graphs.spanning_forest` checks the graph and orders the
     splits: it is connected when there is exactly one walk, and then a tree
     exactly when E = V - 1; each edge's split is the far side of the walk
-    from it, or that side's complement when it holds the least label."""
+    from it, or that side's complement when it holds the least label.  The
+    graph is read in that one walk, and the labels are sorted once."""
     tail_labels = dict(tail_labels)
     bdry = graph.boundary
     walks, parent = spanning_forest(graph)
     if len(walks) != 1:
         raise StrataError("tree must be connected")
     walk = walks[0]
-    n_flags = Counter(bdry.values())
-    if graph.n_edges != len(walk) - 1 or any(n_flags[v] < 3 for v in walk):
+    at = list(bdry.values())
+    if graph.n_edges != len(walk) - 1 or min(map(at.count, walk)) < 3:
         raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
-    if sorted(tail_labels) != list(graph.tails):
+    if tail_labels.keys() != set(graph.tails):
         raise StrataError("tail_labels must be defined exactly on the tails")
     if len(set(tail_labels.values())) != len(tail_labels):
         raise StrataError("tail labels must be pairwise distinct")
     order = tuple(sorted(tail_labels.values(), key=_labelkey))
     bit = {lab: 1 << i for i, lab in enumerate(order)}
-    below = dict.fromkeys(graph.vertices, 0)
+    below = dict.fromkeys(walk, 0)
     for f, lab in tail_labels.items():
         below[bdry[f]] |= bit[lab]
     everything = (1 << len(order)) - 1
@@ -653,13 +654,19 @@ def stratum_to_json(s: Stratum) -> dict:
 
 def stratum_from_json(obj) -> Stratum:
     """Read `tree` and `tail_labels` through `s_tree`; `labels` (in any order)
-    and `codim` must agree with the tree read."""
-    s = Stratum(s_tree(graphs.graph_from_json(obj["tree"]), obj["tail_labels"]))
-    if sorted(obj["labels"], key=_labelkey) != list(s.tree.order):
-        raise StrataError(f"labels {obj['labels']!r} disagree with the tree's "
+    and `codim` must agree with the tree read.  A missing key raises
+    StrataError naming it."""
+    try:
+        tree, tail_labels, labels, codim = (obj["tree"], obj["tail_labels"], obj["labels"],
+                                            obj["codim"])
+    except KeyError as exc:
+        raise StrataError(f"stratum JSON is missing the key {exc.args[0]!r}") from None
+    s = Stratum(s_tree(graphs.graph_from_json(tree), tail_labels))
+    if sorted(labels, key=_labelkey) != list(s.tree.order):
+        raise StrataError(f"labels {labels!r} disagree with the tree's "
                           f"tail labels {list(s.tree.order)!r}")
-    if obj["codim"] != s.codim:
-        raise StrataError(f"codim {obj['codim']!r} disagrees with the tree's codim {s.codim}")
+    if codim != s.codim:
+        raise StrataError(f"codim {codim!r} disagrees with the tree's codim {s.codim}")
     return s
 
 
@@ -670,8 +677,8 @@ def stratum_to_dot(s: Stratum, name="stratum") -> str:
 def clean_dessin_to_dot(d: CleanDessin, name: str) -> str:
     """DOT text; black vertices are filled, white ones are open circles."""
     lines = [f"graph {name} {{"]
-    lines.extend(f'  "{v}" [color=black, style=filled];' for v in d.black)
-    lines.extend(f'  "{v}" [color=white, shape=circle];' for v in d.white)
-    lines.extend(f'  "{a}" -- "{b}";' for a, b in d.edges)
+    lines.extend(f'  "{dot_text(v)}" [color=black, style=filled];' for v in d.black)
+    lines.extend(f'  "{dot_text(v)}" [color=white, shape=circle];' for v in d.white)
+    lines.extend(f'  "{dot_text(a)}" -- "{dot_text(b)}";' for a, b in d.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -336,3 +336,63 @@ def test_dot_writers_match_reference_on_plain_names():
         if caterpillar:
             d = strata.clean_dessin(strata.Stratum(s.tree))
             assert strata.clean_dessin_to_dot(d, "c") == ref_clean_dessin_to_dot(d, "c")
+
+
+# --- behaviour the one-pass reads changed on purpose -------------------------------
+
+ABC = graphs.corolla("v", "abc")
+
+
+@given(labelled_multigraphs())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_renaming_has_a_witness_unless_labels_repeat_at_a_vertex(case):
+    g, labels, h, h_labels = case
+    keys = [(g.boundary[t], type(lab), str(lab)) for t, lab in labels.items()]
+    witness = find_isomorphism(g, h, labels, h_labels)
+    assert (witness is not None) == (len(set(keys)) == len(keys))
+
+
+def test_tails_labelled_alike_in_print_pair_by_type():
+    labels = {"a": 1, "b": "1", "c": 2}
+    swapped = {"a": "1", "b": 1, "c": 2}
+    witness = find_isomorphism(ABC, ABC, labels, labels)
+    assert witness == graphs.GraphIso({"v": "v"}, {f: f for f in "abc"})
+    witness = find_isomorphism(ABC, ABC, labels, swapped)
+    assert witness == graphs.GraphIso({"v": "v"}, {"a": "b", "b": "a", "c": "c"})
+    assert is_valid_iso(ABC, ABC, witness, labels, swapped)
+    # equal labels at one vertex still have no witness
+    assert find_isomorphism(ABC, ABC, {"a": 1, "b": 1, "c": 2}, {"a": 1, "b": 1, "c": 2}) is None
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    g = validate(['t"1', "t\\2", "t3", "h", "k"], ['a"b', "c\\"],
+                 {'t"1': 'a"b', "t\\2": 'a"b', "t3": "c\\", "h": 'a"b', "k": "c\\"},
+                 {'t"1': 't"1', "t\\2": "t\\2", "t3": "t3", "h": "k", "k": "h"})
+    assert graphs.to_dot(g, {'t"1': 'say "x"', "t\\2": "back\\", "t3": 3}) == (
+        'graph g {\n'
+        '  "a\\"b";\n'
+        '  "c\\\\";\n'
+        '  "a\\"b" -- "c\\\\";\n'
+        '  "__tail_t\\"1" [shape=point, label=""];\n'
+        '  "a\\"b" -- "__tail_t\\"1" [label="say \\"x\\""];\n'
+        '  "__tail_t3" [shape=point, label=""];\n'
+        '  "c\\\\" -- "__tail_t3" [label="3"];\n'
+        '  "__tail_t\\\\2" [shape=point, label=""];\n'
+        '  "a\\"b" -- "__tail_t\\\\2" [label="back\\\\"];\n'
+        '}\n')
+    d = strata.CleanDessin(('a"b',), ("w\\",), (('a"b', "w\\"),))
+    assert strata.clean_dessin_to_dot(d, "c") == (
+        'graph c {\n'
+        '  "a\\"b" [color=black, style=filled];\n'
+        '  "w\\\\" [color=white, shape=circle];\n'
+        '  "a\\"b" -- "w\\\\";\n'
+        '}\n')
+
+
+def test_the_witness_keeps_labels_by_equality_not_by_text():
+    # "nan" pairs with "nan" by type and text, but nan != nan, so the check
+    # made before a witness is returned refuses it, as is_valid_iso does
+    labels = {"a": float("nan"), "b": 1, "c": 2}
+    identity = graphs.GraphIso({"v": "v"}, {f: f for f in "abc"})
+    assert not is_valid_iso(ABC, ABC, identity, labels, labels)
+    assert find_isomorphism(ABC, ABC, labels, labels) is None

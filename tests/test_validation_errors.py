@@ -178,3 +178,46 @@ def test_stratum_from_json_takes_labels_in_any_order():
         "wrong-coefficient-count", "zero-denominator"])
 def test_galois_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
+
+
+@pytest.mark.parametrize("match,args", [
+    (r"^boundary keys 1 and '1' share the name '1'$",
+     (["1"], ["v", "w"], {1: "v", "1": "w"}, {"1": "1"})),
+    (r"^involution keys '1' and 1 share the name '1'$",
+     (["1"], ["v"], {"1": "v"}, {"1": "1", 1: "1"})),
+    # keys that print alike are refused before any dangling reference
+    (r"^boundary keys 1 and '1' share the name '1'$",
+     (["1"], ["v"], {1: "v", "1": "v", "x": "v"}, {"1": "1"})),
+], ids=["boundary-keys", "involution-keys", "before-dangling"])
+def test_validate_refuses_map_keys_that_print_alike(match, args):
+    raises_exactly(graphs.GraphError, match, lambda: validate(*args))
+
+
+@pytest.mark.parametrize("match,obj", [
+    (r"^graph JSON is missing the key 'vertices'$", {"flags": []}),
+    (r"^graph JSON is missing the key 'flags'$", {}),
+    (r"^graph JSON is missing the key 'involution'$",
+     {"flags": [], "vertices": [], "boundary": {}}),
+], ids=["no-vertices", "no-flags", "no-involution"])
+def test_graph_from_json_names_a_missing_key(match, obj):
+    raises_exactly(graphs.GraphError, match, lambda: graphs.graph_from_json(obj))
+
+
+@pytest.mark.parametrize("key", ["tree", "tail_labels", "labels", "codim"])
+def test_stratum_from_json_names_a_missing_key(key):
+    obj = {k: v for k, v in _payload().items() if k != key}
+    raises_exactly(strata.StrataError, rf"^stratum JSON is missing the key '{key}'$",
+                   lambda: strata.stratum_from_json(obj))
+
+
+NO_TAIL_C = r"^no tail label for tail 'c'$"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: graphs.find_isomorphism(ABC, ABC, {"a": 1, "b": 2}, ABC_LABELS),
+    lambda: graphs.find_isomorphism(ABC, ABC, ABC_LABELS, {"a": 1, "b": 2}),
+    lambda: graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, {"a": 1, "b": 2}, ABC_LABELS),
+    lambda: graphs.is_valid_iso(ABC, ABC, ABC_IDENTITY, ABC_LABELS, {"a": 1, "b": 2}),
+], ids=["find-first", "find-second", "valid-first", "valid-second"])
+def test_a_label_map_that_misses_a_tail_is_refused(call):
+    raises_exactly(graphs.GraphError, NO_TAIL_C, call)
