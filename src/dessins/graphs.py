@@ -476,7 +476,7 @@ def _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2):
     return GraphIso(dict(vmap), {v: k for k, v in fwd.items()})
 
 
-def dot_text(name) -> str:
+def _dot_text(name) -> str:
     """A name's text for a double-quoted DOT ID, backslashes and quotes escaped."""
     text = f"{name}"
     if '"' in text or "\\" in text:
@@ -487,15 +487,15 @@ def dot_text(name) -> str:
 def to_dot(g: CombinatorialGraph, tail_labels=None, name: str = "g") -> str:
     """DOT text; tails are drawn as half-edges to anonymous point nodes."""
     bdry = g.boundary
-    ids = {v: dot_text(v) for v in g.vertices}
+    ids = {v: _dot_text(v) for v in g.vertices}
     lines = [f"graph {name} {{"]
     lines.extend(f'  "{i}";' for i in ids.values())
     for a, b in sorted(sorted(e) for e in g.edges):
         lines.append(f'  "{ids[bdry[a]]}" -- "{ids[bdry[b]]}";')
     for t in g.tails:
-        stub = f"__tail_{dot_text(t)}"
+        stub = f"__tail_{_dot_text(t)}"
         lines.append(f'  "{stub}" [shape=point, label=""];')
-        label = "" if tail_labels is None else f' [label="{dot_text(tail_labels[t])}"]'
+        label = "" if tail_labels is None else f' [label="{_dot_text(tail_labels[t])}"]'
         lines.append(f'  "{ids[bdry[t]]}" -- "{stub}"{label};')
     lines.append("}")
     return "\n".join(lines) + "\n"
