@@ -383,8 +383,9 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    col1, *halves1 = _read_flags(g1, labels1)
-    col2, *halves2 = _read_flags(g2, labels2)
+    col1, tails1, edges1 = _read_flags(g1, labels1)
+    col2, tails2, edges2 = _read_flags(g2, labels2)
+    halves = tails1, edges1, tails2, edges2
     n_classes = 0
     while True:
         # flat integer class ids, shared by both graphs within a round
@@ -397,11 +398,11 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
             # every class is one vertex: the search could only find this map
             image = {c: w for w, c in col2.items()}
             vmap = {v: image[c] for v, c in col1.items()}
-            return _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2)
+            return _match_flags(g1, g2, vmap, halves, labels1, labels2)
         if len(ids) == n_classes:
             break
-        if not n_classes:
-            nbrs1, nbrs2 = _neighbours(g1, halves1[1]), _neighbours(g2, halves2[1])
+        if not n_classes:       # refinement and the search need neighbours
+            nbrs1, nbrs2 = _neighbours(g1, edges1), _neighbours(g2, edges2)
         n_classes = len(ids)
         col1 = {v: (c, tuple(sorted(col1[u] for u in nbrs1[v]))) for v, c in col1.items()}
         col2 = {v: (c, tuple(sorted(col2[u] for u in nbrs2[v]))) for v, c in col2.items()}
@@ -421,7 +422,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 
     def assign(i):
         if i == len(verts1):
-            return _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2)
+            return _match_flags(g1, g2, vmap, halves, labels1, labels2)
         v = verts1[i]
         options = images[col1[v]]
         for w in options:
@@ -439,16 +440,17 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     return assign(0)
 
 
-def _match_flags(g1, g2, vmap, halves1, halves2, labels1, labels2):
+def _match_flags(g1, g2, vmap, halves, labels1, labels2):
     """Extend a vertex bijection to a flag bijection, or fail.
 
     Tails pair by (image vertex, label type, label text), or without labels
     the k-th tail at a vertex with the k-th at its image; the k-th edge
     between two vertices, in sorted order, pairs with the k-th between their
     images, each oriented by its endpoints.  The halves are `_read_flags`'s
-    tails and edges.  The map is checked once before it becomes a witness.
+    tails and edges of g1, then of g2.  The map is checked once before it
+    becomes a witness.
     """
-    (tails1, edges1), (tails2, edges2) = halves1, halves2
+    tails1, edges1, tails2, edges2 = halves
     b1, b2 = g1.boundary, g2.boundary
     fwd = {}
     if labels1 is None:

@@ -249,8 +249,8 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
     if len(walks) != 1:
         raise StrataError("tree must be connected")
     walk = walks[0]
-    at = list(bdry.values())
-    if graph.n_edges != len(walk) - 1 or min(map(at.count, walk)) < 3:
+    ends = list(bdry.values())
+    if graph.n_edges != len(walk) - 1 or min(map(ends.count, walk)) < 3:
         raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
     if tail_labels.keys() != set(graph.tails):
         raise StrataError("tail_labels must be defined exactly on the tails")
@@ -258,7 +258,7 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
         raise StrataError("tail labels must be pairwise distinct")
     order = tuple(sorted(tail_labels.values(), key=_labelkey))
     bit = {lab: 1 << i for i, lab in enumerate(order)}
-    below = dict.fromkeys(walk, 0)
+    below = dict.fromkeys(graph.vertices, 0)
     for f, lab in tail_labels.items():
         below[bdry[f]] |= bit[lab]
     everything = (1 << len(order)) - 1
