@@ -360,13 +360,29 @@ def test_cache_bound_drops_entries_between_calls(monkeypatch):
     assert hopf.CACHE.stats()["trims"] == 0
 
 
+# the HopfCache memo tables whose entries count toward its bound
+COUNTED_MEMOS = ("cuts", "edges", "coproduct", "antipode", "enumeration", "relabel")
+# dict attributes of HopfCache that hold no memo entries (none today)
+UNCOUNTED_DICTS = frozenset()
+
+
 def _recount(c) -> int:
     """The cache size recounted from its tables: every memo entry, each
     group's relabelling memos included, plus the trees and nonempty forests."""
-    memos = (c.cuts, c.edges, c.coproduct, c.antipode, c.enumeration, c.relabel)
+    memos = [getattr(c, name) for name in COUNTED_MEMOS]
     relabelled = sum(len(memo) for pairs in c.relabel.values() for _, memo in pairs)
     return (sum(map(len, memos)) + relabelled
             + len(c.trees.tuple) + len(c.trees.forests) - 1)
+
+
+def test_every_memo_table_of_the_cache_is_recounted():
+    # a dict table that a new memo adds to HopfCache._drop must either count
+    # toward max_entries (and be recounted here) or be named as uncounted
+    c = hopf.HopfCache(max_entries=10)
+    tables = {name for name, value in vars(c).items() if isinstance(value, dict)}
+    assert tables == set(COUNTED_MEMOS) | UNCOUNTED_DICTS
+    c._drop()
+    assert {name for name, value in vars(c).items() if isinstance(value, dict)} == tables
 
 
 def _coproduct_held(t) -> bool:
