@@ -27,8 +27,9 @@ EXIT_VERIFICATION = 2
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in
-# 1.1-1.7 s with a peak RSS of 29 MiB on the same machine; 7 vertices would
-# mean 73,845 trees, 9-11 s and 105 MiB, with no cache trim.
+# 0.7-1.0 s with a peak RSS of 28 MiB on the same machine; 7 vertices would
+# mean 73,845 trees, and `hopf.verify_identities(7)` takes 5.3-5.8 s and
+# 101 MiB in process, with no cache trim: above a 5 s budget, so the cap stays.
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.

@@ -22,6 +22,7 @@ vertex the vertex map is forced and goes straight to flag matching.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 
@@ -321,14 +322,15 @@ def _preserves(g1, g2, vm, fwd, labels1, labels2) -> bool:
     return True
 
 
-def _read_flags(g: CombinatorialGraph, labels):
+def _read_flags(g: CombinatorialGraph, labels, keys: dict):
     """One pass over the sorted flags.  Returns each vertex's first colour
-    (its degree, then its sorted tail label texts or its tail count), its
-    tails (keyed by vertex, label type and label text, or listed in order
-    without labels), and each endpoint pair's edges as (lesser flag, greater
-    flag) in order."""
+    (its degree, then its sorted tail label keys or its tail count), its
+    tails (keyed by vertex and label key, or listed in order without labels),
+    and each endpoint pair's edges as (lesser flag, greater flag) in order.
+    A label's key is its index in `keys`, which both graphs of one call
+    share, so labels that compare equal get one key whatever their type."""
     bdry, inv = g.boundary, g.involution
-    at = {v: [] for v in g.vertices}        # tail flags, or their label texts
+    at = {v: [] for v in g.vertices}        # tail flags, or their label keys
     degree = dict.fromkeys(g.vertices, 0)
     tails, edges = {}, {}
     try:
@@ -339,10 +341,9 @@ def _read_flags(g: CombinatorialGraph, labels):
                 if labels is None:
                     at[v].append(f)
                 else:
-                    label = labels[f]
-                    text = str(label)
-                    at[v].append(text)
-                    tails[v, type(label), text] = f
+                    key = keys.setdefault(labels[f], len(keys))
+                    at[v].append(key)
+                    tails[v, key] = f
             elif f < h:
                 w = bdry[h]
                 edges.setdefault((v, w) if v <= w else (w, v), []).append((f, h))
@@ -377,14 +378,17 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
     witness is deterministic (and the identity when g1 is g2): the first
     vertex map in that order that extends to an isomorphism, whatever the
     refinement pruned.  Label maps come for both graphs or for neither (else
-    GraphError, as for a map that misses a tail).
+    GraphError, as for a map that misses a tail).  Tail labels pair by
+    equality, through a dict, so they must be hashable; 1 and 1.0 pair, 1
+    and "1" do not.
     """
     _both_or_neither(labels1, labels2)
     if (len(g1.flags) != len(g2.flags) or len(g1.vertices) != len(g2.vertices)
             or g1.n_edges != g2.n_edges):
         return None
-    col1, tails1, edges1 = _read_flags(g1, labels1)
-    col2, tails2, edges2 = _read_flags(g2, labels2)
+    keys: dict = {}
+    col1, tails1, edges1 = _read_flags(g1, labels1, keys)
+    col2, tails2, edges2 = _read_flags(g2, labels2, keys)
     halves = tails1, edges1, tails2, edges2
     n_classes = 0
     while True:
@@ -443,7 +447,7 @@ def find_isomorphism(g1: CombinatorialGraph, g2: CombinatorialGraph,
 def _match_flags(g1, g2, vmap, halves, labels1, labels2):
     """Extend a vertex bijection to a flag bijection, or fail.
 
-    Tails pair by (image vertex, label type, label text), or without labels
+    Tails pair by (image vertex, label key), or without labels
     the k-th tail at a vertex with the k-th at its image; the k-th edge
     between two vertices, in sorted order, pairs with the k-th between their
     images, each oriented by its endpoints.  The halves are `_read_flags`'s
@@ -457,8 +461,8 @@ def _match_flags(g1, g2, vmap, halves, labels1, labels2):
         for v, flags in tails1.items():
             fwd.update(zip(flags, tails2[vmap[v]]))
     else:
-        for (v, kind, text), f in tails1.items():
-            h = tails2.get((vmap[v], kind, text))
+        for (v, key), f in tails1.items():
+            h = tails2.get((vmap[v], key))
             if h is None:
                 return None
             fwd[f] = h
@@ -486,11 +490,25 @@ def _dot_text(name) -> str:
     return text
 
 
+# a plain DOT ID: a name or a numeral; the keywords are case-independent
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_name(name) -> str:
+    """A graph name as a DOT ID: as it is when it is a plain ID and not a
+    keyword, else double-quoted and escaped."""
+    text = f"{name}"
+    if _DOT_ID.fullmatch(text) and text.lower() not in _DOT_KEYWORDS:
+        return text
+    return f'"{_dot_text(text)}"'
+
+
 def to_dot(g: CombinatorialGraph, tail_labels=None, name: str = "g") -> str:
     """DOT text; tails are drawn as half-edges to anonymous point nodes."""
     bdry = g.boundary
     ids = {v: _dot_text(v) for v in g.vertices}
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {_dot_name(name)} {{"]
     lines.extend(f'  "{i}";' for i in ids.values())
     for a, b in sorted(sorted(e) for e in g.edges):
         lines.append(f'  "{ids[bdry[a]]}" -- "{ids[bdry[b]]}";')

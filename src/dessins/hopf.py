@@ -8,7 +8,8 @@ forests are hash-consed to integer ids: a forest id stands for the sorted
 tuple of its tree ids, forest 0 is the empty forest, every tree has a one-tree
 forest id and stores its children as one forest id.  Coproducts and antipodes
 are maps over forest ids, so memo keys and the identity checks hash ints, not
-nested tuples.
+nested tuples.  Enumeration builds each tree through the table, so an
+enumerated tree is the table's own tuple and interns in one lookup.
 
 The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
 sets meeting each root-to-leaf path at most once), plus the full cut
@@ -348,6 +349,7 @@ class HopfCache:
         self.edges: dict = {}        # (ordered shape, edge mask) -> frozenset of vertex paths
         self.coproduct: dict = {}    # forest id -> {(left id, right id): coeff}
         self.antipode: dict = {}     # forest id -> {forest id: coeff}
+        self.joins: dict = {}        # (lesser, greater forest id) -> id of their product
         self.relabel: dict = {}      # group -> [(on_label, {forest id: relabelled id})]
         self.enumeration: dict = {}  # (kind, labels, vertices) -> list of trees or forests
 
@@ -378,14 +380,17 @@ class HopfCache:
                 "hits": self.hits, "misses": self.misses, "trims": self.trims}
 
 
-# Sizes measured with tracemalloc on Python 3.11.  `dessins hopf --verify
-# --max-vertices 6` fills about 30,000 entries in 11 MiB (0.4 KiB an entry),
-# and the hopf-identities benchmark workload about 67,000 in 22 MiB; at 7
-# vertices the suite fills 188,000 and needs no trim.  Cut lists over
-# 104,000 trees of 4 or 5 vertices take 3 entries a tree (the tree, its
-# forests and its cut list) and 0.53 KiB an entry.  So 200,000 entries keep
-# the cache under about 120 MiB, and the cut lists of all 59,892 trees over
-# 12 labels with at most 4 vertices fit without a trim.
+# Sizes measured with tracemalloc on Python 3.11.  Enumerated trees are the
+# tree table's own tuples, so a list of trees costs no second copy.  `dessins
+# hopf --verify --max-vertices 6` fills about 33,600 entries (3,100 of them
+# forest joins) in 11 MiB (0.34 KiB an entry), and one pass of the
+# hopf-identities benchmark workload about 70,400 in 20 MiB; at 7 vertices the
+# suite fills 191,500 and needs no trim.  Cut lists over 104,000 trees of 4 or
+# 5 vertices take 3 entries a tree (the tree, its forests and its cut list)
+# and 0.53 KiB an entry; those of all 59,892 trees over 12 labels with at most
+# 4 vertices fill 181,900 entries in 79 MiB (0.44 KiB an entry).  So 200,000
+# entries keep the cache under about 120 MiB, and those cut lists fit without
+# a trim.
 CACHE = HopfCache(max_entries=200_000)
 
 
@@ -411,12 +416,17 @@ def _forest_tuple(fid: int) -> tuple:
 
 
 def _join(f: int, g: int) -> int:
-    """Forest id of the product of two forests."""
+    """Forest id of the product of two forests, memoised by the pair in
+    order: the product commutes."""
     if not f or not g:
         return f or g
-    table = CACHE.trees
-    forests = table.forests
-    return table.forest(tuple(sorted(forests[f] + forests[g])))
+    key = (f, g) if f < g else (g, f)
+    out = CACHE.joins.get(key)
+    if out is None:
+        forests = CACHE.trees.forests
+        out = CACHE.put(CACHE.joins, key,
+                        CACHE.trees.forest(tuple(sorted(forests[f] + forests[g]))))
+    return out
 
 
 # --- admissible cuts --------------------------------------------------------
@@ -876,11 +886,17 @@ def enumerate_trees(labels, max_nodes: int) -> list:
 
 
 def _trees_cached(labels, n):
+    """All trees with n vertices, each the tree table's own nested tuple."""
     key = ("trees", labels, n)
     out = CACHE.enumeration.get(key)
     if out is None:
-        out = [(lab, f) for lab in labels for f in _forest_lists(labels, n - 1)] if n >= 1 else []
-        CACHE.put(CACHE.enumeration, key, out)
+        # the children are the table's own tuples, so by_tuple finds each by
+        # identity and no tree is rebuilt from its nested form
+        table = CACHE.trees
+        fids = [table.forest(tuple(sorted([table.by_tuple[c] for c in f])))
+                for f in _forest_lists(labels, n - 1)] if n >= 1 else []
+        out = CACHE.put(CACHE.enumeration, key,
+                        [table.tuple[table.intern(lab, fid)] for lab in labels for fid in fids])
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from dessins import graphs
-from dessins.graphs import CombinatorialGraph, _dot_text, spanning_forest, validate
+from dessins.graphs import CombinatorialGraph, _dot_name, _dot_text, spanning_forest, validate
 
 
 class StrataError(ValueError):
@@ -676,7 +676,7 @@ def stratum_to_dot(s: Stratum, name="stratum") -> str:
 
 def clean_dessin_to_dot(d: CleanDessin, name: str) -> str:
     """DOT text; black vertices are filled, white ones are open circles."""
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {_dot_name(name)} {{"]
     lines.extend(f'  "{_dot_text(v)}" [color=black, style=filled];' for v in d.black)
     lines.extend(f'  "{_dot_text(v)}" [color=white, shape=circle];' for v in d.white)
     lines.extend(f'  "{_dot_text(a)}" -- "{_dot_text(b)}";' for a, b in d.edges)

@@ -361,7 +361,7 @@ def test_cache_bound_drops_entries_between_calls(monkeypatch):
 
 
 # the HopfCache memo tables whose entries count toward its bound
-COUNTED_MEMOS = ("cuts", "edges", "coproduct", "antipode", "enumeration", "relabel")
+COUNTED_MEMOS = ("cuts", "edges", "coproduct", "antipode", "joins", "enumeration", "relabel")
 # dict attributes of HopfCache that hold no memo entries (none today)
 UNCOUNTED_DICTS = frozenset()
 
@@ -378,11 +378,24 @@ def _recount(c) -> int:
 def test_every_memo_table_of_the_cache_is_recounted():
     # a dict table that a new memo adds to HopfCache._drop must either count
     # toward max_entries (and be recounted here) or be named as uncounted
-    c = hopf.HopfCache(max_entries=10)
+    c = hopf.HopfCache(max_entries=10)      # its constructor calls _drop
     tables = {name for name, value in vars(c).items() if isinstance(value, dict)}
     assert tables == set(COUNTED_MEMOS) | UNCOUNTED_DICTS
-    c._drop()
-    assert {name for name, value in vars(c).items() if isinstance(value, dict)} == tables
+
+
+def test_forest_joins_count_toward_the_bound_and_go_with_a_trim(monkeypatch):
+    hopf.clear_caches()
+    c = hopf.CACHE
+    for t in enumerate_trees((0, 1), 4):
+        assert antipode_identity_holds(t)
+    assert c.joins and c.size == _recount(c)
+    monkeypatch.setattr(c, "max_entries", c.size - 1)
+    admissible_cuts(leaf(0))                    # trims on entry
+    assert c.trims == 1 and not c.joins and c.size == _recount(c)
+    monkeypatch.undo()
+    assert antipode_identity_holds(node(0, leaf(1), leaf(1))) and c.joins
+    hopf.clear_caches()
+    assert not c.joins and c.size == 0
 
 
 def _coproduct_held(t) -> bool:

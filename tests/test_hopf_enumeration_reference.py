@@ -77,6 +77,14 @@ def test_enumerated_trees_are_canonical():
         assert hopf.relabel_tree(t, lambda x: x) == t
 
 
+@pytest.mark.parametrize("labels, max_nodes", [(SMALL_ALPHABET, 6), (CLOSED_ALPHABET, 4)])
+def test_enumerated_trees_are_the_tree_tables_own_tuples(labels, max_nodes):
+    hopf.clear_caches()
+    table = hopf.CACHE.trees
+    for t in enumerate_trees(labels, max_nodes):
+        assert t is table.tuple[table.of(t)]
+
+
 @pytest.mark.parametrize("labels", [(0, "a"), ("a", 0), (1, "x", 2)])
 def test_unsortable_labels_raise_on_every_call(labels):
     hopf.clear_caches()
