@@ -6,9 +6,11 @@ read off the coproduct, both antipode convolutions summed, and balanced cuts
 relabelled through a fresh memo per group element.  It reads every coproduct
 and antipode through `hopf._delta` and `hopf._antipode`, so a corrupted
 coproduct reaches the reference and the library alike, and their verdicts
-must agree on every tree, also when the identities fail.
+must agree on every tree, also when the identities fail.  Relabelling on ids,
+`hopf._relabel`, is compared with `relabel_tree` on nested tuples.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from dessins.hopf import (
     coassociativity_holds,
     counit_axioms_hold,
     enumerate_trees,
+    relabel_tree,
 )
 
 SMALL_ALPHABET = (0, 1, 2)
@@ -152,6 +155,33 @@ def test_cold_and_warm_caches_give_the_same_verdicts():
     cold = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
     warm = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
     assert cold == warm and all(all(v) for v in cold)
+
+
+# --- relabelling on ids ----------------------------------------------------------
+
+def relabelled_forests():
+    """The empty forest; every tree <= 4 vertices over CLOSED_ALPHABET alone
+    and twice over; and every two-tree forest of distinct trees <= 3 vertices."""
+    trees = enumerate_trees(CLOSED_ALPHABET, 4)
+    small = [t for t in trees if hopf.tree_nodes(t) <= 3]
+    return ([()] + [(t,) for t in trees] + [(t, t) for t in trees]
+            + list(itertools.combinations(small, 2)))
+
+
+def test_relabel_on_ids_matches_relabel_tree_under_units_mod_12():
+    hopf.clear_caches()
+    group = GaloisGroup.full(12)
+    forests = relabelled_forests()
+    assert len(forests) == 1 + 2 * 4_068 + 73_536
+    for a in group.elements:
+        fn = group.element(a).on_label
+        memo: dict = {}                 # one memo per element, as balanced_cuts keeps
+        for f in forests:
+            want = tuple(sorted(relabel_tree(t, fn) for t in f))
+            got = hopf._relabel(hopf._forest_key(f), memo, fn)
+            assert hopf._forest_tuple(got) == want, (a, f)
+            assert got == hopf._forest_key(want)
+    hopf.clear_caches()
 
 
 # --- corrupted coproducts --------------------------------------------------------
