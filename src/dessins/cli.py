@@ -27,9 +27,9 @@ EXIT_VERIFICATION = 2
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in
-# 0.7-1.0 s with a peak RSS of 28 MiB on the same machine; 7 vertices would
-# mean 73,845 trees, and `hopf.verify_identities(7)` takes 5.3-5.8 s and
-# 101 MiB in process, with no cache trim: above a 5 s budget, so the cap stays.
+# 0.7-0.8 s with a peak RSS of 28 MiB on the same machine; 7 vertices would
+# mean 73,845 trees, and `hopf.verify_identities(7)` takes 7.1-7.7 s and
+# 92 MiB in process, with no cache trim: above a 5 s budget, so the cap stays.
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.

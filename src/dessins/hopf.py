@@ -4,12 +4,13 @@ Trees are non-planar (children unordered).  At the public boundary they are
 canonical nested tuples (label, children), forests are sorted tuples of trees,
 and algebra elements and the coproduct's forest (x) forest pairs are sparse
 maps to exact coefficients that share one arithmetic.  Inside, trees and
-forests are hash-consed to integer ids: a forest id stands for the sorted
-tuple of its tree ids, forest 0 is the empty forest, every tree has a one-tree
-forest id and stores its children as one forest id.  Coproducts and antipodes
-are maps over forest ids, so memo keys and the identity checks hash ints, not
-nested tuples.  Enumeration builds each tree through the table, so an
-enumerated tree is the table's own tuple and interns in one lookup.
+forests are hash-consed to integer ids from one counter: a forest id stands
+for the sorted tuple of its tree ids, forest 0 is the empty forest, and a
+tree, which in the algebra is the one-tree forest, has that forest's id and
+stores its children as one forest id.  Coproducts and antipodes are maps over
+forest ids, so memo keys and the identity checks hash ints, not nested
+tuples.  Enumeration builds each tree through the table, so an enumerated
+tree is the table's own tuple and interns in one lookup.
 
 The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
 sets meeting each root-to-leaf path at most once), plus the full cut
@@ -262,23 +263,20 @@ class PairPolynomial(_Polynomial):
 class _TreeTable:
     """Hash-consed trees and forests: equal ones get the same integer id.
 
-    Tree i holds its root label, the forest id of its children, its canonical
-    nested tuple and the id of the one-tree forest (i,).  Forest k holds the
-    sorted tuple of its tree ids and its nested-tuple form.  Forest 0 is the
-    empty forest.  Tree ids and forest ids are separate counters.
+    One counter numbers both, since a tree is the one-tree forest: forest k
+    holds the sorted tuple of its tree ids and its nested-tuple form, and a
+    tree's id is the id of its one-tree forest, so forest i of tree i is (i,).
+    Forest 0 is the empty forest.  A tree also holds its root label and the
+    forest id of its children in `node`.
     """
 
     def __init__(self):
         self.ids: dict = {}        # (label, child forest id) -> tree id
+        self.node: dict = {}       # tree id -> (label, child forest id)
         self.by_tuple: dict = {}   # nested tuple -> tree id
-        self.label: list = []
-        self.children: list = []   # tree id -> forest id of its children
-        self.tuple: list = []
-        self.single: list = []     # tree id -> forest id of (tree id,)
-        self.forest_ids: dict = {}  # sorted tree ids -> forest id
-        self.forests: list = []
-        self.forest_tuples: list = []
-        self.forest(())
+        self.forest_ids: dict = {(): 0}  # sorted ids of no or several trees -> forest id
+        self.forests: list = [()]
+        self.forest_tuples: list = [()]
 
     def intern(self, label, children: int) -> int:
         """Id of the tree with this root label over the forest `children`."""
@@ -286,12 +284,11 @@ class _TreeTable:
         tid = self.ids.get(key)
         if tid is None:
             t = (label, self.forest_tuples[children])
-            tid = self.ids[key] = len(self.tuple)
-            self.label.append(label)
-            self.children.append(children)
-            self.tuple.append(t)
+            tid = self.ids[key] = len(self.forests)
+            self.node[tid] = key
+            self.forests.append((tid,))
+            self.forest_tuples.append((t,))
             self.by_tuple[t] = tid
-            self.single.append(self.forest((tid,)))
         return tid
 
     def of(self, t) -> int:
@@ -305,10 +302,12 @@ class _TreeTable:
 
     def forest(self, key: tuple) -> int:
         """Id of the forest with these sorted tree ids."""
+        if len(key) == 1:
+            return key[0]
         fid = self.forest_ids.get(key)
         if fid is None:
             # sort before taking an id: unorderable labels raise here
-            f = tuple(sorted(self.tuple[i] for i in key))
+            f = tuple(sorted(self.forest_tuples[i][0] for i in key))
             fid = self.forest_ids[key] = len(self.forests)
             self.forests.append(key)
             self.forest_tuples.append(f)
@@ -318,19 +317,20 @@ class _TreeTable:
 class HopfCache:
     """The one memo store of this module: the tree table and every memo table.
 
-    `size` counts interned trees and nonempty forests plus memo entries.  Each
-    public function that memoises calls `trim()` on entry, which drops the
-    table and all memos at once when `size` is above `max_entries`, so no
-    tree or forest id outlives its table; one call may overshoot the bound by
-    what it adds itself, and `trims` counts the drops.  `hits` and `misses`
-    count public calls that memoise, one each: a hit when the call's own entry
-    (the cut list, coproduct or antipode of its tree or forest, or its list of
-    trees) was already held, a miss when the call had to compute it.  Lookups
-    inside the recursion are plain dict reads and are not counted.
+    `size` counts nonempty forests, each tree once as its one-tree forest,
+    plus memo entries.  Each public function that memoises calls `trim()` on
+    entry, which drops the table and all memos at once when `size` is above
+    `max_entries`, so no tree or forest id outlives its table; one call may
+    overshoot the bound by what it adds itself, and `trims` counts the drops.
+    `hits` and `misses` count public calls that memoise, one each: a hit when
+    the call's own entry (the cut list, coproduct or antipode of its tree or
+    forest, or its list of trees) was already held, a miss when the call had
+    to compute it.  Lookups inside the recursion are plain dict reads and are
+    not counted.
 
-    `checked` is the forest id of the tree whose coproduct the last
-    coassociativity or counit check memoised itself; the next check of
-    another tree drops that entry (see `_checked_tree`).
+    `checked` is the id of the tree whose coproduct the last coassociativity
+    or counit check memoised itself; the next check of another tree drops that
+    entry (see `_checked_tree`).
     """
 
     def __init__(self, max_entries: int):
@@ -343,7 +343,7 @@ class HopfCache:
 
     def _drop(self):
         self.entries = 0
-        self.checked = None          # forest ids restart with the new table
+        self.checked = None          # ids restart with the new table
         self.trees = _TreeTable()
         self.cuts: dict = {}         # tree id -> (id cuts, admissible_cuts(tree))
         self.edges: dict = {}        # (ordered shape, edge mask) -> frozenset of vertex paths
@@ -356,7 +356,7 @@ class HopfCache:
     @property
     def size(self) -> int:
         # forest 0, the empty forest, is in every table and is not an entry
-        return self.entries + len(self.trees.tuple) + len(self.trees.forests) - 1
+        return self.entries + len(self.trees.forests) - 1
 
     def trim(self):
         if self.size > self.max_entries:
@@ -382,16 +382,16 @@ class HopfCache:
 
 # Sizes measured with tracemalloc on Python 3.11.  Enumerated trees are the
 # tree table's own tuples, so a list of trees costs no second copy.  `dessins
-# hopf --verify --max-vertices 6` fills about 33,600 entries (3,100 of them
-# forest joins) in 11 MiB (0.34 KiB an entry), and one pass of the
-# hopf-identities benchmark workload about 70,400 in 20 MiB; at 7 vertices the
-# suite fills 191,500 and needs no trim.  Cut lists over 104,000 trees of 4 or
-# 5 vertices take 3 entries a tree (the tree, its forests and its cut list)
-# and 0.53 KiB an entry; those of all 59,892 trees over 12 labels with at most
-# 4 vertices fill 181,900 entries in 79 MiB (0.44 KiB an entry).  So 200,000
-# entries keep the cache under about 120 MiB, and those cut lists fit without
-# a trim.
-CACHE = HopfCache(max_entries=200_000)
+# hopf --verify --max-vertices 6` fills about 22,400 entries (3,100 of them
+# forest joins) in 10.5 MiB (0.48 KiB an entry), and one pass of the
+# hopf-identities benchmark workload about 54,500 in 20 MiB; at 7 vertices the
+# suite fills 117,700 and needs no trim.  Cut lists over 103,600 trees of 4 or
+# 5 vertices take 2 entries a tree (the tree with its forests, and its cut
+# list) and 0.73 KiB an entry; those of all 59,892 trees over 12 labels with at
+# most 4 vertices fill 122,000 entries in 76 MiB (0.63 KiB an entry).  So
+# 160,000 entries keep the cache under about 120 MiB, and those cut lists fit
+# without a trim.
+CACHE = HopfCache(max_entries=160_000)
 
 
 def clear_caches():
@@ -402,12 +402,6 @@ def _forest_key(f) -> int:
     """Forest id of a forest of nested-tuple trees."""
     table = CACHE.trees
     return table.forest(tuple(sorted(table.of(t) for t in f)))
-
-
-def _tree_key(t) -> int:
-    """Forest id of the one-tree forest of a nested-tuple tree."""
-    table = CACHE.trees
-    return table.single[table.of(t)]
 
 
 def _forest_tuple(fid: int) -> tuple:
@@ -465,7 +459,7 @@ def _cuts(tid: int) -> tuple:
     if out is not None:
         return out
     table = CACHE.trees
-    t = table.tuple[tid]
+    t = table.forest_tuples[tid][0]
     # (mask, trunk children, pruned trees) for each choice of cuts below the
     # children seen so far; a child's edge is either cut or cut inside
     combos = [(0, (), ())]
@@ -491,7 +485,7 @@ def _cuts(tid: int) -> tuple:
             paths = paths or vertex_paths(t)
             edges = CACHE.put(CACHE.edges, (shape, mask),
                               frozenset(p for v, p in enumerate(paths) if mask >> v & 1))
-        cuts.append((edges, table.tuple[trunk], table.forest_tuples[pruned]))
+        cuts.append((edges, table.forest_tuples[trunk][0], table.forest_tuples[pruned]))
     return CACHE.put(CACHE.cuts, tid, (ids, tuple(cuts)))
 
 
@@ -511,19 +505,16 @@ def _delta(f: int) -> dict:
     table = CACHE.trees
     tids = table.forests[f]
     if len(tids) == 1:
-        tid = tids[0]
-        label = table.label[tid]
-        single = table.single
+        label, children = table.node[f]
         # B_j is injective, so distinct left forests give distinct keys
-        out = {(single[table.intern(label, a)], b): c
-               for (a, b), c in _delta(table.children[tid]).items()}
+        out = {(table.intern(label, a), b): c for (a, b), c in _delta(children).items()}
         out[(0, f)] = 1
     else:
         # the product of the trees' coproducts; forest 0 is the unit of each join
         forests, forest = table.forests, table.forest
-        out = _delta(table.single[tids[0]]) if tids else {(0, 0): 1}
+        out = _delta(tids[0]) if tids else {(0, 0): 1}
         for tid in tids[1:]:
-            factor = _delta(table.single[tid]).items()
+            factor = _delta(tid).items()
             product: dict = {}
             for (a1, b1), c1 in out.items():
                 left, right = forests[a1], forests[b1]
@@ -544,8 +535,7 @@ def _antipode(f: int) -> dict:
     out = CACHE.antipode.get(f)
     if out is not None:
         return out
-    table = CACHE.trees
-    tids = table.forests[f]
+    tids = CACHE.trees.forests[f]
     if len(tids) == 1:
         out = {f: -1}
         for (a, b), c in _delta(f).items():
@@ -557,7 +547,7 @@ def _antipode(f: int) -> dict:
         for tid in tids:
             product: dict = {}
             for g1, s1 in out.items():
-                for g2, s2 in _antipode(table.single[tid]).items():
+                for g2, s2 in _antipode(tid).items():
                     _add(product, _join(g1, g2), s1 * s2)
             out = product
     return CACHE.put(CACHE.antipode, f, out)
@@ -602,7 +592,7 @@ def _checked_tree(t) -> int:
     a larger tree's check memoises it again as a sub-result.
     """
     CACHE.trim()
-    f = _tree_key(t)
+    f = CACHE.trees.of(t)
     if f != CACHE.checked:
         if CACHE.coproduct.pop(CACHE.checked, None) is not None:
             CACHE.entries -= 1
@@ -656,7 +646,7 @@ def counit_axioms_hold(t) -> bool:
 def antipode_identity_holds(t) -> bool:
     """m(S (x) id) coproduct == unit . counit == m(id (x) S) coproduct on X_t."""
     CACHE.trim()
-    f = _tree_key(t)
+    f = CACHE.trees.of(t)
     CACHE.count(f in CACHE.antipode)
     left: dict = {}
     right: dict = {}
@@ -721,12 +711,10 @@ def _relabel(fid: int, memo: dict, fn) -> int:
         table = CACHE.trees
         tids = table.forests[fid]
         if len(tids) == 1:
-            tid = tids[0]
-            children = _relabel(table.children[tid], memo, fn)
-            out = table.single[table.intern(fn(table.label[tid]), children)]
+            label, children = table.node[fid]
+            out = table.intern(fn(label), _relabel(children, memo, fn))
         else:
-            moved = (table.forests[_relabel(table.single[u], memo, fn)][0] for u in tids)
-            out = table.forest(tuple(sorted(moved)))
+            out = table.forest(tuple(sorted(_relabel(u, memo, fn) for u in tids)))
         CACHE.put(memo, fid, out)
     return out
 
@@ -740,9 +728,7 @@ def balanced_cuts(t, group):
     each with its own relabelling memo, so the group must be hashable: it keys
     those memos.  For label-only actions this is all of admissible_cuts(t)."""
     CACHE.trim()
-    table = CACHE.trees
-    single = table.single
-    tid = table.of(t)
+    tid = CACHE.trees.of(t)
     CACHE.count(tid in CACHE.cuts)
     ids, cuts = _cuts(tid)
     keep = [True] * len(ids)
@@ -751,12 +737,12 @@ def balanced_cuts(t, group):
         memos = CACHE.put(CACHE.relabel, group,
                           [(group.element(a).on_label, {}) for a in group.elements])
     for fn, memo in memos:
-        cut_pairs = _delta(_relabel(single[tid], memo, fn))
+        cut_pairs = _delta(_relabel(tid, memo, fn))
         for i, (_, trunk, pruned) in enumerate(ids):
             if keep[i]:
-                a, b = memo.get(single[trunk]), memo.get(pruned)
+                a, b = memo.get(trunk), memo.get(pruned)
                 if a is None:
-                    a = _relabel(single[trunk], memo, fn)
+                    a = _relabel(trunk, memo, fn)
                 if b is None:
                     b = _relabel(pruned, memo, fn)
                 keep[i] = (a, b) in cut_pairs
@@ -895,8 +881,9 @@ def _trees_cached(labels, n):
         table = CACHE.trees
         fids = [table.forest(tuple(sorted([table.by_tuple[c] for c in f])))
                 for f in _forest_lists(labels, n - 1)] if n >= 1 else []
+        tuples = table.forest_tuples
         out = CACHE.put(CACHE.enumeration, key,
-                        [table.tuple[table.intern(lab, fid)] for lab in labels for fid in fids])
+                        [tuples[table.intern(lab, fid)][0] for lab in labels for fid in fids])
     return out
 
 
@@ -925,8 +912,15 @@ def _forest_lists(labels, total):
 # --- serialization -------------------------------------------------------------
 
 def polynomial_to_json(x: ForestPolynomial) -> list:
+    """The terms of x as JSON; raises TreeSyntaxError on the first label whose
+    text does not parse back to itself ("12", "j3", -1 and "a b" do not)."""
     out = []
     for f in sorted(x.terms):
+        for label in (lab for t in f for lab in tree_labels(t)):
+            text = format_tree(leaf(label))
+            if not _LABEL_RE.fullmatch(text) or parse_tree(text) != leaf(label):
+                raise TreeSyntaxError(f"label {label!r} writes as {text!r}, which reads back "
+                                      "as another label or not at all")
         c = x.terms[f]
         frac = c if isinstance(c, Fraction) else Fraction(c)
         out.append({"forest": [format_tree(t) for t in f],

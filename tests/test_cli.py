@@ -163,7 +163,7 @@ def test_hopf_verify_json_at_six_vertices_keeps_the_cache_small(capsys):
     hopf.clear_caches()                    # as in a fresh process
     assert run_cli("hopf", "--verify", "--max-vertices", "6", "--json") == 0
     cache = json.loads(capsys.readouterr().out)["cache"]
-    assert cache["trims"] == 0 and cache["size"] < 35_000
+    assert cache["trims"] == 0 and cache["size"] < 25_000
 
 
 def test_hopf_verify_json_failure_exits_two(monkeypatch, capsys):

@@ -302,6 +302,16 @@ def test_polynomial_json_round_trip():
     assert x == y
 
 
+@pytest.mark.parametrize("label", ["12", "j3", -1, "a b"])
+def test_polynomial_json_refuses_a_label_that_does_not_read_back(label):
+    # "12" and "j3" would read back as the ints 12 and 3; "j-1" and "a b" not at all
+    x = ForestPolynomial.generator(node(0, leaf(label)))
+    with pytest.raises(TreeSyntaxError, match=repr(label)):
+        polynomial_to_json(x)
+    with pytest.raises(TreeSyntaxError, match=repr(label)):
+        polynomial_to_json(ForestPolynomial.generator(node(label, leaf("j3"))))
+
+
 def test_one_bounded_cache_and_no_module_dicts():
     assert not [name for name, v in vars(hopf).items()
                 if isinstance(v, (dict, list, set)) and not name.startswith("__")]
@@ -368,11 +378,11 @@ UNCOUNTED_DICTS = frozenset()
 
 def _recount(c) -> int:
     """The cache size recounted from its tables: every memo entry, each
-    group's relabelling memos included, plus the trees and nonempty forests."""
+    group's relabelling memos included, plus the nonempty forests, one-tree
+    forests (the trees) among them."""
     memos = [getattr(c, name) for name in COUNTED_MEMOS]
     relabelled = sum(len(memo) for pairs in c.relabel.values() for _, memo in pairs)
-    return (sum(map(len, memos)) + relabelled
-            + len(c.trees.tuple) + len(c.trees.forests) - 1)
+    return sum(map(len, memos)) + relabelled + len(c.trees.forests) - 1
 
 
 def test_every_memo_table_of_the_cache_is_recounted():
@@ -399,9 +409,8 @@ def test_forest_joins_count_toward_the_bound_and_go_with_a_trim(monkeypatch):
 
 
 def _coproduct_held(t) -> bool:
-    table = hopf.CACHE.trees
-    tid = table.by_tuple.get(t)
-    return tid is not None and table.single[tid] in hopf.CACHE.coproduct
+    tid = hopf.CACHE.trees.by_tuple.get(t)
+    return tid is not None and tid in hopf.CACHE.coproduct
 
 
 def test_identity_checks_keep_no_coproduct_of_the_tree_under_check():
@@ -475,8 +484,8 @@ def test_cache_size_counts_forests_and_edge_sets():
     admissible_cuts(chain(0, 1, 2))
     c = hopf.CACHE
     assert len(c.trees.forests) > 1 and c.edges
-    # forest 0, the empty forest, is not an entry
-    assert c.size == len(c.trees.tuple) + len(c.trees.forests) - 1 + len(c.cuts) + len(c.edges)
+    # a tree is its one-tree forest; forest 0, the empty forest, is not an entry
+    assert c.size == len(c.trees.forests) - 1 + len(c.cuts) + len(c.edges)
     hopf.clear_caches()
     assert c.size == 0 and not c.edges
 

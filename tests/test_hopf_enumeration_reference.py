@@ -82,7 +82,7 @@ def test_enumerated_trees_are_the_tree_tables_own_tuples(labels, max_nodes):
     hopf.clear_caches()
     table = hopf.CACHE.trees
     for t in enumerate_trees(labels, max_nodes):
-        assert t is table.tuple[table.of(t)]
+        assert t is table.forest_tuples[table.of(t)][0]
 
 
 @pytest.mark.parametrize("labels", [(0, "a"), ("a", 0), (1, "x", 2)])

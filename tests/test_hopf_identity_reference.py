@@ -3,7 +3,8 @@
 The reference below is a test-local copy of the straightforward checks: both
 3-tensors of coassociativity built in full and compared, both counit sides
 read off the coproduct, both antipode convolutions summed, and balanced cuts
-relabelled through a fresh memo per group element.  It reads every coproduct
+found by relabelling nested tuples with `relabel_tree`, so the reference does
+not depend on how the tree table lays out its ids.  It reads every coproduct
 and antipode through `hopf._delta` and `hopf._antipode`, so a corrupted
 coproduct reaches the reference and the library alike, and their verdicts
 must agree on every tree, also when the identities fail.  Relabelling on ids,
@@ -81,38 +82,20 @@ def ref_antipode_identity(t):
     return not left and not right
 
 
-def ref_relabel(fid, memo, fn):
-    out = memo.get(fid)
-    if out is None:
-        table = hopf.CACHE.trees
-        tids = table.forests[fid]
-        if len(tids) == 1:
-            tid = tids[0]
-            children = ref_relabel(table.children[tid], memo, fn)
-            out = table.single[table.intern(fn(table.label[tid]), children)]
-        else:
-            moved = (table.forests[ref_relabel(table.single[u], memo, fn)][0] for u in tids)
-            out = table.forest(tuple(sorted(moved)))
-        memo[fid] = out
-    return out
+def ref_relabel(f, fn):
+    """Forest id of the nested-tuple forest f relabelled by fn."""
+    return hopf._forest_key([relabel_tree(t, fn) for t in f])
 
 
 def ref_balanced_cuts(t, group):
-    table = hopf.CACHE.trees
-    tid = table.of(t)
-    ids, cuts = hopf._cuts(tid)
-    keep = [True] * len(ids)
+    cuts = hopf.admissible_cuts(t)
+    keep = [True] * len(cuts)
     for a in group.elements:
-        gamma = group.element(a)
-        memo = {}
-
-        def act(f):
-            return ref_relabel(f, memo, gamma.on_label)
-
-        cut_pairs = hopf._delta(act(table.single[tid]))
-        for i, (_, trunk, pruned) in enumerate(ids):
+        fn = group.element(a).on_label
+        cut_pairs = hopf._delta(ref_relabel((t,), fn))
+        for i, (_, trunk, pruned) in enumerate(cuts):
             if keep[i]:
-                keep[i] = (act(table.single[trunk]), act(pruned)) in cut_pairs
+                keep[i] = (ref_relabel((trunk,), fn), ref_relabel(pruned, fn)) in cut_pairs
     return [cut for cut, ok in zip(cuts, keep) if ok]
 
 

@@ -99,6 +99,8 @@ def test_forest_ids_round_trip(f, g):
     assert hopf._forest_key(hopf._forest_tuple(key)) == key
     assert hopf._forest_key(reversed(f)) == key
     assert (key == 0) == (not f)            # forest 0 is the empty forest
+    for t in f:                             # a tree's id is its one-tree forest's
+        assert hopf._forest_key((t,)) == hopf.CACHE.trees.of(t)
     assert hopf._join(key, hopf._forest_key(g)) == hopf._forest_key(f + g)
 
 
