@@ -116,14 +116,13 @@ def cmd_strata(args) -> int:
         payload = [strata.stratum_to_json(s) for s in flat]
         _write(args.json, json.dumps(payload, indent=2) + "\n")
     if args.poset:
-        # contracting an edge drops its split, so each cover drops one split
+        # contracting an edge drops its split, so each cover drops one split;
+        # every stratum has the same label order, so its splits identify it
         lines = set()
-        key_to_name = {s.canonical_key(): f"s{i}" for i, s in enumerate(flat)}
-        for i, s in enumerate(flat):
-            order, splits = s.tree.order, s.tree.splits
+        name_of = {s.tree.splits: f"s{i}" for i, s in enumerate(flat)}
+        for i, splits in enumerate(s.tree.splits for s in flat):
             for j in range(len(splits)):
-                parent = strata.StableSTree(order, splits[:j] + splits[j + 1:])
-                lines.add(f"s{i} < {key_to_name[parent.canonical_key()]}")
+                lines.add(f"s{i} < {name_of[splits[:j] + splits[j + 1:]]}")
         _write(args.poset, "\n".join(sorted(lines)) + "\n")
     if args.dot:
         outdir = Path(args.dot)

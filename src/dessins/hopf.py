@@ -351,7 +351,7 @@ class HopfCache:
         self.antipode: dict = {}     # forest id -> {forest id: coeff}
         self.joins: dict = {}        # (lesser, greater forest id) -> id of their product
         self.relabel: dict = {}      # group -> [(on_label, {forest id: relabelled id})]
-        self.enumeration: dict = {}  # (kind, labels, vertices) -> list of trees or forests
+        self.enumeration: dict = {}  # ("trees", labels, vertices) -> list of trees
 
     @property
     def size(self) -> int:
@@ -382,15 +382,14 @@ class HopfCache:
 
 # Sizes measured with tracemalloc on Python 3.11.  Enumerated trees are the
 # tree table's own tuples, so a list of trees costs no second copy.  `dessins
-# hopf --verify --max-vertices 6` fills about 22,400 entries (3,100 of them
-# forest joins) in 10.5 MiB (0.48 KiB an entry), and one pass of the
-# hopf-identities benchmark workload about 54,500 in 20 MiB; at 7 vertices the
-# suite fills 117,700 and needs no trim.  Cut lists over 103,600 trees of 4 or
-# 5 vertices take 2 entries a tree (the tree with its forests, and its cut
-# list) and 0.73 KiB an entry; those of all 59,892 trees over 12 labels with at
-# most 4 vertices fill 122,000 entries in 76 MiB (0.63 KiB an entry).  So
-# 160,000 entries keep the cache under about 120 MiB, and those cut lists fit
-# without a trim.
+# hopf --verify --max-vertices 6` fills 22,360 entries (3,132 of them forest
+# joins) in 10.3 MiB (0.47 KiB an entry), and one pass of the hopf-identities
+# benchmark workload 54,453 in 18.7 MiB; at 7 vertices the suite fills 117,650
+# and needs no trim.  Cut lists over 103,600 trees of 4 or 5 vertices take 2
+# entries a tree (the tree with its forests, and its cut list) and 0.73 KiB an
+# entry; those of all 59,892 trees over 12 labels with at most 4 vertices fill
+# 121,997 entries in 75 MiB (0.63 KiB an entry).  So 160,000 entries keep the
+# cache under about 120 MiB, and those cut lists fit without a trim.
 CACHE = HopfCache(max_entries=160_000)
 
 
@@ -787,34 +786,23 @@ def relabel_tracked(t, fn):
     return (fn(label), new_children), path_map
 
 
-class LabelTreeAction:
-    """Tree action induced by a label map (a genuinely grafting-compatible action)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def on_tree(self, t):
-        return relabel_tree(t, self.fn)
-
-    def on_site(self, t, path):
-        _, pmap = relabel_tracked(t, self.fn)
-        return pmap[path]
-
-
 def graft_equivariance_check(action, t1, path, t2) -> bool:
     """Whether acting then grafting equals grafting then acting.
 
-    `action` provides on_tree and on_site; group elements and label maps are
-    wrapped via LabelTreeAction.  Grafting attaches the root of t2 under the
-    vertex of t1 at `path`.
+    `action` is one of three kinds: a group element (its on_label is the label
+    map), a plain label map, or a tree action with on_tree(t) and
+    on_site(t, path), the path at which the vertex of t at `path` lands in
+    on_tree(t).  A label map relabels t1 once, for both its image and where
+    each vertex lands.  Grafting attaches the root of t2 under the vertex of
+    t1 at `path`.
     """
-    if hasattr(action, "on_label"):
-        action = LabelTreeAction(action.on_label)
-    elif callable(action) and not hasattr(action, "on_tree"):
-        action = LabelTreeAction(action)
-    left = action.on_tree(graft_at(t1, path, t2))
-    right = graft_at(action.on_tree(t1), action.on_site(t1, path), action.on_tree(t2))
-    return left == right
+    if hasattr(action, "on_label") or not hasattr(action, "on_tree"):
+        fn = getattr(action, "on_label", action)
+        image, site_map = relabel_tracked(t1, fn)
+        return (relabel_tree(graft_at(t1, path, t2), fn)
+                == graft_at(image, site_map[path], relabel_tree(t2, fn)))
+    return (action.on_tree(graft_at(t1, path, t2))
+            == graft_at(action.on_tree(t1), action.on_site(t1, path), action.on_tree(t2)))
 
 
 # --- the forest partial order -------------------------------------------------
@@ -880,33 +868,24 @@ def _trees_cached(labels, n):
         # identity and no tree is rebuilt from its nested form
         table = CACHE.trees
         fids = [table.forest(tuple(sorted([table.by_tuple[c] for c in f])))
-                for f in _forest_lists(labels, n - 1)] if n >= 1 else []
+                for f in _forests(labels, n - 1, None)]
         tuples = table.forest_tuples
         out = CACHE.put(CACHE.enumeration, key,
                         [tuples[table.intern(lab, fid)][0] for lab in labels for fid in fids])
     return out
 
 
-def _forest_lists(labels, total):
-    """All canonical forests (sorted tuples of trees) with `total` vertices."""
-    key = ("forests", labels, total)
-    out = CACHE.enumeration.get(key)
-    if out is not None:
-        return out
-
-    # choose the minimal tree of the forest first, never exceeding the rest
-    def build(remaining, min_tree):
-        if remaining == 0:
-            yield ()
-            return
-        for size in range(1, remaining + 1):
-            for t in _trees_cached(labels, size):
-                if min_tree is not None and t < min_tree:
-                    continue
-                for rest in build(remaining - size, t):
+def _forests(labels, total, least):
+    """All canonical forests (sorted tuples of trees) with `total` vertices and
+    no tree below `least`: the least tree first, never exceeding the rest."""
+    if total == 0:
+        yield ()
+        return
+    for size in range(1, total + 1):
+        for t in _trees_cached(labels, size):
+            if least is None or t >= least:
+                for rest in _forests(labels, total - size, t):
                     yield (t,) + rest
-
-    return CACHE.put(CACHE.enumeration, key, list(build(total, None)))
 
 
 # --- serialization -------------------------------------------------------------
@@ -929,11 +908,22 @@ def polynomial_to_json(x: ForestPolynomial) -> list:
 
 
 def polynomial_from_json(obj) -> ForestPolynomial:
+    """Read what polynomial_to_json writes; a malformed list, term or
+    coefficient raises TreeSyntaxError naming it."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, list):
+        raise TreeSyntaxError(f"polynomial JSON is a {type(obj).__name__}, not a list of terms")
     terms: dict = {}
     for item in obj:
+        if not (isinstance(item, dict) and "coeff" in item and isinstance(item.get("forest"), list)
+                and all(isinstance(s, str) for s in item["forest"])):
+            raise TreeSyntaxError(f"term {item!r} is not an object with 'coeff' and a "
+                                  "'forest' list of tree texts")
         f = tuple(sorted(parse_tree(s) for s in item["forest"]))
-        c = Fraction(item["coeff"])
+        try:
+            c = Fraction(item["coeff"])
+        except (ValueError, TypeError, ArithmeticError):
+            raise TreeSyntaxError(f"coefficient {item['coeff']!r} is not p/q, q != 0") from None
         terms[f] = terms.get(f, 0) + (int(c) if c.denominator == 1 else c)
     return ForestPolynomial(terms)

@@ -378,6 +378,10 @@ class MultiplicityModel:
     k: int = 0
     counts: tuple = ()              # for kind == "custom"
 
+    def __post_init__(self):
+        if self.kind not in ("word", "vertex-edge", "custom"):
+            raise QsmError(f"unknown multiplicity model {self.kind!r}")
+
     def count(self, L: int) -> int:
         if self.kind == "word":
             return self.k ** L
@@ -431,6 +435,8 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
     if model.kind == "custom":
         if mode != "truncated":
             raise QsmError("custom multiplicity models support truncated mode only")
+    elif model.k != k:
+        raise QsmError(f"the {model.kind} model has k = {model.k}, not the k = {k} given")
     else:
         r = model.ratio(N, beta)
         if r >= 1:
@@ -441,9 +447,11 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
         return PartitionResult(value, 0 * value, "closed", model.kind)
     if mode != "truncated":
         raise QsmError(f"unknown mode {mode!r}")
-    if max_length is None:
-        raise QsmError("truncated mode needs max_length")
+    if not isinstance(max_length, int) or max_length < 0:
+        raise QsmError("truncated mode needs an integer max_length >= 0")
     if model.kind == "custom":
+        if len(model.counts) <= max_length:
+            raise QsmError(f"custom model has {len(model.counts)} counts, not {max_length + 1}")
         scale = _n_pow_minus_beta(N, beta)
         value = sum(model.count(L) * scale ** L for L in range(max_length + 1))
         return PartitionResult(value, float("nan"), "truncated", model.kind)
@@ -482,14 +490,15 @@ class QsmSystem:
     N: int = 10
     D: int = 2
     max_length: int = 6
-    group: GaloisGroup = None
 
     def __post_init__(self):
         _check_spectral_base(self.N)
-        if self.group is None:
-            object.__setattr__(self, "group", GaloisGroup.full(self.m))
-        if self.group.m != self.m:
-            raise QsmError("group modulus differs from the conductor")
+        if not isinstance(self.D, int) or self.D < 1:
+            raise QsmError("D must be an integer >= 1")
+
+    @cached_property
+    def group(self) -> GaloisGroup:
+        return GaloisGroup.full(self.m)
 
     @cached_property
     def fixed_labels(self) -> tuple[int, ...]:

@@ -309,6 +309,17 @@ def test_qsm_spectral_base_below_two_exits_one(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("gibbs", "--D", "0"),
+    ("partition", "--D", "0"),
+])
+def test_qsm_character_denominator_below_one_exits_one(capsys, argv):
+    assert run_cli("qsm", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: D must be an integer >= 1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag,value,bound", [
     ("--m", "0", "between 1 and 100"),
     ("--m", "101", "between 1 and 100"),

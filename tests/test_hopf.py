@@ -267,6 +267,17 @@ def test_graft_equivariance_label_action():
             assert graft_equivariance_check(gamma, t1, path, t2)
 
 
+def test_graft_equivariance_plain_label_map_agrees_with_the_group_element():
+    group = GaloisGroup.full(12)
+    t1 = node(1, leaf(6))
+    t2 = node(7, leaf(0))
+    for a in group.elements:
+        gamma = group.element(a)
+        for path in vertex_paths(t1):
+            assert graft_equivariance_check(lambda j: a * j % 12, t1, path, t2) \
+                == graft_equivariance_check(gamma, t1, path, t2)
+
+
 def test_graft_equivariance_fixture_can_fail():
     # a shape-changing tree map that is not induced by labels: swaps a chain
     # with a cherry, keeping sites fixed
@@ -312,6 +323,19 @@ def test_polynomial_json_refuses_a_label_that_does_not_read_back(label):
         polynomial_to_json(ForestPolynomial.generator(node(label, leaf("j3"))))
 
 
+@pytest.mark.parametrize("text,fault", [
+    ('[{"forest": ["j1"], "coeff": "1/0"}]', "coefficient '1/0'"),
+    ('[{"forest": ["j1"]}]', "with 'coeff' and a 'forest' list"),
+    ('[["j1"]]', "with 'coeff' and a 'forest' list"),
+    ('[{"forest": "j1", "coeff": "1"}]', "with 'coeff' and a 'forest' list"),
+    ('[{"forest": [5], "coeff": "1"}]', "with 'coeff' and a 'forest' list"),
+    ('{"forest": ["j1"], "coeff": "1"}', "is a dict, not a list"),
+])
+def test_polynomial_from_json_names_the_fault(text, fault):
+    with pytest.raises(TreeSyntaxError, match=fault):
+        polynomial_from_json(text)
+
+
 def test_one_bounded_cache_and_no_module_dicts():
     assert not [name for name, v in vars(hopf).items()
                 if isinstance(v, (dict, list, set)) and not name.startswith("__")]
@@ -353,6 +377,12 @@ def test_cache_counts_one_hit_or_miss_per_public_call(name):
     assert (hopf.CACHE.hits, hopf.CACHE.misses) == (0, 1)
     call(t)
     assert (hopf.CACHE.hits, hopf.CACHE.misses) == (1, 1)
+
+
+def test_enumeration_memoises_tree_lists_only():
+    hopf.clear_caches()
+    enumerate_trees((0, 1, 2), 6)
+    assert sorted(hopf.CACHE.enumeration) == [("trees", (0, 1, 2), n) for n in range(1, 7)]
 
 
 def test_cache_bound_drops_entries_between_calls(monkeypatch):

@@ -70,6 +70,18 @@ def test_system_is_frozen_and_equal_systems_hash_alike():
     assert hash(QsmSystem()) == hash(QsmSystem())
 
 
+def test_system_group_is_derived_from_the_conductor():
+    assert [f.name for f in dataclasses.fields(QsmSystem)] == ["m", "N", "D", "max_length"]
+    assert QsmSystem().group == GaloisGroup.full(12)
+    assert QsmSystem(m=5).group == GaloisGroup.full(5)
+
+
+@pytest.mark.parametrize("D", [0, -1])
+def test_character_denominator_below_one_is_rejected(D):
+    with pytest.raises(qsm.QsmError, match="D must be an integer >= 1"):
+        QsmSystem(D=D)
+
+
 def test_verify_system_scans_the_fixed_labels_once(monkeypatch):
     calls = []
     scan = GaloisGroup.fixed_labels
@@ -429,6 +441,18 @@ def test_custom_multiplicity_model():
     model = qsm.MultiplicityModel("custom", counts=(1, 3, 5))
     out = partition_function(1, k=0, N=10, model=model, mode="truncated", max_length=2)
     assert out.value == 1 + Fraction(3, 10) + Fraction(5, 100)
+
+
+@pytest.mark.parametrize("model,mode,max_length,match", [
+    ("custom", "truncated", 2, "has 0 counts, not 3"),
+    (qsm.MultiplicityModel("custom", counts=(1, 3)), "truncated", 2, "has 2 counts, not 3"),
+    ("bogus", "closed", None, "unknown multiplicity model 'bogus'"),
+    ("word", "truncated", -1, "integer max_length >= 0"),
+    (vertex_edge_model(2), "closed", None, "k = 2, not the k = 3 given"),
+])
+def test_partition_function_refuses_bad_input(model, mode, max_length, match):
+    with pytest.raises(qsm.QsmError, match=match):
+        partition_function(1, 3, 10, model=model, mode=mode, max_length=max_length)
 
 
 # --- Gibbs states ------------------------------------------------------------------
