@@ -413,20 +413,42 @@ def test_truncated_exact_sums_match_level_by_level_fractions(model):
     def count(k, L):
         return k ** L if model == "word" else k ** (2 * L + 1)
 
+    def ratio(k):
+        return k if model == "word" else k ** 2
+
+    def exact_levels(beta_val, k, N, max_length):
+        want = Fraction(0)
+        for L in range(max_length + 1):
+            want += Fraction(count(k, L), N ** (beta_val * L))
+        return want
+
     for beta_val in range(1, 6):
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             for N in (2, 10):
-                if Fraction(count(k, 1), count(k, 0) * N ** beta_val) >= 1:
+                if Fraction(ratio(k), N ** beta_val) >= 1:
                     with pytest.raises(Divergent):
                         partition_function(beta_val, k, N, model, "truncated", max_length=1)
                     continue
                 for max_length in (0, 1, 8, 300):
-                    want = Fraction(0)
-                    for L in range(max_length + 1):
-                        want += Fraction(count(k, L), N ** (beta_val * L))
                     got = partition_function(beta_val, k, N, model, "truncated",
                                              max_length=max_length)
-                    assert isinstance(got.value, Fraction) and got.value == want
+                    assert isinstance(got.value, Fraction)
+                    assert got.value == exact_levels(beta_val, k, N, max_length)
+    # one long window: 2,001 levels
+    got = partition_function(1, 2, 10, model, "truncated", max_length=2000)
+    assert got.value == exact_levels(1, 2, 10, 2000)
+    # float beta: the float levels summed without rounding drift
+    for beta_val in (1.5, 2.5):
+        for k in (0, 1, 2, 3):
+            for N in (2, 10):
+                if ratio(k) * float(N) ** -beta_val >= 1:
+                    continue
+                for max_length in (0, 1, 8, 300):
+                    want = math.fsum(count(k, L) * float(N) ** (-beta_val * L)
+                                     for L in range(max_length + 1))
+                    got = partition_function(beta_val, k, N, model, "truncated",
+                                             max_length=max_length)
+                    assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_partition_trace_matches_level_sums():
