@@ -43,8 +43,8 @@ MAX_QSM_CONDUCTOR = 100
 MAX_QSM_WINDOW = 8
 
 # `qsm partition --trunc 2000` sums the five default integer betas exactly in
-# about 0.2 s, most of it start-up; --trunc 10,000 takes 0.3 s, 20,000 takes
-# 0.8 s and 50,000 about 5 s.
+# 0.14 s, all of it start-up: each sum is one closed form, so --trunc 20,000
+# also takes 0.14 s, 50,000 0.19 s and 200,000 0.6 s (2 CPUs, Python 3.11).
 MAX_QSM_TRUNC = 2000
 
 

@@ -332,19 +332,6 @@ class GaloisGroup:
         return tuple(sorted({(a * j) % self.m for a in self.elements}))
 
 
-@dataclass(frozen=True)
-class LabelGSet:
-    """The G-set Z/m with the multiplication action a . j = a*j mod m."""
-
-    m: int
-
-    def act(self, a: int, j: int) -> int:
-        return (a * j) % self.m
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(range(self.m))
-
-
 # --- characters -----------------------------------------------------------------
 
 def _label_sum_and_nodes(t, m) -> tuple[int, int]:
@@ -372,7 +359,9 @@ class ExponentSumCharacter:
     denominator: int = 1
 
     def __post_init__(self):
-        if self.denominator < 1:
+        if not isinstance(self.m, int) or self.m < 1:
+            raise ValueError("conductor must be a positive integer")
+        if not isinstance(self.denominator, int) or self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
 
     def on_tree(self, t) -> CyclotomicNumber:
@@ -451,8 +440,12 @@ def character_to_json(char) -> dict:
 
 
 def character_from_json(obj) -> object:
+    if not isinstance(obj, dict) or "m" not in obj:
+        raise ValueError("character JSON must be an object with an 'm' field")
     if obj.get("rule") == "exp-sum":
         return ExponentSumCharacter(int(obj["m"]), int(obj.get("D", 1)))
+    if not isinstance(obj.get("table"), dict):
+        raise ValueError("character JSON needs a 'table' object or the rule 'exp-sum'")
     m = int(obj["m"])
     table = tuple(
         (hopf.parse_tree(text), CyclotomicNumber.from_coeffs(m, coeffs))

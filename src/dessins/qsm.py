@@ -365,44 +365,6 @@ def evolution_fixes_diagonal_exactly(rep: TruncatedRep, tree) -> bool:
     return all(col == row for col, (row, _) in rep.diag(tree).cols.items())
 
 
-@dataclass(frozen=True)
-class MultiplicityModel:
-    """Number of semigroup elements with lambda = N^L, as a function of L.
-
-    The "word" model counts label words: k^L at level L.  The "vertex-edge"
-    model counts chains with L labelled edges and L+1 labelled vertices:
-    k^(2L+1).  A custom model supplies the counts directly.
-    """
-
-    kind: str                       # "word", "vertex-edge", or "custom"
-    k: int = 0
-    counts: tuple = ()              # for kind == "custom"
-
-    def __post_init__(self):
-        if self.kind not in ("word", "vertex-edge", "custom"):
-            raise QsmError(f"unknown multiplicity model {self.kind!r}")
-
-    def count(self, L: int) -> int:
-        if self.kind == "word":
-            return self.k ** L
-        if self.kind == "vertex-edge":
-            return self.k ** (2 * L + 1)
-        return self.counts[L]
-
-    def ratio(self, N, beta) -> Fraction | float:
-        """Common ratio of the geometric level series, when geometric."""
-        scale = _n_pow_minus_beta(N, beta)
-        if self.kind == "word":
-            return self.k * scale
-        if self.kind == "vertex-edge":
-            return self.k ** 2 * scale
-        raise QsmError("custom models have no closed form")
-
-
-def vertex_edge_model(k: int) -> MultiplicityModel:
-    return MultiplicityModel("vertex-edge", k=k)
-
-
 def _n_pow_minus_beta(N, beta):
     if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
         b = int(beta)
@@ -414,62 +376,43 @@ def _n_pow_minus_beta(N, beta):
 class PartitionResult:
     value: Fraction | float
     tail_bound: Fraction | float
-    mode: str
-    model: str
 
 
 def partition_function(beta, k: int, N: int, model="word", mode="closed",
                        max_length: int | None = None) -> PartitionResult:
     """Trace of exp(-beta H): sum over the semigroup of lambda^(-beta).
 
-    Closed forms: 1/(1 - k N^-beta) for the word model and
-    k/(1 - k^2 N^-beta) for the vertex-edge count.  Truncated mode sums levels
-    0..max_length and reports the geometric tail bound.  Raises Divergent when
-    the level ratio reaches 1.
+    Level L (lambda = N^L) holds first * p^L elements: k^L label words in the
+    "word" model, k^(2L+1) chains of L labelled edges and L+1 labelled vertices
+    in the "vertex-edge" model (alias "paper").  With r = p N^-beta, closed
+    mode returns first / (1 - r); truncated mode sums levels 0..max_length,
+    first (1 - r^(L+1)) / (1 - r), with tail first r^(L+1) / (1 - r).  Exact
+    for integer beta.  Raises Divergent when r >= 1.
     """
     _check_spectral_base(N)
-    if isinstance(model, str):
-        if model == "paper":            # command-line alias
-            model = "vertex-edge"
-        model = MultiplicityModel(model, k=k)
-    if model.kind == "custom":
-        if mode != "truncated":
-            raise QsmError("custom multiplicity models support truncated mode only")
-    elif model.k != k:
-        raise QsmError(f"the {model.kind} model has k = {model.k}, not the k = {k} given")
+    if not isinstance(k, int) or k < 0:
+        raise QsmError("k must be an integer >= 0")
+    if model == "paper":                # command-line alias
+        model = "vertex-edge"
+    if model == "word":
+        first, p = 1, k
+    elif model == "vertex-edge":
+        first, p = k, k * k
     else:
-        r = model.ratio(N, beta)
-        if r >= 1:
-            inequality = ("k * N^-beta" if model.kind == "word" else "k^2 * N^-beta")
-            raise Divergent(f"divergent series: {inequality} = {r} >= 1")
+        raise QsmError(f"unknown multiplicity model {model!r}")
+    r = p * _n_pow_minus_beta(N, beta)
+    if r >= 1:
+        inequality = "k * N^-beta" if model == "word" else "k^2 * N^-beta"
+        raise Divergent(f"divergent series: {inequality} = {r} >= 1")
     if mode == "closed":
-        value = model.count(0) / (1 - r)
-        return PartitionResult(value, 0 * value, "closed", model.kind)
+        value = first / (1 - r)
+        return PartitionResult(value, 0 * value)
     if mode != "truncated":
         raise QsmError(f"unknown mode {mode!r}")
     if not isinstance(max_length, int) or max_length < 0:
         raise QsmError("truncated mode needs an integer max_length >= 0")
-    if model.kind == "custom":
-        if len(model.counts) <= max_length:
-            raise QsmError(f"custom model has {len(model.counts)} counts, not {max_length + 1}")
-        scale = _n_pow_minus_beta(N, beta)
-        value = sum(model.count(L) * scale ** L for L in range(max_length + 1))
-        return PartitionResult(value, float("nan"), "truncated", model.kind)
-    # level L contributes count(L) N^(-beta L) = count(0) r^L; summing powers of
-    # r never turns a large integer count into a float
-    first = model.count(0)
-    if isinstance(r, Fraction):
-        # integer numerators p^L q^(M-L) over the one denominator q^M, r = p/q
-        p, q = r.numerator, r.denominator
-        num, p_pow = 0, 1
-        for _ in range(max_length + 1):
-            num = num * q + p_pow
-            p_pow *= p
-        value = first * Fraction(num, q ** max_length)
-    else:
-        value = sum(first * r ** L for L in range(max_length + 1))
-    tail = first * r ** (max_length + 1) / (1 - r)
-    return PartitionResult(value, tail, "truncated", model.kind)
+    r_next = r ** (max_length + 1)
+    return PartitionResult(first * (1 - r_next) / (1 - r), first * r_next / (1 - r))
 
 
 def partition_trace(rep: TruncatedRep, N: int, beta) -> Fraction | float:
@@ -492,9 +435,13 @@ class QsmSystem:
     max_length: int = 6
 
     def __post_init__(self):
+        if not isinstance(self.m, int) or self.m < 1:
+            raise QsmError("m must be an integer >= 1")
         _check_spectral_base(self.N)
         if not isinstance(self.D, int) or self.D < 1:
             raise QsmError("D must be an integer >= 1")
+        if not isinstance(self.max_length, int) or self.max_length < 1:
+            raise WindowTooSmall("max_length must be an integer >= 1")
 
     @cached_property
     def group(self) -> GaloisGroup:
@@ -521,6 +468,14 @@ class QsmSystem:
     def rep(self) -> TruncatedRep:
         return build_rep(self.char, self.max_length, self.fixed_labels)
 
+    def level_ratio(self, beta) -> CyclotomicNumber | complex:
+        """Ratio q = (sum of zeta^j over the fixed labels) / (D N^beta) of the
+        Gibbs levels: exact for integer beta, else a complex float."""
+        scale = _n_pow_minus_beta(self.N, beta)
+        if isinstance(scale, Fraction):
+            return self.phase_sum * (scale / self.D)
+        return complex_embed(self.phase_sum) / (self.D * float(self.N) ** float(beta))
+
     def check_convergence(self, beta):
         if self.k * _n_pow_minus_beta(self.N, beta) >= 1:
             raise Divergent(
@@ -530,15 +485,12 @@ class QsmSystem:
 # --- Gibbs states --------------------------------------------------------------------
 
 def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
-    """Closed form: phi(X_t) * (1/Z) * 1/(1 - q) with q the level ratio
-    (sum of zeta^j over fixed labels) / (D N^beta); exact for integer beta."""
+    """Closed form: phi(X_t) * (1/Z) * 1/(1 - q) with q the system's level
+    ratio; exact for integer beta.  Convergence gives |q| <= k / (D N^beta) < 1
+    in every embedding, as D >= 1."""
     system.check_convergence(beta)
-    scale = _n_pow_minus_beta(system.N, beta)
-    q = system.phase_sum * (Fraction(1, system.D) * scale)
-    if abs(complex_embed(q)) >= 1:
-        raise Divergent("level ratio has modulus >= 1")
     z = partition_function(beta, system.k, system.N, "word", "closed").value
-    series = (CyclotomicNumber.one(system.m) - q).inverse()
+    series = (CyclotomicNumber.one(system.m) - system.level_ratio(beta)).inverse()
     return system.char.on_tree(tree) * series * (Fraction(1) / z)
 
 
@@ -550,14 +502,11 @@ def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
     normalized by the closed-form partition function.
     """
     system.check_convergence(beta)
-    z = partition_function(beta, system.k, system.N, "word", "closed").value
-    z = float(z)
+    z = float(partition_function(beta, system.k, system.N).value)
     if route == "closed":
         if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
             return complex_embed(gibbs_closed_exact(system, tree, int(beta)))
-        phase = complex_embed(system.phase_sum)
-        q = phase / (system.D * float(system.N) ** float(beta))
-        return complex_embed(system.char.on_tree(tree)) / (1 - q) / z
+        return complex_embed(system.char.on_tree(tree)) / (1 - system.level_ratio(beta)) / z
     if route in ("series", "trace"):
         return _window_sum(system, tree, route, float(system.N) ** (-float(beta))) / z
     raise QsmError(f"unknown route {route!r}")
@@ -665,8 +614,7 @@ def verify_system(system: QsmSystem, seed: int = 0) -> Report:
     # closed form's levels beyond it: series = trace = (1 - q^(L+1)) closed.
     for beta_val in betas:
         scale = _n_pow_minus_beta(system.N, beta_val)
-        q = system.phase_sum * (Fraction(1, system.D) * scale)
-        kept = 1 - math.prod([q] * (system.max_length + 1))
+        kept = 1 - math.prod([system.level_ratio(beta_val)] * (system.max_length + 1))
         z = partition_function(beta_val, system.k, system.N).value
         checks.append(check_all(
             f"Gibbs three-route agreement at beta={beta_val}", trees[:4],

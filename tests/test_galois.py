@@ -8,7 +8,6 @@ from dessins.galois import (
     DivisionByZero,
     ExponentSumCharacter,
     GaloisGroup,
-    LabelGSet,
     LabelOutOfRange,
     NotCoprime,
     TableCharacter,
@@ -156,8 +155,7 @@ def test_unknown_group_element():
 
 
 def test_label_gset():
-    s = LabelGSet(12)
-    assert s.act(5, 2) == 10
+    assert GaloisGroup.full(12).element(5).on_label(2) == 10
     assert GaloisGroup.full(12).label_orbit(1) == (1, 5, 7, 11)
     assert GaloisGroup.full(12).label_orbit(6) == (6,)
 
@@ -263,3 +261,25 @@ def test_character_json_round_trip():
     table = TableCharacter(12, ((leaf(1), zeta(12)),))
     round_tripped = character_from_json(character_to_json(table))
     assert round_tripped.on_tree(leaf(1)) == zeta(12)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: ExponentSumCharacter(12, 1.5), "denominator must be a positive integer"),
+    (lambda: ExponentSumCharacter(12, Fraction(2)), "denominator must be a positive integer"),
+    (lambda: ExponentSumCharacter(0), "conductor must be a positive integer"),
+    (lambda: ExponentSumCharacter(-12, 2), "conductor must be a positive integer"),
+    (lambda: ExponentSumCharacter(12.0), "conductor must be a positive integer"),
+    (lambda: character_from_json([1]), "must be an object with an 'm' field"),
+    (lambda: character_from_json({"table": {}}), "must be an object with an 'm' field"),
+    (lambda: character_from_json({"m": 12}), "needs a 'table' object or the rule 'exp-sum'"),
+    (lambda: character_from_json({"m": 12, "table": [1]}),
+     "needs a 'table' object or the rule 'exp-sum'"),
+    (lambda: character_from_json({"m": 0, "rule": "exp-sum"}),
+     "conductor must be a positive integer"),
+], ids=["float-denominator", "fraction-denominator", "zero-conductor", "negative-conductor",
+        "float-conductor", "json-not-an-object", "json-without-m", "json-without-table",
+        "json-table-not-an-object", "json-zero-conductor"])
+def test_character_inputs_are_refused_at_construction(call, match):
+    with pytest.raises(ValueError, match=match) as info:
+        call()
+    assert info.type is ValueError

@@ -31,7 +31,6 @@ from dessins.qsm import (
     ground_state,
     hamiltonian,
     lam,
-    vertex_edge_model,
     partition_function,
     partition_trace,
     time_evolution_report,
@@ -80,6 +79,18 @@ def test_system_group_is_derived_from_the_conductor():
 def test_character_denominator_below_one_is_rejected(D):
     with pytest.raises(qsm.QsmError, match="D must be an integer >= 1"):
         QsmSystem(D=D)
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.5])
+def test_system_refuses_a_conductor_below_one_at_construction(m):
+    with pytest.raises(qsm.QsmError, match=r"^m must be an integer >= 1$"):
+        QsmSystem(m=m)
+
+
+@pytest.mark.parametrize("max_length", [0, -1, 2.5])
+def test_system_refuses_an_empty_window_at_construction(max_length):
+    with pytest.raises(qsm.WindowTooSmall, match=r"^max_length must be an integer >= 1$"):
+        QsmSystem(max_length=max_length)
 
 
 def test_verify_system_scans_the_fixed_labels_once(monkeypatch):
@@ -374,7 +385,7 @@ def test_partition_vertex_edge_model_bound():
     # with N > 2k^2 the vertex-edge series is bounded by 2k, exactly
     for k in (1, 2, 3):
         n = 2 * k ** 2 + 1
-        out = partition_function(1, k=k, N=n, model=vertex_edge_model(k), mode="closed")
+        out = partition_function(1, k=k, N=n, model="vertex-edge", mode="closed")
         assert isinstance(out.value, Fraction)
         assert out.value <= 2 * k
         alias = partition_function(1, k=k, N=n, model="paper", mode="closed")
@@ -459,22 +470,22 @@ def test_partition_trace_matches_level_sums():
     assert got == want
 
 
-def test_custom_multiplicity_model():
-    model = qsm.MultiplicityModel("custom", counts=(1, 3, 5))
-    out = partition_function(1, k=0, N=10, model=model, mode="truncated", max_length=2)
-    assert out.value == 1 + Fraction(3, 10) + Fraction(5, 100)
-
-
 @pytest.mark.parametrize("model,mode,max_length,match", [
-    ("custom", "truncated", 2, "has 0 counts, not 3"),
-    (qsm.MultiplicityModel("custom", counts=(1, 3)), "truncated", 2, "has 2 counts, not 3"),
     ("bogus", "closed", None, "unknown multiplicity model 'bogus'"),
+    ("custom", "truncated", 2, "unknown multiplicity model 'custom'"),
     ("word", "truncated", -1, "integer max_length >= 0"),
-    (vertex_edge_model(2), "closed", None, "k = 2, not the k = 3 given"),
+    ("word", "sampled", None, "unknown mode 'sampled'"),
 ])
 def test_partition_function_refuses_bad_input(model, mode, max_length, match):
     with pytest.raises(qsm.QsmError, match=match):
         partition_function(1, 3, 10, model=model, mode=mode, max_length=max_length)
+
+
+@pytest.mark.parametrize("k", [-3, -1, 2.5, Fraction(2), "2"])
+@pytest.mark.parametrize("model", ["word", "vertex-edge"])
+def test_partition_function_refuses_a_k_that_is_not_a_count(model, k):
+    with pytest.raises(qsm.QsmError, match=r"^k must be an integer >= 0$"):
+        partition_function(1, k, 10, model=model)
 
 
 # --- Gibbs states ------------------------------------------------------------------
