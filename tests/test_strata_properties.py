@@ -1,4 +1,7 @@
-"""Property tests of strata on random strata with integer or string labels.
+"""Property tests of strata on random strata with integer, string, float or
+bool-and-integer labels.  Equal labels of other types (1, 1.0, True) come up
+in different examples, so a result that takes another example's labels shows
+up as a label of the wrong type.
 
 A random stratum starts at the corolla over a random label set and adds a
 random number of compatible splits, one `open_stratum_boundary` step at a
@@ -27,8 +30,10 @@ SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=
 
 @st.composite
 def label_sets(draw, min_size=3):
-    kind = draw(st.sampled_from([int, str]))
+    kind = draw(st.sampled_from([int, str, float, "bool"]))
     picked = draw(st.lists(st.integers(0, 11), min_size=min_size, max_size=8, unique=True))
+    if kind == "bool":                  # False and True stand for 0 and 1
+        return [{0: False, 1: True}.get(i, i) for i in picked]
     return [kind(i) for i in picked]
 
 
@@ -71,7 +76,10 @@ def test_projection_is_functorial_on_nested_targets(data):
     k1 = data.draw(st.integers(3, len(order)))
     k2 = data.draw(st.integers(3, k1))
     via = admissible_projection(admissible_projection(s, order[:k1]), order[:k2])
-    assert via == admissible_projection(s, order[:k2])
+    direct = admissible_projection(s, order[:k2])
+    assert via == direct
+    types = [type(x) for x in s.tree.order if x in order[:k2]]
+    assert [type(x) for x in via.tree.order] == [type(x) for x in direct.tree.order] == types
     assert admissible_projection(s, order) == s
 
 
