@@ -379,6 +379,12 @@ class TableCharacter:
     m: int
     table: tuple  # pairs (tree, CyclotomicNumber)
 
+    def __post_init__(self):
+        if not isinstance(self.m, int) or self.m < 1:
+            raise ValueError("conductor must be a positive integer")
+        if not all(isinstance(v, CyclotomicNumber) and v.m == self.m for _, v in self.table):
+            raise ValueError(f"table values must be cyclotomic numbers of conductor {self.m}")
+
     def on_tree(self, t) -> CyclotomicNumber:
         for tree, value in self.table:
             if tree == t:

@@ -276,9 +276,19 @@ def test_character_json_round_trip():
      "needs a 'table' object or the rule 'exp-sum'"),
     (lambda: character_from_json({"m": 0, "rule": "exp-sum"}),
      "conductor must be a positive integer"),
+    (lambda: TableCharacter(0, ()), "conductor must be a positive integer"),
+    (lambda: TableCharacter(-12, ()), "conductor must be a positive integer"),
+    (lambda: TableCharacter(12.0, ()), "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": 0, "table": {}}), "conductor must be a positive integer"),
+    (lambda: TableCharacter(12, ((leaf(0), zeta(60)),)),
+     "table values must be cyclotomic numbers of conductor 12"),
+    (lambda: TableCharacter(12, ((leaf(0), zeta(12)), (leaf(1), 1))),
+     "table values must be cyclotomic numbers of conductor 12"),
 ], ids=["float-denominator", "fraction-denominator", "zero-conductor", "negative-conductor",
         "float-conductor", "json-not-an-object", "json-without-m", "json-without-table",
-        "json-table-not-an-object", "json-zero-conductor"])
+        "json-table-not-an-object", "json-zero-conductor", "table-zero-conductor",
+        "table-negative-conductor", "table-float-conductor", "json-table-zero-conductor",
+        "table-value-of-another-conductor", "table-value-not-cyclotomic"])
 def test_character_inputs_are_refused_at_construction(call, match):
     with pytest.raises(ValueError, match=match) as info:
         call()

@@ -25,7 +25,8 @@ def lru_wrappers():
 def test_every_lru_cache_is_bounded():
     found = dict(lru_wrappers())
     assert {"dessins.galois.cyclotomic_polynomial", "dessins.galois._powers",
-            "dessins.strata._flag_names", "dessins.operads._bracketing_tree"} <= set(found)
+            "dessins.strata._flag_names", "dessins.strata._projector",
+            "dessins.strata._split_graph", "dessins.operads._bracketing_tree"} <= set(found)
     unbounded = [name for name, fn in found.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
 

@@ -18,6 +18,7 @@ import itertools
 
 import pytest
 
+from dessins import strata
 from dessins.cli import main
 from dessins.graphs import CombinatorialGraph, validate
 from dessins.strata import (
@@ -144,6 +145,7 @@ def test_projection_matches_fresh_tables_over_thousands_of_label_orders():
         s = stratum(two_part_tree(picked[:3], picked[3:]))
         pairs += [(s, picked[1:]), (s, picked[:4]), (s, picked[::2])]
     assert len({(s.tree.order, frozenset(target)) for s, target in pairs}) == 2772
+    assert 2772 > strata._projector.cache_info().maxsize
     for _ in range(2):
         for s, target in pairs:
             assert same_projection(admissible_projection(s, target), ref_project(s, target))
@@ -215,6 +217,18 @@ def test_flag_views_of_equal_split_systems_over_other_labels_match_fresh_builds(
               (True, 2, 3, 4, 5), (1, 2, 3, 4, 5))]
     for t in trees + trees:
         assert_fresh_view(t)
+
+
+def test_equal_split_systems_share_one_graph_and_keep_their_own_labels():
+    first, second = (StableSTree(order, (0b0110, 0b11000)) for order in
+                     ((1, 2, 3, 4, 5), ("a", "b", "c", "d", "e")))
+    assert first.graph is second.graph
+    assert first.tail_labels is not second.tail_labels
+    assert list(first.tail_labels.values()) == [1, 2, 3, 4, 5]
+    assert list(second.tail_labels.values()) == ["a", "b", "c", "d", "e"]
+    first.tail_labels["t0"] = 9         # a caller's edit stays on its own tree
+    assert second.tail_labels["t0"] == "a"
+    assert StableSTree((1.0, 2, 3, 4, 5), first.splits).tail_labels["t0"] == 1.0
 
 
 # --- CLI outputs ------------------------------------------------------------------
