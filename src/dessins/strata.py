@@ -6,19 +6,22 @@ finite set S; its codimension is the edge count and its dimension is
 label bipartitions ("splits") fixes the tree up to label-respecting
 isomorphism (Keel 1992).  A `StableSTree` stores exactly that set: each split
 is the side without the anchor (the least label), as a bitmask over the
-labels in `_labelkey` order.  Two splits lie in one tree exactly when they are
-disjoint or nested, so enumeration, contraction, projection, grafting and the
-substratum order are set operations.  Projection and grafting stay on masks:
-a bit table sends each old label's bit to its new bit (or to 0 when the
-label is forgotten, or to the other stratum's labels at the grafting site),
-and `_remap` rewrites every split through it.  Grafting builds its table per
-call; projection takes it from `_projector`, kept per (label order, target
-set), whose entries hold positions and bits but no label.  The string-flag
-view of a tree is built on first access and kept on the instance: its graph
-and edge splits come from `_split_graph`, kept per (label count, splits) and
-shared by every tree with those splits, and its tail-label map is a new dict
-of the tree's own labels, never shared.  A tree's hash is computed on first
-use.
+labels in `_labelkey` order.  A `Stratum` is one object holding the same label
+order and splits: enumeration, projection and grafting make strata without
+trees, and a stratum builds its `StableSTree` when `.tree` is first read, and
+keeps it; `Stratum(tree)` keeps the tree it is given.  Two splits lie in one
+tree exactly when they are disjoint or nested, so enumeration, contraction,
+projection, grafting and the substratum order are set operations.
+Projection and grafting stay on masks: a bit table sends each old label's bit
+to its new bit (or to 0 when the label is forgotten, or to the other
+stratum's labels at the grafting site), and `_remap` rewrites every split
+through it.  Grafting builds its table per call; projection takes it from
+`_projector`, kept per (label order, target set), whose entries hold
+positions and bits but no label.  The string-flag view of a tree is built on
+first access and kept on the instance: its graph and edge splits come from
+`_split_graph`, kept per (label count, splits) and shared by every tree with
+those splits, and its tail-label map is a new dict of the tree's own labels,
+never shared.  A tree's hash is computed on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
 
@@ -156,26 +159,73 @@ class StableSTree:
         return f"StableSTree(labels={list(self.order)!r}, splits={sides!r})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Stratum:
-    tree: StableSTree
+    """A stratum, held as the label order and splits of its stable S-tree.
+
+    `Stratum(tree)` keeps the tree it is given; a stratum made from splits
+    alone builds `StableSTree(order, splits)` when `tree` is first read and
+    keeps it.  Equality, hashing, `codim`, `dim` and `canonical_key` read
+    the splits and never build a tree.  A stratum is immutable: assigning or
+    deleting an attribute raises `dataclasses.FrozenInstanceError`.
+    """
+
+    __slots__ = ("order", "splits", "_tree")
+
+    def __init__(self, tree: StableSTree):
+        _set_order(self, tree.order)
+        _set_splits(self, tree.splits)
+        _set_tree(self, tree)
+
+    @property
+    def tree(self) -> StableSTree:
+        if self._tree is None:
+            _set_tree(self, StableSTree(self.order, self.splits))
+        return self._tree
 
     @property
     def codim(self) -> int:
-        return len(self.tree.splits)
+        return len(self.splits)
 
     @property
     def dim(self) -> int:
-        return len(self.tree.order) - 3 - len(self.tree.splits)
+        return len(self.order) - 3 - len(self.splits)
 
     def canonical_key(self):
-        return self.tree.canonical_key()
+        return self.order, self.splits
 
     def __eq__(self, other):
-        return isinstance(other, Stratum) and self.tree == other.tree
+        return (isinstance(other, Stratum) and self.splits == other.splits
+                and self.order == other.order)
 
     def __hash__(self):
-        return hash(self.tree)
+        return hash((self.order, self.splits))
+
+    def __repr__(self):
+        return f"Stratum(tree={self.tree!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Stratum, (self.tree,)
+
+
+# The slots' own setters bypass `Stratum.__setattr__`, and fill a stratum in
+# about two thirds of the time of `object.__setattr__` (Python 3.11, x86-64).
+_set_order, _set_splits, _set_tree = (getattr(Stratum, name).__set__
+                                      for name in Stratum.__slots__)
+
+
+def _stratum(order, splits) -> Stratum:
+    """The stratum of a split system over `order`, with no tree built."""
+    s = object.__new__(Stratum)
+    _set_order(s, order)
+    _set_splits(s, splits)
+    _set_tree(s, None)
+    return s
 
 
 # --- trees of splits ---------------------------------------------------------
@@ -406,33 +456,33 @@ def enumerate_strata(labels) -> dict[int, list[Stratum]]:
     order = _order(labels, 3)
     grouped: dict[int, list[Stratum]] = {}
     for family in _families(len(order)):
-        grouped.setdefault(len(family), []).append(Stratum(StableSTree(order, family)))
+        grouped.setdefault(len(family), []).append(_stratum(order, family))
     return dict(sorted(grouped.items()))
 
 
 def divisorial_strata(labels) -> list[Stratum]:
     """Codimension-one strata, one per unordered stable 2-partition of S."""
     order = _order(labels, 4)
-    return [Stratum(StableSTree(order, (m,))) for m in _all_splits(len(order))]
+    return [_stratum(order, (m,)) for m in _all_splits(len(order))]
 
 
 def trivalent_strata(labels) -> list[Stratum]:
     """Dimension-zero strata: the families of |S| - 3 compatible splits.
     Over three labels that is the corolla alone."""
     order = _order(labels, 3)
-    return [Stratum(StableSTree(order, family))
-            for family in _families(len(order), len(order) - 3)]
+    return [_stratum(order, family) for family in _families(len(order), len(order) - 3)]
 
 
 def maximal_codim_strata(labels) -> list[tuple[Stratum, bool]]:
     """All dimension-zero strata with a caterpillar flag (linear chains);
     the corolla over three labels counts as a caterpillar."""
-    return [(s, is_caterpillar(s.tree)) for s in trivalent_strata(labels)]
+    return [(s, is_caterpillar(s)) for s in trivalent_strata(labels)]
 
 
-def is_caterpillar(t: StableSTree) -> bool:
+def is_caterpillar(t: StableSTree | Stratum) -> bool:
     """True when the vertices form a linear chain (every vertex bounds at most
-    two edges); single-vertex trees count as caterpillars."""
+    two edges); single-vertex trees count as caterpillars.  Reads only the
+    splits, so a stratum needs no tree for it."""
     up, _ = _tree(len(t.order), t.splits)
     below = Counter(up)     # edges hanging below each vertex
     return below[0] <= 2 and all(below[v] <= 1 for v in range(1, len(up) + 1))
@@ -479,13 +529,12 @@ def is_substratum(inner: Stratum, outer: Stratum) -> SubstratumWitness:
     The witness is the only such subset: the edges of `inner.tree.graph`
     whose splits `outer` lacks, as ascending sorted flag pairs.
     """
-    a, b = inner.tree, outer.tree
-    if a.order != b.order:
+    if inner.order != outer.order:
         raise LabelSetMismatch("strata live over different label sets")
-    kept = set(b.splits)
-    if not kept.issubset(a.splits):
+    kept = set(outer.splits)
+    if not kept.issubset(inner.splits):
         return SubstratumWitness(False, None)
-    edges = sorted(tuple(sorted(e)) for e, m in a._view()[2].items() if m not in kept)
+    edges = sorted(tuple(sorted(e)) for e, m in inner.tree._view()[2].items() if m not in kept)
     return SubstratumWitness(True, tuple(edges))
 
 
@@ -493,18 +542,17 @@ def open_stratum_boundary(s: Stratum) -> list[Stratum]:
     """Codimension-one substrata of the closed stratum: split one vertex in
     two, each part keeping >= 2 of its flags.  The new split is the union of
     at least two, but not all, of the branches below that vertex."""
-    t = s.tree
-    up, at = _tree(len(t.order), t.splits)
-    branches = [[] for _ in range(len(t.splits) + 1)]
-    for v, m in zip(up, t.splits):
+    up, at = _tree(len(s.order), s.splits)
+    branches = [[] for _ in range(len(s.splits) + 1)]
+    for v, m in zip(up, s.splits):
         branches[v].append(m)
-    for i in range(1, len(t.order)):
+    for i in range(1, len(s.order)):
         branches[at[i]].append(1 << i)
-    out = [tuple(sorted(t.splits + (sum(part),)))      # branches are disjoint
+    out = [tuple(sorted(s.splits + (sum(part),)))      # branches are disjoint
            for below in branches
            for r in range(2, len(below))
            for part in itertools.combinations(below, r)]
-    return [Stratum(StableSTree(t.order, splits)) for splits in sorted(out)]
+    return [_stratum(s.order, splits) for splits in sorted(out)]
 
 
 def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
@@ -520,24 +568,23 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     mask of the other stratum's remaining labels; the new edge's split is
     the mask of the second stratum's remaining labels.
     """
-    t1, t2 = s1.tree, s2.tree
-    rest1 = t1.labels - {label1}
-    rest2 = t2.labels - {label2}
+    rest1 = frozenset(s1.order) - {label1}
+    rest2 = frozenset(s2.order) - {label2}
     if rest1 & rest2:
         raise LabelCollision(f"shared labels {sorted(rest1 & rest2, key=_labelkey)}")
-    if label1 not in t1.order or label2 not in t2.order:
+    if label1 not in s1.order or label2 not in s2.order:
         raise StrataError("label not present on the stratum")
     order = _order(rest1 | rest2, 4)
     bit = {lab: 1 << i for i, lab in enumerate(order)}
     full = (1 << len(order)) - 1
     mask2 = sum(bit[lab] for lab in rest2)
     splits = {mask2 ^ full if mask2 & 1 else mask2}
-    for t, site, other in ((t1, label1, mask2), (t2, label2, mask2 ^ full)):
-        bits = [other if lab == site else bit[lab] for lab in t.order]
-        for m in t.splits:
+    for s, site, other in ((s1, label1, mask2), (s2, label2, mask2 ^ full)):
+        bits = [other if lab == site else bit[lab] for lab in s.order]
+        for m in s.splits:
             m = _remap(m, bits)
             splits.add(m ^ full if m & 1 else m)
-    return Stratum(StableSTree(order, tuple(sorted(splits))))
+    return _stratum(order, tuple(sorted(splits)))
 
 
 # --- admissible projections -------------------------------------------------
@@ -577,17 +624,16 @@ def admissible_projection(s: Stratum, target_labels) -> Stratum:
     The restriction is a remap through the bit table of `_projector`.  A
     restricted split that holds the target's least label is complemented.
     """
-    t = s.tree
-    pick, bits, full = _projector(t.order, frozenset(target_labels))
+    pick, bits, full = _projector(s.order, frozenset(target_labels))
     n = full.bit_length()
     kept = set()
-    for m in t.splits:
+    for m in s.splits:
         m = _remap(m, bits)
         if m & 1:
             m ^= full
         if 2 <= m.bit_count() <= n - 2:
             kept.add(m)
-    return Stratum(StableSTree(pick(t.order), tuple(sorted(kept))))
+    return _stratum(pick(s.order), tuple(sorted(kept)))
 
 
 def project_divisor_check(parts_big, parts_small) -> bool:
@@ -623,9 +669,9 @@ def clean_dessin(s: Stratum) -> CleanDessin:
     underscores that keep them apart from the old vertex names; when labels
     print alike (1 and "1"), each leaf end gets "#{i}" appended.
     """
-    t = s.tree
-    if not is_caterpillar(t):
+    if not is_caterpillar(s):
         raise NotCaterpillar("clean dessins are defined for caterpillar strata")
+    t = s.tree
     g, labels, bdry = t.graph, t.tail_labels, t.graph.boundary
     pre = ""
     while any(v.startswith((pre + "w", pre + "end_")) for v in g.vertices):
@@ -684,7 +730,7 @@ def stratum_to_json(s: Stratum) -> dict:
     """Labels stay native JSON values (ints stay ints), in `_labelkey` order."""
     g, tail_labels, _ = s.tree._view()
     return {
-        "labels": list(s.tree.order),
+        "labels": list(s.order),
         "tree": graphs.graph_to_json(g),
         "tail_labels": dict(sorted(tail_labels.items())),
         "codim": s.codim,
@@ -692,18 +738,23 @@ def stratum_to_json(s: Stratum) -> dict:
 
 
 def stratum_from_json(obj) -> Stratum:
-    """Read `tree` and `tail_labels` through `s_tree`; `labels` (in any order)
-    and `codim` must agree with the tree read.  A missing key raises
-    StrataError naming it."""
+    """Read `tree` and `tail_labels` through `s_tree`; `labels`, a list in
+    any order, and `codim`, an integer, must agree with the tree read.  A
+    missing key, or a value of another type, raises StrataError naming it."""
     try:
         tree, tail_labels, labels, codim = (obj["tree"], obj["tail_labels"], obj["labels"],
                                             obj["codim"])
     except KeyError as exc:
         raise StrataError(f"stratum JSON is missing the key {exc.args[0]!r}") from None
     s = Stratum(s_tree(graphs.graph_from_json(tree), tail_labels))
-    if sorted(labels, key=_labelkey) != list(s.tree.order):
+    if not isinstance(labels, list):
+        raise StrataError(f"stratum JSON key 'labels' must be a list, not {type(labels).__name__}")
+    if sorted(labels, key=_labelkey) != list(s.order):
         raise StrataError(f"labels {labels!r} disagree with the tree's "
-                          f"tail labels {list(s.tree.order)!r}")
+                          f"tail labels {list(s.order)!r}")
+    if not isinstance(codim, int) or isinstance(codim, bool):
+        raise StrataError(f"stratum JSON key 'codim' must be an integer, "
+                          f"not {type(codim).__name__}")
     if codim != s.codim:
         raise StrataError(f"codim {codim!r} disagrees with the tree's codim {s.codim}")
     return s

@@ -284,11 +284,36 @@ def test_character_json_round_trip():
      "table values must be cyclotomic numbers of conductor 12"),
     (lambda: TableCharacter(12, ((leaf(0), zeta(12)), (leaf(1), 1))),
      "table values must be cyclotomic numbers of conductor 12"),
+    (lambda: ExponentSumCharacter(True), "conductor must be a positive integer"),
+    (lambda: ExponentSumCharacter(12, True), "denominator must be a positive integer"),
+    (lambda: TableCharacter(True, ()), "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": 12.7, "table": {}}), "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": True, "table": {}}), "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": "12", "table": {}}), "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": 0, "table": {"j1": ["1"]}}),
+     "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": 12.7, "rule": "exp-sum"}),
+     "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": True, "rule": "exp-sum"}),
+     "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": "12", "rule": "exp-sum"}),
+     "conductor must be a positive integer"),
+    (lambda: character_from_json({"m": 12, "D": 2.5, "rule": "exp-sum"}),
+     "denominator must be a positive integer"),
+    (lambda: character_from_json({"m": 12, "D": True, "rule": "exp-sum"}),
+     "denominator must be a positive integer"),
+    (lambda: character_from_json({"m": 12, "D": "2", "rule": "exp-sum"}),
+     "denominator must be a positive integer"),
 ], ids=["float-denominator", "fraction-denominator", "zero-conductor", "negative-conductor",
         "float-conductor", "json-not-an-object", "json-without-m", "json-without-table",
         "json-table-not-an-object", "json-zero-conductor", "table-zero-conductor",
         "table-negative-conductor", "table-float-conductor", "json-table-zero-conductor",
-        "table-value-of-another-conductor", "table-value-not-cyclotomic"])
+        "table-value-of-another-conductor", "table-value-not-cyclotomic",
+        "bool-conductor", "bool-denominator", "table-bool-conductor",
+        "json-table-fractional-conductor", "json-table-bool-conductor",
+        "json-table-string-conductor", "json-table-zero-conductor-before-values",
+        "json-fractional-conductor", "json-bool-conductor", "json-string-conductor",
+        "json-fractional-denominator", "json-bool-denominator", "json-string-denominator"])
 def test_character_inputs_are_refused_at_construction(call, match):
     with pytest.raises(ValueError, match=match) as info:
         call()

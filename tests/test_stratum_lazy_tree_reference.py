@@ -10,14 +10,19 @@ types and hold labels of equal value and another type (1, 1.0 and True),
 whose strata compare equal while keeping their own labels.
 """
 
+import contextlib
 import copy
+import io
 import itertools
 import json
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from dessins.cli import main
 from dessins.strata import (
+    LabelSetMismatch,
     Stratum,
     StableSTree,
     admissible_projection,
@@ -25,6 +30,7 @@ from dessins.strata import (
     contract_edge,
     divisorial_strata,
     enumerate_strata,
+    is_substratum,
     maximal_codim_strata,
     open_stratum_boundary,
     s_tree,
@@ -149,3 +155,59 @@ def test_strata_over_equal_labels_of_other_types_are_equal_and_keep_their_labels
             (int, float, bool)
         assert [repr(a), repr(b), repr(c)] == [repr(reference(x)) for x in (a, b, c)]
     assert len(set(ints) | set(floats) | set(bools)) == 236
+
+
+# --- a tree is built only when .tree is read ---------------------------------------
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The number of StableSTree constructions since the fixture was made."""
+    built = [0]
+    init = StableSTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StableSTree, "__init__", counting_init)
+    return built
+
+
+def test_constructors_and_split_reads_build_no_tree(tree_builds):
+    labels = (1, 2.5, "a", "b", "c", 6)
+    made = flat(enumerate_strata(labels)) + divisorial_strata(labels) + trivalent_strata(labels)
+    made += [s for s, _ in maximal_codim_strata(labels)]
+    made += [b for s in made[:20] for b in open_stratum_boundary(s)]
+    made += [admissible_projection(s, target) for s in made[:60]
+             for target in (labels[:3], labels[1:5], labels)]
+    made += [compose_strata(s1, 1, s2, "x") for s1 in made[:20]
+             for s2 in flat(enumerate_strata(("x", "y", "z", 9)))]
+    assert len(made) > 900
+    assert tree_builds[0] == 0
+    assert len(set(made)) < len(made) and all(s == s for s in made)
+    assert {s.canonical_key() for s in made} and sum(s.codim + s.dim for s in made)
+    corolla, divisor = made[0], made[1]
+    assert not is_substratum(corolla, divisor)
+    with pytest.raises(LabelSetMismatch):
+        is_substratum(corolla, made[-1])
+    assert tree_builds[0] == 0
+    t = divisor.tree
+    assert tree_builds[0] == 1
+    assert divisor.tree is t and repr(divisor) and tree_builds[0] == 1
+
+
+def test_strata_cli_counts_and_poset_build_no_tree(tree_builds, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["strata", "--n", "6", "--counts", "--csv", str(tmp_path / "c.csv"),
+                     "--poset", str(tmp_path / "poset.txt")]) == 0
+    assert tree_builds[0] == 0
+
+
+@pytest.mark.parametrize("name", ["tree", "order", "splits", "_tree", "other"])
+def test_a_stratum_refuses_to_set_or_delete_any_attribute(name):
+    s = divisorial_strata((1, 2, 3, 4))[0]
+    with pytest.raises(FrozenInstanceError):
+        setattr(s, name, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(s, name)
+    assert s == Stratum(StableSTree((1, 2, 3, 4), (0b0110,)))

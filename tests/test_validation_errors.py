@@ -158,6 +158,22 @@ def test_stratum_from_json_checks_labels_and_codim(match, obj):
     raises_exactly(strata.StrataError, match, lambda: strata.stratum_from_json(obj))
 
 
+@pytest.mark.parametrize("match,obj", [
+    (r"^stratum JSON key 'labels' must be a list, not str$", _payload(labels="12345")),
+    (r"^stratum JSON key 'labels' must be a list, not tuple$", _payload(labels=(1, 2, 3, 4, 5))),
+    (r"^stratum JSON key 'labels' must be a list, not dict$",
+     _payload(labels=dict.fromkeys([1, 2, 3, 4, 5]))),
+    (r"^stratum JSON key 'codim' must be an integer, not bool$", _payload(codim=True)),
+    (r"^stratum JSON key 'codim' must be an integer, not float$", _payload(codim=1.0)),
+    (r"^stratum JSON key 'codim' must be an integer, not str$", _payload(codim="1")),
+    # labels are checked before codim
+    (r"^stratum JSON key 'labels' must be a list", _payload(labels="12345", codim=True)),
+], ids=["labels-string", "labels-tuple", "labels-dict", "codim-bool", "codim-float",
+        "codim-string", "labels-type-first"])
+def test_stratum_from_json_checks_the_types_of_labels_and_codim(match, obj):
+    raises_exactly(strata.StrataError, match, lambda: strata.stratum_from_json(obj))
+
+
 def test_stratum_from_json_takes_labels_in_any_order():
     s = stratum(strata.two_part_tree([1, 2], [3, 4, 5]))
     assert strata.stratum_from_json(_payload(labels=[5, 3, 1, 4, 2])) == s
