@@ -271,3 +271,74 @@ def test_equal_values_by_different_routes_are_equal_and_hash_alike(case):
     for other in routes:
         assert other == x and hash(other) == hash(x)
     assert (zeta(12) * 2) / 2 == zeta(12) and hash((zeta(12) * 2) / 2) == hash(zeta(12))
+
+
+# --- differential: the Galois action's exact representation --------------------------
+#
+# The reference is a test-local copy of the action that folded dense integer
+# power rows and then divided out the gcd of the result.  The library's action
+# must return the same fields: `coeffs` are Fractions, so comparing them alone
+# would not see a result that is not in lowest terms.
+
+@functools.cache
+def int_powers(m):
+    phi = cyclotomic_polynomial(m)
+    cur = [1] + [0] * (len(phi) - 2)
+    powers = []
+    for _ in range(m):
+        powers.append(tuple(cur))
+        cur = [c - cur[-1] * p for c, p in zip([0] + cur[:-1], phi)]
+    return tuple(powers)
+
+
+def ref_act_fields(a, z):
+    m, powers = z.m, int_powers(z.m)
+    out = [0] * len(powers[0])
+    for e, c in enumerate(z.num):
+        if c:
+            for k, v in enumerate(powers[(a * e) % m]):
+                if v:
+                    out[k] += c * v
+    g = gcd(*out, z.den)
+    return m, tuple(c // g for c in out), z.den // g
+
+
+def assert_act_matches_reference(a, z):
+    got = galois_act_value(a, z)
+    assert (got.m, got.num, got.den) == ref_act_fields(a, z)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_galois_action_fields_match_gcd_reference(m):
+    values = [zeta(m, e) for e in range(m)]
+    # every pair (i, j) would take about 85 s at m <= 60; four partners per i
+    # keep the sweep to a few seconds
+    values += [zeta(m, i) + zeta(m, j) * 2 for i in range(m) for j in (0, 1, -1, 2 * i)]
+    values += [v for v, _ in one_minus_q(m)]
+    for a in units(m):
+        for z in values:
+            assert_act_matches_reference(a, z)
+
+
+@pytest.mark.parametrize("m", (97, 401))
+def test_galois_action_fields_match_gcd_reference_on_dense_values(m):
+    rng = random.Random(m)
+    d = len(cyclotomic_polynomial(m)) - 1
+    values = [CyclotomicNumber.from_coeffs(
+        m, [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 50)) for _ in range(d)])
+        for _ in range(4)]
+    values.append(CyclotomicNumber.from_coeffs(m, [6 * rng.randint(-9, 9) for _ in range(d)]))
+    for a in rng.sample(units(m), 6) + [1, m - 1]:
+        for z in values:
+            assert_act_matches_reference(a, z)
+
+
+@SETTINGS
+@given(triples(), st.data())
+def test_galois_action_keeps_lowest_terms_and_inverts(case, data):
+    m, x, _, _ = case
+    a = data.draw(st.sampled_from(units(m)))
+    y = galois_act_value(a, x)
+    assert y.den > 0 and gcd(*y.num, y.den) == 1
+    back = galois_act_value(pow(a, -1, m) if m > 1 else 0, y)
+    assert back == x and hash(back) == hash(x)
