@@ -3,8 +3,14 @@ acting on labels and on values, and multiplicative characters on labelled
 rooted trees that intertwine the two actions.
 
 Elements of Q(zeta_m) are integer power-basis vectors over one positive
-denominator; Phi_m is monic, so one integer table of the powers of zeta serves
-products and the Galois action, and inverses go through the norm.
+denominator; Phi_m is monic, so one integer table of the powers of zeta,
+kept as the nonzero (coordinate, value) pairs of each power, serves products
+and the Galois action, and inverses go through the norm.
+
+The Galois action divides out no gcd.  sigma_a is a ring automorphism of
+Z[zeta_m], and 1, zeta, ..., zeta^(phi(m)-1) is a Z-basis of that ring
+(Washington, Introduction to Cyclotomic Fields, Thm 2.6), so sigma_a keeps
+the gcd of the integer coordinates, and a value in lowest terms stays so.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 
 from dessins import hopf
@@ -56,7 +63,7 @@ def _poly_divmod_exact(num, den):
     return out
 
 
-# Both tables are kept for the 128 most recent conductors; a run uses a few.
+# Each table is kept for the 128 most recent conductors; a run uses a few.
 @lru_cache(maxsize=128)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
@@ -83,15 +90,20 @@ def _powers(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(powers)
 
 
+@lru_cache(maxsize=128)
+def _sparse_powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_m^e as its nonzero (coordinate, value) pairs for e = 0..m-1."""
+    return tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in _powers(m))
+
+
 def _fold(m: int, terms) -> list[int]:
     """Integer coordinates of the sum of c * zeta^e over (e, c) pairs."""
-    powers = _powers(m)
-    out = [0] * len(powers[0])
+    rows = _sparse_powers(m)
+    out = [0] * len(_powers(m)[0])
     for e, c in terms:
         if c:
-            for k, v in enumerate(powers[e % m]):
-                if v:
-                    out[k] += c * v
+            for k, v in rows[e % m]:
+                out[k] += c * v
     return out
 
 
@@ -236,11 +248,16 @@ def zeta(m: int, k: int = 1) -> CyclotomicNumber:
 
 
 def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
-    """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1."""
+    """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1.
+
+    The coordinates keep their gcd (see the module docstring), so the result
+    is built with no gcd pass: a value in lowest terms gives one in lowest
+    terms, and a hand-built value not in lowest terms comes back unreduced,
+    as its negation does."""
     m = z.m
     if gcd(a, m) != 1:
         raise NotCoprime(f"{a} is not invertible modulo {m}")
-    return _reduced(m, _fold(m, ((a * e, c) for e, c in enumerate(z.num))), z.den)
+    return CyclotomicNumber(m, tuple(_fold(m, zip(count(0, a), z.num))), z.den)
 
 
 def complex_embed(z: CyclotomicNumber) -> complex:
@@ -319,6 +336,8 @@ class GaloisGroup:
                     raise ValueError("element set is not closed under multiplication")
 
     def element(self, a: int) -> GroupElement:
+        if not isinstance(a, int):
+            raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {self.m}")
         if a % self.m not in self.elements:
             raise UnknownGroupElement(f"{a} is not in the configured group modulo {self.m}")
         return GroupElement(self, a % self.m)

@@ -29,6 +29,7 @@ from dessins.galois import (
     CyclotomicNumber,
     ExponentSumCharacter,
     GaloisGroup,
+    _is_positive_int,
     balance_check,
     char_eval,
     complex_embed,
@@ -435,12 +436,12 @@ class QsmSystem:
     max_length: int = 6
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_positive_int(self.m):
             raise QsmError("m must be an integer >= 1")
         _check_spectral_base(self.N)
-        if not isinstance(self.D, int) or self.D < 1:
+        if not _is_positive_int(self.D):
             raise QsmError("D must be an integer >= 1")
-        if not isinstance(self.max_length, int) or self.max_length < 1:
+        if not _is_positive_int(self.max_length):
             raise WindowTooSmall("max_length must be an integer >= 1")
 
     @cached_property

@@ -103,6 +103,10 @@ def test_galois_identity_and_conjugation():
 def test_galois_not_coprime():
     with pytest.raises(NotCoprime):
         galois_act_value(2, zeta(4))
+    # the power tables are cached, and a cache stores no exception
+    for _ in range(2):
+        with pytest.raises(NotCoprime, match=r"^2 is not invertible modulo 12$"):
+            galois_act_value(2, zeta(12))
 
 
 def test_complex_embed():

@@ -25,6 +25,7 @@ def lru_wrappers():
 def test_every_lru_cache_is_bounded():
     found = dict(lru_wrappers())
     assert {"dessins.galois.cyclotomic_polynomial", "dessins.galois._powers",
+            "dessins.galois._sparse_powers",
             "dessins.strata._flag_names", "dessins.strata._projector",
             "dessins.strata._split_graph", "dessins.operads._bracketing_tree"} <= set(found)
     unbounded = [name for name, fn in found.items() if fn.cache_parameters()["maxsize"] is None]

@@ -1,10 +1,12 @@
-"""Each validation error of the strata, graphs, operads and galois
+"""Each validation error of the strata, graphs, operads, galois and qsm
 constructors, raised on the malformed input it names, with its exact exception
 type and message."""
 
+from fractions import Fraction
+
 import pytest
 
-from dessins import galois, graphs, operads, strata
+from dessins import galois, graphs, operads, qsm, strata
 from dessins.galois import CyclotomicNumber, ExponentSumCharacter, GaloisGroup, zeta
 from dessins.graphs import corolla, disjoint_union, validate
 from dessins.strata import CurveCombinatorics, s_corolla, stratum
@@ -189,11 +191,26 @@ def test_stratum_from_json_takes_labels_in_any_order():
     (galois.CyclotomicError, "expected 4 coefficients",
      lambda: CyclotomicNumber.from_coeffs(12, (1, 2, 3))),
     (ValueError, "positive integer", lambda: ExponentSumCharacter(12, 0)),
+    (galois.UnknownGroupElement, r"^5\.0 is not an integer residue modulo 12$",
+     lambda: GaloisGroup(12, (1, 5)).element(5.0)),
+    (galois.UnknownGroupElement, r"^Fraction\(5, 1\) is not an integer residue modulo 12$",
+     lambda: GaloisGroup(12, (1, 5)).element(Fraction(5))),
 ], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
         "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
-        "wrong-coefficient-count", "zero-denominator"])
+        "wrong-coefficient-count", "zero-denominator", "float-group-element",
+        "fraction-group-element"])
 def test_galois_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
+
+
+@pytest.mark.parametrize("exc_type,match,field", [
+    (qsm.QsmError, r"^m must be an integer >= 1$", "m"),
+    (qsm.QsmError, r"^D must be an integer >= 1$", "D"),
+    (qsm.WindowTooSmall, r"^max_length must be an integer >= 1$", "max_length"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_qsm_system_refuses_bool_fields(exc_type, match, field, value):
+    raises_exactly(exc_type, match, lambda: qsm.QsmSystem(**{field: value}))
 
 
 @pytest.mark.parametrize("match,args", [
