@@ -157,19 +157,21 @@ def test_strata_over_equal_labels_of_other_types_are_equal_and_keep_their_labels
     assert len(set(ints) | set(floats) | set(bools)) == 236
 
 
-# --- a tree is built only when .tree is read ---------------------------------------
+# --- a flag view is built only when it is read ------------------------------------
 
 @pytest.fixture
 def tree_builds(monkeypatch):
-    """The number of StableSTree constructions since the fixture was made."""
+    """The number of flag views built since the fixture was made: from a
+    stratum's splits, or by blowing down an edge of another view."""
+    from dessins import strata
+
     built = [0]
-    init = StableSTree.__init__
+    for name in ("_flags_from_splits", "_contracted"):
+        def counting(*args, _build=getattr(strata, name)):
+            built[0] += 1
+            return _build(*args)
 
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(StableSTree, "__init__", counting_init)
+        monkeypatch.setattr(strata, name, counting)
     return built
 
 
@@ -186,14 +188,19 @@ def test_constructors_and_split_reads_build_no_tree(tree_builds):
     assert tree_builds[0] == 0
     assert len(set(made)) < len(made) and all(s == s for s in made)
     assert {s.canonical_key() for s in made} and sum(s.codim + s.dim for s in made)
+    assert all(len(s.tree.label_splits()) == s.codim and repr(s) for s in made)
     corolla, divisor = made[0], made[1]
     assert not is_substratum(corolla, divisor)
     with pytest.raises(LabelSetMismatch):
         is_substratum(corolla, made[-1])
     assert tree_builds[0] == 0
-    t = divisor.tree
+    g = divisor.tree.graph
     assert tree_builds[0] == 1
-    assert divisor.tree is t and repr(divisor) and tree_builds[0] == 1
+    assert divisor.tree.graph is g and divisor.tree.tail_labels and tree_builds[0] == 1
+    assert is_substratum(divisor, corolla) and tree_builds[0] == 1
+    contracted = contract_edge(divisor.tree, next(iter(g.edges)))
+    assert contracted.splits == corolla.splits == () and tree_builds[0] == 1
+    assert contracted.graph is contracted.graph and tree_builds[0] == 2
 
 
 def test_strata_cli_counts_and_poset_build_no_tree(tree_builds, tmp_path):
