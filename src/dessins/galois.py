@@ -255,8 +255,11 @@ def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
     terms, and a hand-built value not in lowest terms comes back unreduced,
     as its negation does."""
     m = z.m
-    if gcd(a, m) != 1:
-        raise NotCoprime(f"{a} is not invertible modulo {m}")
+    try:
+        if gcd(a, m) != 1:
+            raise NotCoprime(f"{a} is not invertible modulo {m}")
+    except TypeError:       # a float or Fraction: no residue, as in GaloisGroup.element
+        raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {m}") from None
     return CyclotomicNumber(m, tuple(_fold(m, zip(count(0, a), z.num))), z.den)
 
 

@@ -4,24 +4,21 @@ A stratum is a connected stable tree whose tails are labelled bijectively by a
 finite set S; its codimension is the edge count and its dimension is
 |S| - 3 - codim.  Cutting an edge splits S in two, and the set of these
 label bipartitions ("splits") fixes the tree up to label-respecting
-isomorphism (Keel 1992).  A `StableSTree` stores exactly that set: each split
+isomorphism (Keel 1992).  A `Stratum` stores exactly that set: each split
 is the side without the anchor (the least label), as a bitmask over the
-labels in `_labelkey` order.  A `Stratum` is one object holding the same label
-order and splits: enumeration, projection and grafting make strata without
-trees, and a stratum builds its `StableSTree` when `.tree` is first read, and
-keeps it; `Stratum(tree)` keeps the tree it is given.  Two splits lie in one
-tree exactly when they are disjoint or nested, so enumeration, contraction,
-projection, grafting and the substratum order are set operations.
+labels in `_labelkey` order.  Two splits lie in one tree exactly when they
+are disjoint or nested, so enumeration, contraction, projection, grafting
+and the substratum order are set operations.
 Projection and grafting stay on masks: a bit table sends each old label's bit
 to its new bit (or to 0 when the label is forgotten, or to the other
 stratum's labels at the grafting site), and `_remap` rewrites every split
 through it.  Grafting builds its table per call; projection takes it from
 `_projector`, kept per (label order, target set), whose entries hold
-positions and bits but no label.  The string-flag view of a tree is built on
+positions and bits but no label.  The string-flag view of a stratum is built on
 first access and kept on the instance: its graph and edge splits come from
-`_split_graph`, kept per (label count, splits) and shared by every tree with
-those splits, and its tail-label map is a new dict of the tree's own labels,
-never shared.  A tree's hash is computed on first use.
+`_split_graph`, kept per (label count, splits) and shared by every stratum with
+those splits, and its tail-label map is a new dict of the stratum's own labels,
+never shared.
 """
 
 from __future__ import annotations
@@ -101,27 +98,42 @@ def _remap(mask, bits) -> int:
     return out
 
 
-class StableSTree:
-    """Connected stable tree with tails labelled bijectively by a set S.
+class Stratum:
+    """A stratum: a connected stable tree with tails labelled bijectively by
+    a set S, held as its label order and splits.
 
     `order` lists S by `_labelkey`; `splits` holds, for each edge, the side
     of its label bipartition without order[0] as a bitmask over `order`, in
-    ascending order.  The constructor trusts its input: `s_tree` checks an
-    explicit graph.
+    ascending order.  `Stratum(order, splits)` trusts its input: `s_tree`
+    checks an explicit graph.  `Stratum(s)` and `Stratum(tree=s)` return the
+    stratum s, and `s.tree` is s.  Equality, hashing, `codim`, `dim` and
+    `canonical_key` read the splits; the flag view is built when `graph` or
+    `tail_labels` is first read, and kept.  A stratum is immutable: assigning
+    or deleting an attribute raises `dataclasses.FrozenInstanceError`.
     """
 
-    __slots__ = ("order", "splits", "_hash", "_flag_view", "_build")
+    __slots__ = ("order", "splits", "_flag_view")
 
-    def __init__(self, order: tuple, splits: tuple, build=None):
-        self.order = order
-        self.splits = splits
-        self._hash = None
-        self._flag_view = None
-        self._build = build     # makes the flag graph when it is not built from splits
+    def __new__(cls, order=None, splits=None, *, tree=None):
+        if splits is None:
+            return (order if tree is None else tree).tree
+        return _stratum(order, splits)
+
+    @property
+    def tree(self) -> Stratum:
+        return self
 
     @property
     def labels(self) -> frozenset:
         return frozenset(self.order)
+
+    @property
+    def codim(self) -> int:
+        return len(self.splits)
+
+    @property
+    def dim(self) -> int:
+        return len(self.order) - 3 - len(self.splits)
 
     @property
     def graph(self) -> CombinatorialGraph:
@@ -132,63 +144,17 @@ class StableSTree:
         return self._view()[1]
 
     def _view(self):
-        """(flag graph, tail labels, split of each flag edge), built once."""
-        if self._flag_view is None:
-            build, self._build = self._build, None
-            self._flag_view = build() if build else _flags_from_splits(self.order, self.splits)
-        return self._flag_view
+        """(flag graph, tail labels, split of each flag edge), built once
+        from the splits or by the builder that `contract_edge` passes."""
+        view = self._flag_view
+        if type(view) is not tuple:
+            view = view() if view else _flags_from_splits(self.order, self.splits)
+            _set_view(self, view)
+        return view
 
     def label_splits(self) -> frozenset:
         """The splits as label sets (the sides without the least label)."""
         return frozenset(_side(self.order, m) for m in self.splits)
-
-    def canonical_key(self):
-        return self.order, self.splits
-
-    def __eq__(self, other):
-        return (isinstance(other, StableSTree) and self.splits == other.splits
-                and self.order == other.order)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.order, self.splits))
-        return self._hash
-
-    def __repr__(self):
-        sides = [sorted(_side(self.order, m), key=_labelkey) for m in self.splits]
-        return f"StableSTree(labels={list(self.order)!r}, splits={sides!r})"
-
-
-class Stratum:
-    """A stratum, held as the label order and splits of its stable S-tree.
-
-    `Stratum(tree)` keeps the tree it is given; a stratum made from splits
-    alone builds `StableSTree(order, splits)` when `tree` is first read and
-    keeps it.  Equality, hashing, `codim`, `dim` and `canonical_key` read
-    the splits and never build a tree.  A stratum is immutable: assigning or
-    deleting an attribute raises `dataclasses.FrozenInstanceError`.
-    """
-
-    __slots__ = ("order", "splits", "_tree")
-
-    def __init__(self, tree: StableSTree):
-        _set_order(self, tree.order)
-        _set_splits(self, tree.splits)
-        _set_tree(self, tree)
-
-    @property
-    def tree(self) -> StableSTree:
-        if self._tree is None:
-            _set_tree(self, StableSTree(self.order, self.splits))
-        return self._tree
-
-    @property
-    def codim(self) -> int:
-        return len(self.splits)
-
-    @property
-    def dim(self) -> int:
-        return len(self.order) - 3 - len(self.splits)
 
     def canonical_key(self):
         return self.order, self.splits
@@ -201,30 +167,36 @@ class Stratum:
         return hash((self.order, self.splits))
 
     def __repr__(self):
-        return f"Stratum(tree={self.tree!r})"
+        sides = [sorted(_side(self.order, m), key=_labelkey) for m in self.splits]
+        return f"Stratum(labels={list(self.order)!r}, splits={sides!r})"
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        if name != "_flag_view":
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _set_view(self, value)
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Stratum, (self.tree,)
+        return _stratum, (self.order, self.splits, self._flag_view)
 
+
+StableSTree = Stratum
 
 # The slots' own setters bypass `Stratum.__setattr__`, and fill a stratum in
 # about two thirds of the time of `object.__setattr__` (Python 3.11, x86-64).
-_set_order, _set_splits, _set_tree = (getattr(Stratum, name).__set__
+_set_order, _set_splits, _set_view = (getattr(Stratum, name).__set__
                                       for name in Stratum.__slots__)
 
 
-def _stratum(order, splits) -> Stratum:
-    """The stratum of a split system over `order`, with no tree built."""
+def _stratum(order, splits, view=None) -> Stratum:
+    """The stratum of a split system over `order`, with its flag view, the
+    builder of it, or None to build it from the splits when first read."""
     s = object.__new__(Stratum)
     _set_order(s, order)
     _set_splits(s, splits)
-    _set_tree(s, None)
+    _set_view(s, view)
     return s
 
 
@@ -306,7 +278,7 @@ def _order(labels, least) -> tuple:
 
 # --- constructors -----------------------------------------------------------
 
-def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
+def s_tree(graph: CombinatorialGraph, tail_labels) -> Stratum:
     """Stable S-tree of an explicit flag graph, which must be connected and
     stable with its tails labelled bijectively by distinct labels.
 
@@ -339,20 +311,18 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> StableSTree:
         v, e = parent[w]
         below[v] |= below[w]
         edge_split[e] = everything ^ below[w] if below[w] & 1 else below[w]
-    t = StableSTree(order, tuple(sorted(edge_split.values())))
-    t._flag_view = (graph, tail_labels, edge_split)
-    return t
+    return _stratum(order, tuple(sorted(edge_split.values())), (graph, tail_labels, edge_split))
 
 
-def s_corolla(labels) -> StableSTree:
-    return StableSTree(_order(labels, 3), ())
+def s_corolla(labels) -> Stratum:
+    return _stratum(_order(labels, 3), ())
 
 
-def stratum(tree: StableSTree) -> Stratum:
+def stratum(tree: Stratum) -> Stratum:
     return Stratum(tree)
 
 
-def two_part_tree(part1, part2) -> StableSTree:
+def two_part_tree(part1, part2) -> Stratum:
     """One-edge tree for a 2-partition of S, both parts of size >= 2."""
     part1, part2 = set(part1), set(part2)
     if len(part1) < 2 or len(part2) < 2:
@@ -360,7 +330,7 @@ def two_part_tree(part1, part2) -> StableSTree:
     if part1 & part2:
         raise LabelCollision("partition parts overlap")
     order = _order(part1 | part2, 4)
-    return StableSTree(order, (_mask(order, part1),))
+    return _stratum(order, (_mask(order, part1),))
 
 
 @dataclass(frozen=True)
@@ -372,7 +342,7 @@ class CurveCombinatorics:
     marked: dict                # label -> component
 
 
-def curve_to_dessin(curve: CurveCombinatorics) -> StableSTree:
+def curve_to_dessin(curve: CurveCombinatorics) -> Stratum:
     """Dual tree: vertices are components, edges are double points, tails are
     labelled marked points.  Components are named by their text, so two
     that print alike raise DuplicateComponent.  Raises UnstableComponent if a
@@ -479,10 +449,10 @@ def maximal_codim_strata(labels) -> list[tuple[Stratum, bool]]:
     return [(s, is_caterpillar(s)) for s in trivalent_strata(labels)]
 
 
-def is_caterpillar(t: StableSTree | Stratum) -> bool:
+def is_caterpillar(t: Stratum) -> bool:
     """True when the vertices form a linear chain (every vertex bounds at most
     two edges); single-vertex trees count as caterpillars.  Reads only the
-    splits, so a stratum needs no tree for it."""
+    splits, so no flag view is built."""
     up, _ = _tree(len(t.order), t.splits)
     below = Counter(up)     # edges hanging below each vertex
     return below[0] <= 2 and all(below[v] <= 1 for v in range(1, len(up) + 1))
@@ -501,7 +471,7 @@ def _contracted(view, e):
     return graph, dict(tail_labels), {k: m for k, m in edge_split.items() if k != e}
 
 
-def contract_edge(t: StableSTree, edge) -> StableSTree:
+def contract_edge(t: Stratum, edge) -> Stratum:
     """Blow down one flag edge of `t.graph`: its split is dropped.  The
     result's graph, built on first access, merges the edge's endpoints into
     the lesser vertex name and keeps every other flag and vertex name."""
@@ -510,7 +480,7 @@ def contract_edge(t: StableSTree, edge) -> StableSTree:
     if e not in view[2]:
         raise NoSuchEdge(f"{sorted(edge)} is not an edge of the tree")
     splits = tuple(m for m in t.splits if m != view[2][e])
-    return StableSTree(t.order, splits, partial(_contracted, view, e))
+    return _stratum(t.order, splits, partial(_contracted, view, e))
 
 
 @dataclass(frozen=True)
@@ -526,7 +496,7 @@ def is_substratum(inner: Stratum, outer: Stratum) -> SubstratumWitness:
     """Whether contracting some edge subset of `inner` gives `outer`, that is,
     whether every split of `outer` is a split of `inner`.
 
-    The witness is the only such subset: the edges of `inner.tree.graph`
+    The witness is the only such subset: the edges of `inner.graph`
     whose splits `outer` lacks, as ascending sorted flag pairs.
     """
     if inner.order != outer.order:
@@ -534,7 +504,7 @@ def is_substratum(inner: Stratum, outer: Stratum) -> SubstratumWitness:
     kept = set(outer.splits)
     if not kept.issubset(inner.splits):
         return SubstratumWitness(False, None)
-    edges = sorted(tuple(sorted(e)) for e, m in inner.tree._view()[2].items() if m not in kept)
+    edges = sorted(tuple(sorted(e)) for e, m in inner._view()[2].items() if m not in kept)
     return SubstratumWitness(True, tuple(edges))
 
 
@@ -671,8 +641,7 @@ def clean_dessin(s: Stratum) -> CleanDessin:
     """
     if not is_caterpillar(s):
         raise NotCaterpillar("clean dessins are defined for caterpillar strata")
-    t = s.tree
-    g, labels, bdry = t.graph, t.tail_labels, t.graph.boundary
+    g, labels, bdry = s.graph, s.tail_labels, s.graph.boundary
     pre = ""
     while any(v.startswith((pre + "w", pre + "end_")) for v in g.vertices):
         pre += "_"
@@ -728,7 +697,7 @@ def clean_dessin_is_connected(d: CleanDessin) -> bool:
 
 def stratum_to_json(s: Stratum) -> dict:
     """Labels stay native JSON values (ints stay ints), in `_labelkey` order."""
-    g, tail_labels, _ = s.tree._view()
+    g, tail_labels, _ = s._view()
     return {
         "labels": list(s.order),
         "tree": graphs.graph_to_json(g),
@@ -746,7 +715,7 @@ def stratum_from_json(obj) -> Stratum:
                                             obj["codim"])
     except KeyError as exc:
         raise StrataError(f"stratum JSON is missing the key {exc.args[0]!r}") from None
-    s = Stratum(s_tree(graphs.graph_from_json(tree), tail_labels))
+    s = s_tree(graphs.graph_from_json(tree), tail_labels)
     if not isinstance(labels, list):
         raise StrataError(f"stratum JSON key 'labels' must be a list, not {type(labels).__name__}")
     if sorted(labels, key=_labelkey) != list(s.order):
@@ -761,7 +730,7 @@ def stratum_from_json(obj) -> Stratum:
 
 
 def stratum_to_dot(s: Stratum, name="stratum") -> str:
-    return graphs.to_dot(s.tree.graph, tail_labels=s.tree.tail_labels, name=name)
+    return graphs.to_dot(s.graph, tail_labels=s.tail_labels, name=name)
 
 
 def clean_dessin_to_dot(d: CleanDessin, name: str) -> str:

@@ -66,7 +66,6 @@ def assert_matches(s, ref):
     assert s == ref and ref == s and not s != ref and not ref != s
     assert hash(s) == hash(ref) == hash((order, splits))
     assert s in {ref} and ref in {s} and {s: 1}[ref] == 1 and {ref: 1}[s] == 1
-    assert s != ref.tree and ref.tree != s
     assert (s.codim, s.dim) == (ref.codim, ref.dim) == (len(splits), len(order) - 3 - len(splits))
     key = s.canonical_key()
     assert key == ref.canonical_key() == (order, splits)

@@ -22,6 +22,7 @@ and labels of equal value and another type (1, 1.0 and True).
 
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -246,6 +247,10 @@ def assert_same(got, want, views=True):
     if views:
         for x, r in zip(got, want):
             assert_view(as_stratum(x).tree._view(), as_ref_stratum(r).tree._view(), r.order)
+        for x, r in zip(got[::7], want[::7]):      # a copy keeps the flag view
+            back = pickle.loads(pickle.dumps(x))
+            assert back == x and typed(back.order) == typed(r.order)
+            assert_view(as_stratum(back).tree._view(), as_ref_stratum(r).tree._view(), r.order)
 
 
 def split_made(got):
@@ -264,8 +269,8 @@ def test_trees_from_splits_labels_and_partitions_match_the_two_classes(labels):
     for n in range(3, 7):
         order = order_of(labels[:n])
         families = strata._families(n)
-        assert_same([StableSTree(order, f) for f in families],
-                    [RefTree(order, f) for f in families])
+        for make in (StableSTree, Stratum):
+            assert_same([make(order, f) for f in families], [RefTree(order, f) for f in families])
         assert_same([s_corolla(labels[:n])], [RefTree(order, ())])
     for n in range(4, 7):
         order = order_of(labels[:n])
@@ -383,3 +388,20 @@ def test_strata_over_equal_labels_of_other_types_share_classes_and_keep_their_la
     mixed = [s for labels in LABEL_SETS[:3] for s in flat(enumerate_strata(labels[:5]))]
     assert_same(mixed, split_made(mixed))
     assert len(set(mixed)) == len(mixed) // 3 == 26
+
+
+# --- an enumerated stratum has the flag reads of a tree ------------------------
+
+@pytest.mark.parametrize("labels", LABEL_SETS, ids=repr)
+def test_enumerated_strata_read_graphs_and_contract_edges_as_their_trees_do(labels):
+    for s in flat(enumerate_strata(labels[:5])):
+        t, ref = s.tree, RefTree(s.order, s.splits)
+        assert s.graph == t.graph == ref.graph and s.graph is t.graph
+        assert typed(s.tail_labels.items()) == typed(t.tail_labels.items()) == \
+            typed(ref.tail_labels.items())
+        assert strata.is_caterpillar(s) == strata.is_caterpillar(t)
+        for e in sorted(s.graph.edges, key=sorted):
+            c, want = contract_edge(s, e), ref_contract_edge(ref, e)
+            assert c == contract_edge(t, e) and c.canonical_key() == want.canonical_key()
+            assert c.graph == contract_edge(t, e).graph == want.graph
+            assert c.tail_labels == want.tail_labels

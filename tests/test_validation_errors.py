@@ -195,10 +195,14 @@ def test_stratum_from_json_takes_labels_in_any_order():
      lambda: GaloisGroup(12, (1, 5)).element(5.0)),
     (galois.UnknownGroupElement, r"^Fraction\(5, 1\) is not an integer residue modulo 12$",
      lambda: GaloisGroup(12, (1, 5)).element(Fraction(5))),
+    (galois.UnknownGroupElement, r"^5\.0 is not an integer residue modulo 12$",
+     lambda: galois.galois_act_value(5.0, zeta(12))),
+    (galois.UnknownGroupElement, r"^Fraction\(5, 1\) is not an integer residue modulo 12$",
+     lambda: galois.galois_act_value(Fraction(5), zeta(12))),
 ], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
         "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
         "wrong-coefficient-count", "zero-denominator", "float-group-element",
-        "fraction-group-element"])
+        "fraction-group-element", "float-action-exponent", "fraction-action-exponent"])
 def test_galois_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
 
