@@ -7,6 +7,11 @@ denominator; Phi_m is monic, so one integer table of the powers of zeta,
 kept as the nonzero (coordinate, value) pairs of each power, serves products
 and the Galois action, and inverses go through the norm.
 
+A value is a slotted, frozen `CyclotomicNumber` whose fields are always in
+lowest terms: `CyclotomicNumber(m, num, den)` checks its fields and divides
+out their gcd, and the library's own results, whose fields are already in
+lowest terms, are built by the one trusted builder `_cyc` with no check.
+
 The Galois action divides out no gcd.  sigma_a is a ring automorphism of
 Z[zeta_m], and 1, zeta, ..., zeta^(phi(m)-1) is a Z-basis of that ring
 (Washington, Introduction to Cyclotomic Fields, Thm 2.6), so sigma_a keeps
@@ -17,9 +22,9 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd, lcm
 
@@ -121,18 +126,37 @@ def _mul(m: int, a, b) -> list[int]:
 def _reduced(m: int, num, den: int) -> "CyclotomicNumber":
     """num/den with a positive denominator and the common gcd divided out."""
     g = gcd(*num, den) if den > 0 else -gcd(*num, den)
-    return CyclotomicNumber(m, tuple(c // g for c in num), den // g)
+    return _cyc(m, tuple(c // g for c in num), den // g)
 
 
-@dataclass(frozen=True)
+# Slots by hand, not `slots=True`: that option's frozen `__setattr__` refers to
+# the class it replaces, so assigning a non-field name raised TypeError (3.11).
+@dataclass(frozen=True, init=False)
 class CyclotomicNumber:
     """Exact element of the m-th cyclotomic field: integer power-basis
     coordinates `num` over a positive denominator `den` in lowest terms, so
-    equal values have equal fields.  Build values with the constructors or zeta."""
+    equal values have equal fields.  `CyclotomicNumber(m, num, den)` refuses
+    coordinates of the wrong number or type and a zero denominator, and puts
+    the fields in lowest terms."""
 
+    __slots__ = ("m", "num", "den")
     m: int
     num: tuple[int, ...]
-    den: int = 1
+    den: int
+
+    def __new__(cls, m: int, num, den: int = 1):
+        _check_conductor(m)
+        num, d = tuple(num), len(_powers(m)[0])
+        if len(num) != d:
+            raise CyclotomicError(f"expected {d} coordinates for conductor {m}, got {len(num)}")
+        if any(type(c) is not int for c in (*num, den)):
+            raise CyclotomicError("coordinates and denominator must be integers")
+        if not den:
+            raise DivisionByZero("zero denominator")
+        return _reduced(m, num, den)
+
+    def __reduce__(self):
+        return _cyc, (self.m, self.num, self.den)
 
     # -- constructors
     @staticmethod
@@ -143,7 +167,7 @@ class CyclotomicNumber:
     def from_rational(m: int, q) -> "CyclotomicNumber":
         q = Fraction(q)
         d = len(_powers(m)[0])
-        return CyclotomicNumber(m, (q.numerator,) + (0,) * (d - 1), q.denominator)
+        return _cyc(m, (q.numerator,) + (0,) * (d - 1), q.denominator)
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "CyclotomicNumber":
@@ -179,7 +203,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.m, tuple(-a for a in self.num), self.den)
+        return _cyc(self.m, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + -other
@@ -242,25 +266,37 @@ class CyclotomicNumber:
         return f"Cyc({self.m}; {body})"
 
 
+# The slots' own setters bypass the frozen `__setattr__`, as in `strata._stratum`.
+_set_m, _set_num, _set_den = (getattr(CyclotomicNumber, name).__set__
+                              for name in CyclotomicNumber.__slots__)
+
+
+def _cyc(m: int, num: tuple[int, ...], den: int = 1) -> CyclotomicNumber:
+    """The value num/den from fields already in lowest terms, unchecked."""
+    z = object.__new__(CyclotomicNumber)
+    _set_m(z, m)
+    _set_num(z, num)
+    _set_den(z, den)
+    return z
+
+
 def zeta(m: int, k: int = 1) -> CyclotomicNumber:
     """zeta_m^k as an exact cyclotomic number."""
-    return CyclotomicNumber(m, _powers(m)[k % m])
+    return _cyc(m, _powers(m)[k % m])
 
 
 def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
     """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1.
 
     The coordinates keep their gcd (see the module docstring), so the result
-    is built with no gcd pass: a value in lowest terms gives one in lowest
-    terms, and a hand-built value not in lowest terms comes back unreduced,
-    as its negation does."""
+    is built with no gcd pass."""
     m = z.m
     try:
         if gcd(a, m) != 1:
             raise NotCoprime(f"{a} is not invertible modulo {m}")
     except TypeError:       # a float or Fraction: no residue, as in GaloisGroup.element
         raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {m}") from None
-    return CyclotomicNumber(m, tuple(_fold(m, zip(count(0, a), z.num))), z.den)
+    return _cyc(m, tuple(_fold(m, zip(count(0, a), z.num))), z.den)
 
 
 def complex_embed(z: CyclotomicNumber) -> complex:
@@ -275,15 +311,21 @@ def complex_embed(z: CyclotomicNumber) -> complex:
 class GroupElement:
     group: "GaloisGroup"
     a: int
+    m: int = field(init=False, compare=False, repr=False)   # group.m, read per label
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", self.group.m)
 
     def on_label(self, j: int) -> int:
-        return (self.a * j) % self.group.m
+        return (self.a * j) % self.m
 
     def on_value(self, z: CyclotomicNumber) -> CyclotomicNumber:
         return galois_act_value(self.a, z)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.element((self.a * other.a) % self.group.m)
+        if not isinstance(other, GroupElement) or other.group != self.group:
+            raise UnknownGroupElement(f"{other!r} is not an element of {self.group!r}")
+        return self.group.element((self.a * other.a) % self.m)
 
 
 def _conductor(m: int) -> int:
@@ -338,12 +380,18 @@ class GaloisGroup:
                 if (a * b) % self.m not in elems:
                     raise ValueError("element set is not closed under multiplication")
 
+    @cached_property
+    def _element_table(self) -> dict[int, GroupElement]:
+        """The group's own element for each of its residues."""
+        return {a: GroupElement(self, a) for a in self.elements}
+
     def element(self, a: int) -> GroupElement:
         if not isinstance(a, int):
             raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {self.m}")
-        if a % self.m not in self.elements:
+        g = self._element_table.get(a % self.m)
+        if g is None:
             raise UnknownGroupElement(f"{a} is not in the configured group modulo {self.m}")
-        return GroupElement(self, a % self.m)
+        return g
 
     def fixed_labels(self) -> tuple[int, ...]:
         """Labels j in Z/m with a*j = j (mod m) for every group element."""
@@ -398,8 +446,7 @@ class ExponentSumCharacter:
         total, nodes = _label_sum_and_nodes(t, self.m)
         # a power of zeta is a unit, so its integer coordinates are coprime
         # and zeta^e / D^n is already in lowest terms
-        return CyclotomicNumber(self.m, _powers(self.m)[total % self.m],
-                                self.denominator ** nodes)
+        return _cyc(self.m, _powers(self.m)[total % self.m], self.denominator ** nodes)
 
 
 @dataclass(frozen=True)

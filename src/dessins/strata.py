@@ -106,7 +106,7 @@ class Stratum:
     of its label bipartition without order[0] as a bitmask over `order`, in
     ascending order.  `Stratum(order, splits)` trusts its input: `s_tree`
     checks an explicit graph.  `Stratum(s)` and `Stratum(tree=s)` return the
-    stratum s, and `s.tree` is s.  Equality, hashing, `codim`, `dim` and
+    stratum s, and refuse anything else with `StrataError`; `s.tree` is s.  Equality, hashing, `codim`, `dim` and
     `canonical_key` read the splits; the flag view is built when `graph` or
     `tail_labels` is first read, and kept.  A stratum is immutable: assigning
     or deleting an attribute raises `dataclasses.FrozenInstanceError`.
@@ -116,7 +116,10 @@ class Stratum:
 
     def __new__(cls, order=None, splits=None, *, tree=None):
         if splits is None:
-            return (order if tree is None else tree).tree
+            s = order if tree is None else tree
+            if not isinstance(s, Stratum):
+                raise StrataError(f"{s!r} is not a stratum")
+            return s
         return _stratum(order, splits)
 
     @property

@@ -93,6 +93,19 @@ def test_galois_action_composes():
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("num,den,value", [
+    ((2, 0, 0, 0), 2, CyclotomicNumber.one(12)),
+    ((-3, 0, 6, 0), -9, CyclotomicNumber.from_coeffs(12, (Fraction(1, 3), 0, Fraction(-2, 3), 0))),
+    ([0, 5, 0, 0], 5, zeta(12)),
+    ((0, 0, 0, 0), -4, CyclotomicNumber.zero(12)),
+], ids=["common-factor", "negative-denominator", "list-coordinates", "zero-over-negative"])
+def test_hand_built_values_are_put_in_lowest_terms(num, den, value):
+    x = CyclotomicNumber(12, num, den)
+    assert x == value and hash(x) == hash(value)
+    assert (x.m, x.num, x.den) == (value.m, value.num, value.den)
+    assert -x == -value and galois_act_value(5, x) == galois_act_value(5, value)
+
+
 def test_galois_identity_and_conjugation():
     assert galois_act_value(1, zeta(4)) == zeta(4)
     assert galois_act_value(3, zeta(4)) == -zeta(4)  # complex conjugation
@@ -156,6 +169,14 @@ def test_unknown_group_element():
     g = GaloisGroup.generated(12, [5])
     with pytest.raises(UnknownGroupElement):
         g.element(7)
+
+
+def test_group_products_stay_in_one_group():
+    # products across groups are refused (see test_validation_errors.py);
+    # equal groups built apart are one group
+    g = GaloisGroup.full(12)
+    assert g.element(5) * g.element(7) is g.element(11)
+    assert g.element(5) * GaloisGroup.full(12).element(5) == g.element(1)
 
 
 def test_label_gset():

@@ -1,13 +1,18 @@
 """Every module-level `functools.lru_cache` in the library has a finite bound,
-and values cached on an instance live only on instances that cannot change."""
+values cached on an instance live only on instances that cannot change, each
+Galois group keeps one table of its elements, and slotted values are immutable."""
 
 import dataclasses
 import functools
 import importlib
 import inspect
 import pkgutil
+from math import gcd
+
+import pytest
 
 import dessins
+from dessins import galois, strata
 
 
 def modules():
@@ -44,3 +49,37 @@ def test_cached_properties_live_only_on_frozen_dataclasses():
     mutable = [name for name, cls in owners.items()
                if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)]
     assert mutable == []
+
+
+def test_each_group_builds_its_element_table_once():
+    for m in range(1, 61):
+        group = galois.GaloisGroup.full(m)
+        table = group._element_table
+        assert len(table) == sum(gcd(a, m) == 1 for a in range(m))
+        assert group._element_table is table
+        assert all(group.element(a) is table[a] for a in group.elements)
+
+
+# A sample of each slotted class that declares itself immutable by its own
+# `__setattr__`.
+SLOTTED_VALUES = {
+    "dessins.galois.CyclotomicNumber": lambda: galois.zeta(12) / 3,
+    "dessins.strata.Stratum": lambda: strata.two_part_tree({1, 2}, {3, 4}),
+}
+
+
+def test_slotted_values_have_no_dict_and_refuse_assignment():
+    found = {f"{cls.__module__}.{cls.__qualname__}": cls
+             for module in modules()
+             for cls in vars(module).values()
+             if inspect.isclass(cls) and cls.__module__ == module.__name__
+             and "__slots__" in vars(cls) and cls.__setattr__ is not object.__setattr__}
+    assert set(found) == set(SLOTTED_VALUES)
+    for name, cls in found.items():
+        value = SLOTTED_VALUES[name]()
+        assert type(value) is cls and not hasattr(value, "__dict__")
+        for attr in [a for a in cls.__slots__ if not a.startswith("_")] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, attr, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, attr)

@@ -85,12 +85,15 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
     (strata.StrataError, CONNECTED,
      lambda: strata.s_tree(disjoint_union(SELF_LOOP, ABC), {})),
     (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, {})),
+    (strata.StrataError, r"^\(1, 2, 3\) is not a stratum$", lambda: strata.Stratum((1, 2, 3))),
+    (strata.StrataError, r"^'abc' is not a stratum$", lambda: strata.Stratum(tree="abc")),
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
         "one-label-part", "overlapping-parts", "double-point-off-curve",
         "marked-point-off-curve", "components-share-a-name",
         "components-print-alike", "absent-grafting-label", "projection-off-stratum",
         "cyclic", "self-loop", "parallel-edges", "empty", "two-stable-trees",
-        "disconnected-before-unstable", "unstable-before-unlabelled"])
+        "disconnected-before-unstable", "unstable-before-unlabelled",
+        "stratum-of-a-tuple", "stratum-of-a-string-tree"])
 def test_strata_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
 
@@ -199,10 +202,38 @@ def test_stratum_from_json_takes_labels_in_any_order():
      lambda: galois.galois_act_value(5.0, zeta(12))),
     (galois.UnknownGroupElement, r"^Fraction\(5, 1\) is not an integer residue modulo 12$",
      lambda: galois.galois_act_value(Fraction(5), zeta(12))),
+    (galois.UnknownGroupElement,
+     r"^GroupElement\(group=GaloisGroup\(m=8, elements=\(1, 3, 5, 7\)\), a=5\) is not an "
+     r"element of GaloisGroup\(m=12, elements=\(1, 5, 7, 11\)\)$",
+     lambda: GaloisGroup.full(12).element(5) * GaloisGroup.full(8).element(5)),
+    (galois.UnknownGroupElement, r"^GroupElement\(group=GaloisGroup\(m=12, elements=\(1, 5\)\), "
+     r"a=5\) is not an element of GaloisGroup\(m=12, elements=\(1, 5, 7, 11\)\)$",
+     lambda: GaloisGroup.full(12).element(5) * GaloisGroup(12, (1, 5)).element(5)),
+    (galois.UnknownGroupElement, r"^5 is not an element of ",
+     lambda: GaloisGroup.full(12).element(5) * 5),
+    (galois.CyclotomicError, r"^expected 4 coordinates for conductor 12, got 3$",
+     lambda: CyclotomicNumber(12, (1, 0, 0))),
+    (galois.CyclotomicError, r"^expected 4 coordinates for conductor 12, got 5$",
+     lambda: CyclotomicNumber(12, (1, 0, 0, 0, 0))),
+    (galois.CyclotomicError, r"^coordinates and denominator must be integers$",
+     lambda: CyclotomicNumber(12, (1.0, 0, 0, 0))),
+    (galois.CyclotomicError, r"^coordinates and denominator must be integers$",
+     lambda: CyclotomicNumber(12, (Fraction(1, 2), 0, 0, 0))),
+    (galois.CyclotomicError, r"^coordinates and denominator must be integers$",
+     lambda: CyclotomicNumber(12, (True, 0, 0, 0))),
+    (galois.CyclotomicError, r"^coordinates and denominator must be integers$",
+     lambda: CyclotomicNumber(12, (1, 0, 0, 0), 2.0)),
+    (galois.DivisionByZero, r"^zero denominator$", lambda: CyclotomicNumber(12, (1, 0, 0, 0), 0)),
+    (ValueError, r"^conductor must be a positive integer$",
+     lambda: CyclotomicNumber(0, ())),
 ], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
         "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
         "wrong-coefficient-count", "zero-denominator", "float-group-element",
-        "fraction-group-element", "float-action-exponent", "fraction-action-exponent"])
+        "fraction-group-element", "float-action-exponent", "fraction-action-exponent",
+        "product-across-conductors", "product-across-subgroups", "product-with-an-int",
+        "too-few-coordinates", "too-many-coordinates", "float-coordinate",
+        "fraction-coordinate", "bool-coordinate", "float-value-denominator",
+        "zero-value-denominator", "zero-value-conductor"])
 def test_galois_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
 
