@@ -106,9 +106,10 @@ class Stratum:
     of its label bipartition without order[0] as a bitmask over `order`, in
     ascending order.  `Stratum(order, splits)` trusts its input: `s_tree`
     checks an explicit graph.  `Stratum(s)` and `Stratum(tree=s)` return the
-    stratum s, and refuse anything else with `StrataError`; `s.tree` is s.  Equality, hashing, `codim`, `dim` and
-    `canonical_key` read the splits; the flag view is built when `graph` or
-    `tail_labels` is first read, and kept.  A stratum is immutable: assigning
+    stratum s, and refuse anything else with `StrataError`; `s.tree` is s.
+    Equality, hashing, `codim`, `dim` and `canonical_key` read the splits;
+    the flag view is built when `graph` or `tail_labels` is first read, and
+    kept.  A stratum is immutable: assigning
     or deleting an attribute raises `dataclasses.FrozenInstanceError`.
     """
 
