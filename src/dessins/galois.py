@@ -309,12 +309,20 @@ def complex_embed(z: CyclotomicNumber) -> complex:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """The residue `a` as an element of `group`; any other `a` raises
+    UnknownGroupElement."""
+
     group: "GaloisGroup"
     a: int
     m: int = field(init=False, compare=False, repr=False)   # group.m, read per label
 
     def __post_init__(self):
-        object.__setattr__(self, "m", self.group.m)
+        m = self.group.m
+        if not isinstance(self.a, int):
+            raise UnknownGroupElement(f"{self.a!r} is not an integer residue modulo {m}")
+        if self.a not in self.group.elements:
+            raise UnknownGroupElement(f"{self.a} is not in the configured group modulo {m}")
+        object.__setattr__(self, "m", m)
 
     def on_label(self, j: int) -> int:
         return (self.a * j) % self.m
@@ -382,8 +390,14 @@ class GaloisGroup:
 
     @cached_property
     def _element_table(self) -> dict[int, GroupElement]:
-        """The group's own element for each of its residues."""
-        return {a: GroupElement(self, a) for a in self.elements}
+        """The group's own element for each of its residues, built without
+        `GroupElement`'s membership check, which would make the table
+        quadratic in the group order."""
+        table = {}
+        for a in self.elements:
+            table[a] = g = object.__new__(GroupElement)
+            vars(g).update(group=self, a=a, m=self.m)
+        return table
 
     def element(self, a: int) -> GroupElement:
         if not isinstance(a, int):

@@ -139,12 +139,27 @@ def _first_fault(flag_set, vertex_set, bdry, invl):
 
 
 def graph_from_json(text_or_obj) -> CombinatorialGraph:
-    """Build a graph from the JSON schema {flags, vertices, boundary, involution}."""
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, (str, bytes)) else text_or_obj
+    """Build a graph from the JSON schema {flags, vertices, boundary, involution},
+    given as text or as the parsed dict: lists of flags and vertices, and dicts
+    for the two maps.  Text that is not JSON, a value that is not a dict, a
+    missing key or a value of another type raises GraphError naming it."""
+    obj = text_or_obj
+    if isinstance(obj, (str, bytes)):
+        try:
+            obj = json.loads(obj)
+        except ValueError as exc:
+            raise GraphError(f"graph JSON text does not parse: {exc}") from None
+    if not isinstance(obj, dict):
+        raise GraphError(f"graph JSON must be a dict, not {type(obj).__name__}")
     try:
         raw = obj["flags"], obj["vertices"], obj["boundary"], obj["involution"]
     except KeyError as exc:
         raise GraphError(f"graph JSON is missing the key {exc.args[0]!r}") from None
+    for key, value, kind in zip(("flags", "vertices", "boundary", "involution"), raw,
+                                (list, list, dict, dict)):
+        if not isinstance(value, kind):
+            raise GraphError(f"graph JSON key {key!r} must be a {kind.__name__}, "
+                             f"not {type(value).__name__}")
     return validate(*raw)
 
 

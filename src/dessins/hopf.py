@@ -31,6 +31,7 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from dessins.report import Report, check_all, check_together
@@ -153,12 +154,23 @@ def _add(terms: dict, key, coeff):
 class _Polynomial:
     """Finite exact linear combination: `terms` maps keys to nonzero coefficients.
     A scalar scales; elements of one type add, and multiply through the product
-    of two keys that each subclass supplies as `_key_product`; types do not mix."""
+    of two keys that each subclass supplies as `_key_product`; types do not mix.
+    A polynomial is hashable, so assigning or deleting `terms` after
+    construction raises `dataclasses.FrozenInstanceError`."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        _set_terms(self, {k: c for k, c in terms.items() if c} if terms else {})
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.terms,)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
@@ -189,6 +201,9 @@ class _Polynomial:
             for k2, c2 in other.terms.items():
                 _add(out, product(k1, k2), c1 * c2)
         return type(self)(out)
+
+
+_set_terms = _Polynomial.terms.__set__
 
 
 class ForestPolynomial(_Polynomial):

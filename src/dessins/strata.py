@@ -11,14 +11,16 @@ are disjoint or nested, so enumeration, contraction, projection, grafting
 and the substratum order are set operations.
 Projection and grafting stay on masks: a bit table sends each old label's bit
 to its new bit (or to 0 when the label is forgotten, or to the other
-stratum's labels at the grafting site), and `_remap` rewrites every split
-through it.  Grafting builds its table per call; projection takes it from
-`_projector`, kept per (label order, target set), whose entries hold
-positions and bits but no label.  The string-flag view of a stratum is built on
-first access and kept on the instance: its graph and edge splits come from
-`_split_graph`, kept per (label count, splits) and shared by every stratum with
-those splits, and its tail-label map is a new dict of the stratum's own labels,
-never shared.
+stratum's labels at the grafting site), and `_remap` rewrites a split
+through it.  Grafting builds its table per call and remaps every split.
+Projection is one lookup per split in the split images of `_projector`,
+kept per (label order, target set): each image is remapped on the split's
+first lookup and kept, and is 0 for a split the projection contracts.
+Those entries hold positions, bits and masks but no label.  The
+string-flag view of a stratum is built on first access and kept on the
+instance: its graph and edge splits come from `_split_graph`, kept per
+(label count, splits) and shared by every stratum with those splits, and
+its tail-label map is a new dict of the stratum's own labels, never shared.
 """
 
 from __future__ import annotations
@@ -141,11 +143,13 @@ class Stratum:
 
     @property
     def graph(self) -> CombinatorialGraph:
-        return self._view()[0]
+        view = self._flag_view
+        return view[0] if type(view) is tuple else self._view()[0]
 
     @property
     def tail_labels(self) -> dict:
-        return self._view()[1]
+        view = self._flag_view
+        return view[1] if type(view) is tuple else self._view()[1]
 
     def _view(self):
         """(flag graph, tail labels, split of each flag edge), built once
@@ -171,7 +175,7 @@ class Stratum:
         return hash((self.order, self.splits))
 
     def __repr__(self):
-        sides = [sorted(_side(self.order, m), key=_labelkey) for m in self.splits]
+        sides = [_sorted_labels(_side(self.order, m)) for m in self.splits]
         return f"Stratum(labels={list(self.order)!r}, splits={sides!r})"
 
     def __setattr__(self, name, value):
@@ -270,9 +274,24 @@ def _flags_from_splits(order, splits):
     return g, dict(zip(tails, order)), edge_split
 
 
+def _sorted_labels(labels) -> list:
+    """`labels` sorted by `_labelkey`.  Labels of one type sort by value, in
+    the same order and about three times faster; mixed types, and equal
+    labels of a type with no order (None and None), sort by the key."""
+    labels = list(labels)
+    kind = type(labels[0]) if labels else None
+    for x in labels:
+        if type(x) is not kind:
+            return sorted(labels, key=_labelkey)
+    try:
+        return sorted(labels)
+    except TypeError:
+        return sorted(labels, key=_labelkey)
+
+
 def _order(labels, least) -> tuple:
     labels = list(labels)
-    order = tuple(sorted(set(labels), key=_labelkey))
+    order = tuple(_sorted_labels(set(labels)))
     if len(order) != len(labels):
         raise LabelCollision("labels must be pairwise distinct")
     if len(order) < least:
@@ -304,7 +323,7 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> Stratum:
         raise StrataError("tail_labels must be defined exactly on the tails")
     if len(set(tail_labels.values())) != len(tail_labels):
         raise StrataError("tail labels must be pairwise distinct")
-    order = tuple(sorted(tail_labels.values(), key=_labelkey))
+    order = tuple(_sorted_labels(tail_labels.values()))
     bit = {lab: 1 << i for i, lab in enumerate(order)}
     below = dict.fromkeys(graph.vertices, 0)
     for f, lab in tail_labels.items():
@@ -545,7 +564,7 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     rest1 = frozenset(s1.order) - {label1}
     rest2 = frozenset(s2.order) - {label2}
     if rest1 & rest2:
-        raise LabelCollision(f"shared labels {sorted(rest1 & rest2, key=_labelkey)}")
+        raise LabelCollision(f"shared labels {_sorted_labels(rest1 & rest2)}")
     if label1 not in s1.order or label2 not in s2.order:
         raise StrataError("label not present on the stratum")
     order = _order(rest1 | rest2, 4)
@@ -563,20 +582,41 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
 
 # --- admissible projections -------------------------------------------------
 
-# Keyed by the label order and the target set.  An entry holds positions
-# and bits, never labels, so orders that are equal but for the types of
-# their labels ((1, 2, 3) and (1.0, 2, 3), or True for 1) share an entry and
-# each result keeps its own stratum's labels.  A strata-census pass makes
-# 21,240 projections with 51 distinct keys, and 256 entries hold all 219
-# targets of >= 3 labels of one eight-label order.  An entry over six labels
-# is about 0.7 KiB under tracemalloc, so 256 entries hold about 0.2 MiB.
+class _SplitImages(dict):
+    """Image of each split mask under one projection, filled on first use:
+    the mask restricted through the bit table, complemented when it holds the
+    target's least label, or 0 when a side keeps fewer than two labels."""
+
+    __slots__ = ("bits", "full")
+
+    def __init__(self, bits, full):
+        self.bits, self.full = bits, full
+
+    def __missing__(self, mask):
+        m = _remap(mask, self.bits)
+        if m & 1:
+            m ^= self.full
+        self[mask] = m = m if 2 <= m.bit_count() <= self.full.bit_length() - 2 else 0
+        return m
+
+
+# Keyed by the label order and the target set.  An entry holds positions,
+# bits and split images, never labels, so orders that are equal but for the
+# types of their labels ((1, 2, 3) and (1.0, 2, 3), or True for 1) share an
+# entry and each result keeps its own stratum's labels.  An entry's images
+# are only those of the splits it was asked for, never a table over every
+# mask.  A strata-census pass makes 21,240 projections with 51 distinct
+# keys, and 256 entries hold all 219 targets of >= 3 labels of one
+# eight-label order.  An entry over six labels with the images of all 25
+# splits is about 1.6 KiB under tracemalloc, so 256 entries hold about
+# 0.4 MiB.
 @lru_cache(maxsize=256)
 def _projector(order, target):
-    """(picker of the kept labels, bit table, full mask) of the projection
-    of trees over `order` onto the frozenset `target`: the bit table sends
-    a kept label's old bit to its bit in the target order and a forgotten
-    label's to 0.  A refused target raises on every call, since a cache
-    stores no exception."""
+    """(picker of the kept labels, split images) of the projection of trees
+    over `order` onto the frozenset `target`: the bit table of the images
+    sends a kept label's old bit to its bit in the target order and a
+    forgotten label's to 0.  A refused target raises on every call, since a
+    cache stores no exception."""
     if len(target) < 3:
         raise TargetTooSmall("target label set needs at least 3 labels")
     if not target.issubset(order):
@@ -585,7 +625,7 @@ def _projector(order, target):
     bits = [0] * len(order)
     for j, i in enumerate(kept):
         bits[i] = 1 << j
-    return itemgetter(*kept), tuple(bits), (1 << len(kept)) - 1
+    return itemgetter(*kept), _SplitImages(bits, (1 << len(kept)) - 1)
 
 
 def admissible_projection(s: Stratum, target_labels) -> Stratum:
@@ -593,20 +633,12 @@ def admissible_projection(s: Stratum, target_labels) -> Stratum:
 
     Each split is restricted to the target and kept when both of its sides
     still hold >= 2 labels; this is the split system of the tree left after
-    contracting every edge at a vertex with fewer than three flags.
-
-    The restriction is a remap through the bit table of `_projector`.  A
-    restricted split that holds the target's least label is complemented.
+    contracting every edge at a vertex with fewer than three flags.  Each
+    split's image is one lookup in the split images of `_projector`, where a
+    split whose side keeps fewer than two labels has the image 0.
     """
-    pick, bits, full = _projector(s.order, frozenset(target_labels))
-    n = full.bit_length()
-    kept = set()
-    for m in s.splits:
-        m = _remap(m, bits)
-        if m & 1:
-            m ^= full
-        if 2 <= m.bit_count() <= n - 2:
-            kept.add(m)
+    pick, image = _projector(s.order, frozenset(target_labels))
+    kept = {image[m] for m in s.splits} - {0}
     return _stratum(pick(s.order), tuple(sorted(kept)))
 
 
@@ -711,23 +743,40 @@ def stratum_to_json(s: Stratum) -> dict:
 
 
 def stratum_from_json(obj) -> Stratum:
-    """Read `tree` and `tail_labels` through `s_tree`; `labels`, a list in
-    any order, and `codim`, an integer, must agree with the tree read.  A
-    missing key, or a value of another type, raises StrataError naming it."""
+    """Read `tree` through `graphs.graph_from_json`, which raises GraphError
+    on a malformed graph, and `tail_labels` through `s_tree`; `labels`, a
+    list in any order, and `codim`, an integer, must agree with the tree
+    read.  An object that is not a dict, a missing key, a value of another
+    type or an unhashable tail label raises StrataError naming it; these are
+    checked once, before the tree is read."""
+    if not isinstance(obj, dict):
+        raise StrataError(f"stratum JSON must be a dict, not {type(obj).__name__}")
     try:
         tree, tail_labels, labels, codim = (obj["tree"], obj["tail_labels"], obj["labels"],
                                             obj["codim"])
     except KeyError as exc:
         raise StrataError(f"stratum JSON is missing the key {exc.args[0]!r}") from None
-    s = s_tree(graphs.graph_from_json(tree), tail_labels)
+    if not isinstance(tail_labels, dict):
+        raise StrataError(f"stratum JSON key 'tail_labels' must be a dict, "
+                          f"not {type(tail_labels).__name__}")
     if not isinstance(labels, list):
         raise StrataError(f"stratum JSON key 'labels' must be a list, not {type(labels).__name__}")
-    if sorted(labels, key=_labelkey) != list(s.order):
-        raise StrataError(f"labels {labels!r} disagree with the tree's "
-                          f"tail labels {list(s.order)!r}")
     if not isinstance(codim, int) or isinstance(codim, bool):
         raise StrataError(f"stratum JSON key 'codim' must be an integer, "
                           f"not {type(codim).__name__}")
+    try:
+        hash(tuple(tail_labels.values()))
+    except TypeError as exc:
+        raise StrataError(f"stratum JSON key 'tail_labels' must hold hashable labels "
+                          f"({exc})") from None
+    s = s_tree(graphs.graph_from_json(tree), tail_labels)
+    try:
+        agree = _sorted_labels(labels) == list(s.order)
+    except TypeError:       # labels of one type that has no order
+        agree = False
+    if not agree:
+        raise StrataError(f"labels {labels!r} disagree with the tree's "
+                          f"tail labels {list(s.order)!r}")
     if codim != s.codim:
         raise StrataError(f"codim {codim!r} disagrees with the tree's codim {s.codim}")
     return s

@@ -1,18 +1,22 @@
 """Every module-level `functools.lru_cache` in the library has a finite bound,
 values cached on an instance live only on instances that cannot change, each
-Galois group keeps one table of its elements, and slotted values are immutable."""
+Galois group keeps one table of its elements, each projection keeps only the
+split images it was asked for, and slotted values are immutable."""
 
+import copy
 import dataclasses
 import functools
 import importlib
 import inspect
+import itertools
+import pickle
 import pkgutil
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 import dessins
-from dessins import galois, strata
+from dessins import galois, hopf, strata
 
 
 def modules():
@@ -60,10 +64,32 @@ def test_each_group_builds_its_element_table_once():
         assert all(group.element(a) is table[a] for a in group.elements)
 
 
+def test_each_projection_keeps_one_image_per_split_it_was_asked_for():
+    # a table over every mask would grow as 2^n with the label count n
+    strata._projector.cache_clear()
+    asked = {}
+    for n in range(3, 8):
+        labels = range(n)
+        for s in (s for group in strata.enumerate_strata(labels).values() for s in group):
+            for k in range(3, n + 1):
+                for target in itertools.combinations(labels, k):
+                    strata.admissible_projection(s, target)
+                    asked.setdefault((s.order, frozenset(target)), set()).update(s.splits)
+    assert len(asked) == sum(comb(n, k) for n in range(3, 8) for k in range(3, n + 1))
+    assert strata._projector.cache_info().currsize == len(asked)
+    for (order, target), masks in asked.items():
+        _, image = strata._projector(order, target)
+        assert image.keys() == masks
+    assert strata._projector.cache_info().misses == len(asked)
+
+
 # A sample of each slotted class that declares itself immutable by its own
 # `__setattr__`.
 SLOTTED_VALUES = {
     "dessins.galois.CyclotomicNumber": lambda: galois.zeta(12) / 3,
+    "dessins.hopf._Polynomial": lambda: hopf._Polynomial({"x": 1}),
+    "dessins.hopf.ForestPolynomial": lambda: hopf.ForestPolynomial.generator(0),
+    "dessins.hopf.PairPolynomial": lambda: hopf.PairPolynomial.of((0,), ()),
     "dessins.strata.Stratum": lambda: strata.two_part_tree({1, 2}, {3, 4}),
 }
 
@@ -83,3 +109,17 @@ def test_slotted_values_have_no_dict_and_refuse_assignment():
                 setattr(value, attr, 1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, attr)
+
+
+def test_a_polynomial_stays_findable_as_a_dict_key_and_survives_a_copy():
+    def poly():
+        return hopf.ForestPolynomial.generator(0) + hopf.ForestPolynomial.one()
+
+    p = poly()
+    found = {p: 1}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.terms = {}
+    assert found[p] == 1 and found[poly()] == 1
+    for q in (p, hopf.PairPolynomial.of((0,), ())):
+        for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert type(twin) is type(q) and twin == q and twin.terms is not q.terms

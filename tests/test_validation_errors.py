@@ -179,6 +179,37 @@ def test_stratum_from_json_checks_the_types_of_labels_and_codim(match, obj):
     raises_exactly(strata.StrataError, match, lambda: strata.stratum_from_json(obj))
 
 
+def _tree_payload(**changes):
+    return _payload(tree={**_payload()["tree"], **changes})
+
+
+@pytest.mark.parametrize("exc_type,match,obj", [
+    (strata.StrataError, r"^stratum JSON must be a dict, not list$", [_payload()]),
+    (strata.StrataError, r"^stratum JSON key 'tail_labels' must be a dict, not list$",
+     _payload(tail_labels=list(_payload()["tail_labels"].items()))),
+    (strata.StrataError, r"^stratum JSON key 'tail_labels' must hold hashable labels "
+     r"\(unhashable type: 'list'\)$",
+     _payload(tail_labels={**_payload()["tail_labels"], "t0": [1]})),
+    (strata.StrataError, r"^labels \[\{'a': 1\}, \{'b': 2\}, 3, 4, 5\] disagree with the "
+     r"tree's tail labels \[1, 2, 3, 4, 5\]$", _payload(labels=[{"a": 1}, {"b": 2}, 3, 4, 5])),
+    (graphs.GraphError, r"^graph JSON key 'flags' must be a list, not int$",
+     _tree_payload(flags=3)),
+    (graphs.GraphError, r"^graph JSON key 'boundary' must be a dict, not list$",
+     _tree_payload(boundary=[])),
+    (graphs.GraphError, r"^graph JSON text does not parse: Expecting value: line 1 column 1 "
+     r"\(char 0\)$", _payload(tree="not JSON")),
+    # the types of the stratum's own keys are checked before the tree is read
+    (strata.StrataError, r"^stratum JSON key 'tail_labels' must be a dict, not list$",
+     _payload(tail_labels=[], tree="not JSON")),
+    (strata.StrataError, r"^stratum JSON key 'codim' must be an integer, not str$",
+     _payload(codim="1", tree="not JSON")),
+], ids=["object-list", "tail-labels-list", "label-unhashable", "labels-unorderable",
+        "tree-flags-int", "tree-boundary-list", "tree-not-json", "tail-labels-before-tree",
+        "codim-before-tree"])
+def test_malformed_stratum_json_raises_a_named_error(exc_type, match, obj):
+    raises_exactly(exc_type, match, lambda: strata.stratum_from_json(obj))
+
+
 def test_stratum_from_json_takes_labels_in_any_order():
     s = stratum(strata.two_part_tree([1, 2], [3, 4, 5]))
     assert strata.stratum_from_json(_payload(labels=[5, 3, 1, 4, 2])) == s
@@ -211,6 +242,12 @@ def test_stratum_from_json_takes_labels_in_any_order():
      lambda: GaloisGroup.full(12).element(5) * GaloisGroup(12, (1, 5)).element(5)),
     (galois.UnknownGroupElement, r"^5 is not an element of ",
      lambda: GaloisGroup.full(12).element(5) * 5),
+    (galois.UnknownGroupElement, r"^2 is not in the configured group modulo 12$",
+     lambda: galois.GroupElement(GaloisGroup.full(12), 2)),
+    (galois.UnknownGroupElement, r"^14 is not in the configured group modulo 12$",
+     lambda: galois.GroupElement(GaloisGroup.full(12), 14)),
+    (galois.UnknownGroupElement, r"^5\.0 is not an integer residue modulo 12$",
+     lambda: galois.GroupElement(GaloisGroup.full(12), 5.0)),
     (galois.CyclotomicError, r"^expected 4 coordinates for conductor 12, got 3$",
      lambda: CyclotomicNumber(12, (1, 0, 0))),
     (galois.CyclotomicError, r"^expected 4 coordinates for conductor 12, got 5$",
@@ -231,6 +268,7 @@ def test_stratum_from_json_takes_labels_in_any_order():
         "wrong-coefficient-count", "zero-denominator", "float-group-element",
         "fraction-group-element", "float-action-exponent", "fraction-action-exponent",
         "product-across-conductors", "product-across-subgroups", "product-with-an-int",
+        "element-outside-group", "element-unreduced", "element-float",
         "too-few-coordinates", "too-many-coordinates", "float-coordinate",
         "fraction-coordinate", "bool-coordinate", "float-value-denominator",
         "zero-value-denominator", "zero-value-conductor"])
@@ -268,6 +306,20 @@ def test_validate_refuses_map_keys_that_print_alike(match, args):
      {"flags": [], "vertices": [], "boundary": {}}),
 ], ids=["no-vertices", "no-flags", "no-involution"])
 def test_graph_from_json_names_a_missing_key(match, obj):
+    raises_exactly(graphs.GraphError, match, lambda: graphs.graph_from_json(obj))
+
+
+@pytest.mark.parametrize("match,obj", [
+    (r"^graph JSON must be a dict, not list$", [1, 2]),
+    (r"^graph JSON must be a dict, not list$", "[1, 2]"),
+    (r"^graph JSON must be a dict, not NoneType$", "null"),
+    (r"^graph JSON text does not parse: Expecting value: line 1 column 1 \(char 0\)$", "flags"),
+    (r"^graph JSON key 'vertices' must be a list, not str$",
+     {"flags": [], "vertices": "uv", "boundary": {}, "involution": {}}),
+    (r"^graph JSON key 'involution' must be a dict, not list$",
+     {"flags": [], "vertices": [], "boundary": {}, "involution": []}),
+], ids=["list", "list-text", "null-text", "not-json", "vertices-string", "involution-list"])
+def test_graph_from_json_refuses_values_of_another_type(match, obj):
     raises_exactly(graphs.GraphError, match, lambda: graphs.graph_from_json(obj))
 
 
