@@ -396,7 +396,8 @@ class GaloisGroup:
         table = {}
         for a in self.elements:
             table[a] = g = object.__new__(GroupElement)
-            vars(g).update(group=self, a=a, m=self.m)
+            for name, value in (("group", self), ("a", a), ("m", self.m)):
+                object.__setattr__(g, name, value)
         return table
 
     def element(self, a: int) -> GroupElement:
