@@ -772,7 +772,7 @@ def stratum_from_json(obj) -> Stratum:
     s = s_tree(graphs.graph_from_json(tree), tail_labels)
     try:
         agree = _sorted_labels(labels) == list(s.order)
-    except TypeError:       # labels of one type that has no order
+    except TypeError:       # two labels that have no order between them
         agree = False
     if not agree:
         raise StrataError(f"labels {labels!r} disagree with the tree's "
