@@ -121,13 +121,20 @@ def test_window_operators_match_reference(m, max_length):
 
 # --- phase sum and Gibbs closed form --------------------------------------------
 
-@pytest.mark.parametrize("m", CONDUCTORS + (97,))
+@pytest.mark.parametrize("m", range(1, 101))
 def test_gibbs_closed_exact_matches_reference(m):
     system = QsmSystem(m=m)
     trees = seeded_trees(m, seed=m)
     for beta in (1, 2, 3):
         for t in trees:
             assert qsm.gibbs_closed_exact(system, t, beta) == ref_gibbs_closed_exact(system, t, beta)
+
+
+def test_level_phase_sum_is_the_rational_m_mod_2():
+    """Each unit a fixes a fixed label j, so a = -1 gives 2j = 0 mod m: the
+    fixed labels are 0 and, for even m, m/2, whose phases are 1 and -1."""
+    for m in range(1, 201):
+        assert ref_level_phase_sum(QsmSystem(m=m)) == CyclotomicNumber.from_rational(m, m % 2), m
 
 
 def ref_window_sums(system, tree, scale):
