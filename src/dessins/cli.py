@@ -33,8 +33,10 @@ MAX_STRATA_LABELS = 9
 MAX_HOPF_VERTICES = 6
 
 # Times below are on the same 2-vCPU x86-64 machine.
-# `qsm verify --m 97` (a prime, so a field of degree 96) takes about 0.55 s, the
-# slowest conductor up to 100; m = 127 takes 0.8 s and m = 181 takes 1.0 s.
+# `qsm verify`, start-up included, takes 0.25-0.4 s at each conductor up to
+# 100, even ones the slowest (two fixed labels, so 127 words in the window);
+# `--m 97` (a prime, so a field of degree 96) takes 0.23-0.34 s, m = 127
+# 0.23-0.39 s and m = 181 0.30-0.44 s.
 # Building the group alone multiplies every pair of units: 5.9 s at m = 20,000.
 MAX_QSM_CONDUCTOR = 100
 

@@ -69,11 +69,11 @@ def _poly_divmod_exact(num, den):
 
 
 # Each table is kept for the 128 most recent conductors; a run uses a few.
-@lru_cache(maxsize=128)
+# Typed, so that True and 2.0 are not read from the entries of 1 and 2.
+@lru_cache(maxsize=128, typed=True)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
+    _conductor(m)
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1        # x^m - 1
     for d in range(1, m):
@@ -337,7 +337,8 @@ class GroupElement:
 
 
 def _conductor(m: int) -> int:
-    if m < 1:
+    """`m` if it is an integer >= 1; a bool or a float is refused."""
+    if not _is_positive_int(m):
         raise ValueError(f"conductor must be >= 1, got {m}")
     return m
 
@@ -354,7 +355,7 @@ class GaloisGroup:
 
     @staticmethod
     def full(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, tuple(a for a in range(m) if gcd(a, m) == 1))
+        return GaloisGroup(m, tuple(a for a in range(_conductor(m)) if gcd(a, m) == 1))
 
     @staticmethod
     def generated(m: int, generators) -> "GaloisGroup":

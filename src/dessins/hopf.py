@@ -33,6 +33,7 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from types import MappingProxyType
 
 from dessins.report import Report, check_all, check_together
 
@@ -155,13 +156,15 @@ class _Polynomial:
     """Finite exact linear combination: `terms` maps keys to nonzero coefficients.
     A scalar scales; elements of one type add, and multiply through the product
     of two keys that each subclass supplies as `_key_product`; types do not mix.
-    A polynomial is hashable, so assigning or deleting `terms` after
-    construction raises `dataclasses.FrozenInstanceError`."""
+    A polynomial is hashable, so `terms` is a read-only view of a dict of its
+    own (item assignment raises TypeError), and assigning or deleting `terms`
+    after construction raises `dataclasses.FrozenInstanceError`."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        _set_terms(self, {k: c for k, c in terms.items() if c} if terms else {})
+        own = {k: c for k, c in terms.items() if c} if terms else {}
+        _set_terms(self, MappingProxyType(own))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -170,7 +173,7 @@ class _Polynomial:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.terms,)
+        return type(self), (dict(self.terms),)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms

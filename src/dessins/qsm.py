@@ -5,7 +5,9 @@ Words over the Galois-fixed label set form a semigroup under concatenation
 above the root.  A finite window of words of length <= L_max carries the
 shift operators S_w, their adjoints, and the diagonal operators pi(X_t) built
 from a balanced character.  Everything that can be checked exactly is checked
-in cyclotomic arithmetic; time evolution uses complex floats.
+in cyclotomic arithmetic; time evolution uses complex floats.  The Gibbs
+factor 1/((1 - q) Z) is rational: a = -1 must fix each fixed label, so they
+are 0 and, for even m, m/2, and the level ratio q is (m % 2) / (D N^beta).
 
 Operators in the window are "weighted shifts": each basis column maps to at
 most one row with a cyclotomic coefficient.  Columns whose true image falls
@@ -20,7 +22,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,7 +35,6 @@ from dessins.galois import (
     balance_check,
     char_eval,
     complex_embed,
-    zeta,
 )
 from dessins.hopf import ForestPolynomial, relabel_tree
 from dessins.report import Check, Report, check_all
@@ -461,21 +462,15 @@ class QsmSystem:
         return ExponentSumCharacter(self.m, self.D)
 
     @cached_property
-    def phase_sum(self) -> CyclotomicNumber:
-        """Sum of zeta^j over the fixed labels (the per-level numerator factor)."""
-        return sum((zeta(self.m, j) for j in self.fixed_labels), CyclotomicNumber.zero(self.m))
-
-    @cached_property
     def rep(self) -> TruncatedRep:
         return build_rep(self.char, self.max_length, self.fixed_labels)
 
-    def level_ratio(self, beta) -> CyclotomicNumber | complex:
+    def level_ratio(self, beta) -> Fraction | float:
         """Ratio q = (sum of zeta^j over the fixed labels) / (D N^beta) of the
-        Gibbs levels: exact for integer beta, else a complex float."""
-        scale = _n_pow_minus_beta(self.N, beta)
-        if isinstance(scale, Fraction):
-            return self.phase_sum * (scale / self.D)
-        return complex_embed(self.phase_sum) / (self.D * float(self.N) ** float(beta))
+        Gibbs levels, a Fraction for integer beta, else a float.  The sum is
+        m % 2: a unit a fixes a fixed label j, so a = -1 gives 2j = 0 mod m,
+        and the fixed labels are 0 and, for even m, m/2, of phases 1 and -1."""
+        return Fraction(self.m % 2) / (self.D * Fraction(self.N) ** beta)
 
     def check_convergence(self, beta):
         if self.k * _n_pow_minus_beta(self.N, beta) >= 1:
@@ -486,13 +481,12 @@ class QsmSystem:
 # --- Gibbs states --------------------------------------------------------------------
 
 def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
-    """Closed form: phi(X_t) * (1/Z) * 1/(1 - q) with q the system's level
-    ratio; exact for integer beta.  Convergence gives |q| <= k / (D N^beta) < 1
-    in every embedding, as D >= 1."""
+    """Closed form: phi(X_t) times the rational 1/((1 - q) Z), q the system's
+    level ratio; exact for integer beta.  Convergence gives
+    0 <= q <= 1 / (D N^beta) <= k N^-beta < 1."""
     system.check_convergence(beta)
     z = partition_function(beta, system.k, system.N, "word", "closed").value
-    series = (CyclotomicNumber.one(system.m) - system.level_ratio(beta)).inverse()
-    return system.char.on_tree(tree) * series * (Fraction(1) / z)
+    return system.char.on_tree(tree) * (1 / ((1 - system.level_ratio(beta)) * z))
 
 
 def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
@@ -615,14 +609,17 @@ def verify_system(system: QsmSystem, seed: int = 0) -> Report:
     # closed form's levels beyond it: series = trace = (1 - q^(L+1)) closed.
     for beta_val in betas:
         scale = _n_pow_minus_beta(system.N, beta_val)
-        kept = 1 - math.prod([system.level_ratio(beta_val)] * (system.max_length + 1))
+        q = system.level_ratio(beta_val)
+        kept = 1 - q ** (system.max_length + 1)
         z = partition_function(beta_val, system.k, system.N).value
-        checks.append(check_all(
+        agree = check_all(
             f"Gibbs three-route agreement at beta={beta_val}", trees[:4],
             lambda t: _window_sum(system, t, "series", scale) / z
             == _window_sum(system, t, "trace", scale) / z
             == kept * gibbs_closed_exact(system, t, beta_val),
-            show=hopf.format_tree))
+            show=hopf.format_tree)
+        checks.append(replace(agree, detail="; ".join(
+            filter(None, (agree.detail, f"level ratio q = {q}")))))
 
     shifts = [(kind, lab) for lab in system.fixed_labels for kind in ("S", "S*")]
     checks.append(check_all(

@@ -321,7 +321,16 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> Stratum:
         raise StrataError("tree must be stable (every vertex bounds >= 3 flags)")
     if tail_labels.keys() != set(graph.tails):
         raise StrataError("tail_labels must be defined exactly on the tails")
-    if len(set(tail_labels.values())) != len(tail_labels):
+    try:
+        distinct = set(tail_labels.values())
+    except TypeError:
+        for lab in tail_labels.values():
+            try:
+                hash(lab)
+            except TypeError:
+                raise StrataError(f"tail label {lab!r} is unhashable") from None
+        raise
+    if len(distinct) != len(tail_labels):
         raise StrataError("tail labels must be pairwise distinct")
     order = tuple(_sorted_labels(tail_labels.values()))
     bit = {lab: 1 << i for i, lab in enumerate(order)}

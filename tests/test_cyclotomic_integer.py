@@ -4,8 +4,9 @@ The reference below is a test-local copy of the implementation that stored a
 cyclotomic number as a tuple of Fraction power-basis coordinates, reduced
 products through a Fraction table of zeta powers and inverted by the extended
 Euclidean algorithm in Q[x].  The library's results must equal it exactly on
-every pair of basis elements for the small conductors and on the values that
-`qsm.gibbs_closed_exact` inverts.
+every pair of basis elements for the small conductors and on the values
+1 - q, q a Gibbs level ratio built from the fixed labels of a subgroup of
+(Z/m)*; for the full group q is the rational `qsm.QsmSystem.level_ratio`.
 """
 
 import functools
@@ -170,9 +171,9 @@ def test_basis_pairs_match_fraction_reference(m):
 
 
 def one_minus_q(m):
-    """1 - q with q = (sum of zeta^j over the fixed labels) / (D N^beta), as in
-    qsm.gibbs_closed_exact, for the full, trivial and cyclic subgroups: pairs
-    of the library value and its reference coordinates."""
+    """1 - q with q = (sum of zeta^j over the fixed labels) / (D N^beta), the
+    level ratio of qsm.QsmSystem for the full group, for the full, trivial and
+    cyclic subgroups: pairs of the library value and its reference coordinates."""
     groups = {GaloisGroup.full(m), GaloisGroup.trivial(m)}
     groups.update(GaloisGroup.generated(m, [a]) for a in units(m))
     for group in groups:

@@ -119,7 +119,13 @@ def test_a_polynomial_stays_findable_as_a_dict_key_and_survives_a_copy():
     found = {p: 1}
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.terms = {}
+    with pytest.raises(TypeError):
+        p.terms[hopf.EMPTY_FOREST] = 2
+    with pytest.raises(TypeError):
+        del p.terms[hopf.EMPTY_FOREST]
     assert found[p] == 1 and found[poly()] == 1
     for q in (p, hopf.PairPolynomial.of((0,), ())):
         for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
             assert type(twin) is type(q) and twin == q and twin.terms is not q.terms
+            with pytest.raises(TypeError):
+                twin.terms[None] = 1

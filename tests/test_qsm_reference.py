@@ -137,6 +137,21 @@ def test_level_phase_sum_is_the_rational_m_mod_2():
         assert ref_level_phase_sum(QsmSystem(m=m)) == CyclotomicNumber.from_rational(m, m % 2), m
 
 
+@pytest.mark.parametrize("m", [12, 60, 97])
+def test_gibbs_path_inverts_no_cyclotomic_number(monkeypatch, m):
+    """The level ratio is rational, so neither `verify_system` nor the closed
+    Gibbs route needs an inverse in Q(zeta_m)."""
+    def refuse(self):
+        raise AssertionError("CyclotomicNumber.inverse called on the Gibbs path")
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", refuse)
+    system = QsmSystem(m=m)
+    assert qsm.verify_system(system).ok
+    for t in seeded_trees(m, seed=m):
+        for beta in (1, 2, 2.5):
+            qsm.gibbs_value(system, t, beta, route="closed")
+
+
 def ref_window_sums(system, tree, scale):
     """Exact series and trace sums of phi(X_(w*t)) scale^len(w) over the
     window, word by word, read from the words and from the diagonal of pi(X_t)."""
@@ -202,7 +217,8 @@ def test_closed_route_and_phase_sum_match_reference(m):
 # --- the verification suite -----------------------------------------------------
 
 def ref_verify_system(system, seed=0):
-    """`verify_system` with the reference phase sum and Gibbs closed form."""
+    """`verify_system` with the reference phase sum and Gibbs closed form; the
+    three-route checks name the level ratio, the rational phase sum over D N^beta."""
     betas = (1, 2)
     rng = random.Random(seed)
     rep = system.rep
@@ -226,9 +242,12 @@ def ref_verify_system(system, seed=0):
                                     lambda t, b=b: ref_gibbs_closed_exact(system, t, b),
                                     system.group, trees))
     out += [(c.name, c.passed, c.cases, c.detail) for c in checks]
+    phase = ref_level_phase_sum(system)
     for beta_val in betas:
+        q = Fraction(phase.num[0], phase.den * system.D * system.N ** beta_val)
         out.append((f"Gibbs three-route agreement at beta={beta_val}",
-                    all(ref_routes_agree_exactly(system, t, beta_val) for t in trees[:4]), 4, ""))
+                    all(ref_routes_agree_exactly(system, t, beta_val) for t in trees[:4]), 4,
+                    f"level ratio q = {q}"))
     shifts = [(kind, lab) for lab in ref_fixed_labels(system) for kind in ("S", "S*")]
     vanish = check_all(
         "ground state vanishes on shift monomials", shifts,

@@ -58,6 +58,10 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
      lambda: strata.s_tree(ABC, {"a": 1, "b": 2, "d": 3})),
     (strata.StrataError, "pairwise distinct",
      lambda: strata.s_tree(ABC, {"a": 1, "b": 1, "c": 2})),
+    (strata.StrataError, r"^tail label \[1\] is unhashable$",
+     lambda: strata.s_tree(ABC, {"a": [1], "b": 2, "c": 3})),
+    (strata.StrataError, r"^tail label \(\[2\],\) is unhashable$",
+     lambda: strata.s_tree(ABC, {"a": 1, "b": ([2],), "c": 3})),
     (strata.TooSmall, ">= 2 labels", lambda: strata.two_part_tree({1}, {2, 3, 4})),
     (strata.LabelCollision, "overlap", lambda: strata.two_part_tree({1, 2}, {2, 3})),
     (strata.StrataError, "double point on unknown component",
@@ -88,7 +92,7 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
     (strata.StrataError, r"^\(1, 2, 3\) is not a stratum$", lambda: strata.Stratum((1, 2, 3))),
     (strata.StrataError, r"^'abc' is not a stratum$", lambda: strata.Stratum(tree="abc")),
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
-        "one-label-part", "overlapping-parts", "double-point-off-curve",
+        "label-unhashable", "label-holds-unhashable", "one-label-part", "overlapping-parts", "double-point-off-curve",
         "marked-point-off-curve", "components-share-a-name",
         "components-print-alike", "absent-grafting-label", "projection-off-stratum",
         "cyclic", "self-loop", "parallel-edges", "empty", "two-stable-trees",
@@ -263,6 +267,16 @@ def test_stratum_from_json_takes_labels_in_any_order():
     (galois.DivisionByZero, r"^zero denominator$", lambda: CyclotomicNumber(12, (1, 0, 0, 0), 0)),
     (ValueError, r"^conductor must be a positive integer$",
      lambda: CyclotomicNumber(0, ())),
+    (ValueError, r"^conductor must be >= 1, got True$", lambda: GaloisGroup.full(True)),
+    (ValueError, r"^conductor must be >= 1, got 2\.0$", lambda: GaloisGroup.full(2.0)),
+    (ValueError, r"^conductor must be >= 1, got True$", lambda: GaloisGroup(True, (0,))),
+    (ValueError, r"^conductor must be >= 1, got 2\.0$", lambda: GaloisGroup.trivial(2.0)),
+    (ValueError, r"^conductor must be >= 1, got 5\.0$",
+     lambda: GaloisGroup.generated(5.0, [1])),
+    (ValueError, r"^conductor must be >= 1, got True$",
+     lambda: galois.cyclotomic_polynomial(True)),
+    (ValueError, r"^conductor must be >= 1, got 2\.0$",
+     lambda: galois.cyclotomic_polynomial(2.0)),
 ], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
         "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
         "wrong-coefficient-count", "zero-denominator", "float-group-element",
@@ -271,7 +285,10 @@ def test_stratum_from_json_takes_labels_in_any_order():
         "element-outside-group", "element-unreduced", "element-float",
         "too-few-coordinates", "too-many-coordinates", "float-coordinate",
         "fraction-coordinate", "bool-coordinate", "float-value-denominator",
-        "zero-value-denominator", "zero-value-conductor"])
+        "zero-value-denominator", "zero-value-conductor", "full-group-bool-conductor",
+        "full-group-float-conductor", "group-bool-conductor", "trivial-group-float-conductor",
+        "generated-group-float-conductor", "cyclotomic-polynomial-bool",
+        "cyclotomic-polynomial-float"])
 def test_galois_validation_errors(exc_type, match, call):
     raises_exactly(exc_type, match, call)
 
