@@ -368,3 +368,27 @@ def test_cli_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "numpy modules: []" in proc.stdout
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("strata", "--n", "2"), "--n must be between 3 and 9, got 2"),
+    (("strata", "--n", "10"), "--n must be between 3 and 9, got 10"),
+    (("hopf", "--verify", "--max-vertices", "7"), "--max-vertices must be between 1 and 6, got 7"),
+    (("hopf", "--tree", "j0", "--json"), "--json needs --verify"),
+    (("hopf",), "provide --tree or --verify"),
+    (("hopf", "--tree", "j0[j0"), "expected ']' at position 5 in 'j0[j0'"),
+    (("qsm", "build", "--m", "101"), "--m must be between 1 and 100, got 101"),
+    (("qsm", "verify", "--lmax", "0"), "--lmax must be between 1 and 8, got 0"),
+    (("qsm", "gibbs", "--trunc", "2001"), "--trunc must be between 0 and 2000, got 2001"),
+    (("qsm", "build", "--json"), "--json needs the verify command"),
+    (("qsm", "partition", "--json"), "--json needs the verify command"),
+    (("qsm", "build", "--k", "3"), "--k 3 disagrees with the 2 fixed labels of (Z/12)*"),
+    (("qsm", "partition", "--beta", "abc"), "could not convert string to float: 'abc'"),
+    (("qsm", "gibbs", "--tree", "j13", "--beta", "1"), "label 13 is not a residue modulo 12"),
+], ids=["n-low", "n-high", "max-vertices-high", "hopf-json-without-verify", "hopf-nothing",
+        "hopf-tree-syntax", "m-high", "lmax-low", "trunc-high", "qsm-json-build",
+        "qsm-json-partition", "k-mismatch", "beta-not-a-number", "label-off-conductor"])
+def test_each_cli_refusal_prints_one_error_line(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

@@ -358,3 +358,60 @@ NO_TAIL_C = r"^no tail label for tail 'c'$"
 ], ids=["find-first", "find-second", "valid-first", "valid-second"])
 def test_a_label_map_that_misses_a_tail_is_refused(call):
     raises_exactly(graphs.GraphError, NO_TAIL_C, call)
+
+
+# Every input refusal of the conductor, integer-residue, count and window
+# checks that galois and qsm share, with the exception type each caller raises.
+REFUSALS = {
+    "full-zero": (ValueError, lambda: GaloisGroup.full(0)),
+    "full-float": (ValueError, lambda: GaloisGroup.full(2.0)),
+    "trivial-bool": (ValueError, lambda: GaloisGroup.trivial(True)),
+    "generated-negative": (ValueError, lambda: GaloisGroup.generated(-12, [1])),
+    "group-float": (ValueError, lambda: GaloisGroup(12.0, (1,))),
+    "polynomial-zero": (ValueError, lambda: galois.cyclotomic_polynomial(0)),
+    "value-zero-conductor": (ValueError, lambda: CyclotomicNumber(0, ())),
+    "value-float-conductor": (ValueError, lambda: CyclotomicNumber(2.0, (1,))),
+    "exp-sum-zero-conductor": (ValueError, lambda: ExponentSumCharacter(0)),
+    "exp-sum-fraction-denominator": (ValueError, lambda: ExponentSumCharacter(12, Fraction(2))),
+    "exp-sum-bool-denominator": (ValueError, lambda: ExponentSumCharacter(12, True)),
+    "table-float-conductor": (ValueError, lambda: galois.TableCharacter(12.0, ())),
+    "json-string-conductor": (ValueError,
+                              lambda: galois.character_from_json({"m": "12", "table": {}})),
+    "json-exp-sum-zero-conductor": (ValueError,
+                                    lambda: galois.character_from_json({"m": 0, "rule": "exp-sum"})),
+    "json-string-denominator": (ValueError, lambda: galois.character_from_json(
+        {"m": 12, "D": "2", "rule": "exp-sum"})),
+    "element-float": (galois.UnknownGroupElement, lambda: GaloisGroup.full(12).element(5.0)),
+    "element-outside": (galois.UnknownGroupElement, lambda: GaloisGroup(12, (1, 5)).element(7)),
+    "group-element-fraction": (galois.UnknownGroupElement,
+                               lambda: galois.GroupElement(GaloisGroup.full(12), Fraction(5))),
+    "group-element-unreduced": (galois.UnknownGroupElement,
+                                lambda: galois.GroupElement(GaloisGroup.full(12), 17)),
+    "act-float": (galois.UnknownGroupElement, lambda: galois.galois_act_value(5.0, zeta(12))),
+    "act-non-unit": (galois.NotCoprime, lambda: galois.galois_act_value(3, zeta(12))),
+    "generated-non-unit": (galois.NotCoprime, lambda: GaloisGroup.generated(12, [5, 3])),
+    "group-non-unit": (galois.NotCoprime, lambda: GaloisGroup(12, (1, 3))),
+    "system-m-zero": (qsm.QsmError, lambda: qsm.QsmSystem(m=0)),
+    "system-m-string": (qsm.QsmError, lambda: qsm.QsmSystem(m="12")),
+    "system-n-one": (qsm.QsmError, lambda: qsm.QsmSystem(N=1)),
+    "system-n-float": (qsm.QsmError, lambda: qsm.QsmSystem(N=10.0)),
+    "system-d-zero": (qsm.QsmError, lambda: qsm.QsmSystem(D=0)),
+    "system-window-zero": (qsm.WindowTooSmall, lambda: qsm.QsmSystem(max_length=0)),
+    "hamiltonian-n-one": (qsm.QsmError, lambda: qsm.hamiltonian(qsm.QsmSystem().rep, 1)),
+    "partition-n-bool": (qsm.QsmError, lambda: qsm.partition_function(1, 2, True)),
+    "partition-k-negative": (qsm.QsmError, lambda: qsm.partition_function(1, -1, 10)),
+    "partition-k-fraction": (qsm.QsmError, lambda: qsm.partition_function(1, Fraction(2), 10)),
+    "partition-truncated-negative": (qsm.QsmError, lambda: qsm.partition_function(
+        1, 2, 10, mode="truncated", max_length=-1)),
+    "partition-truncated-float": (qsm.QsmError, lambda: qsm.partition_function(
+        1, 2, 10, mode="truncated", max_length=2.0)),
+    "window-zero": (qsm.WindowTooSmall,
+                    lambda: qsm.build_rep(ExponentSumCharacter(12, 2), 0, (0,))),
+}
+
+
+@pytest.mark.parametrize("exc_type,call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_input_refusal_has_its_callers_type(exc_type, call):
+    with pytest.raises(exc_type) as info:
+        call()
+    assert info.type is exc_type
