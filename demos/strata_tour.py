@@ -19,7 +19,6 @@ from dessins.strata import (
     is_substratum,
     maximal_codim_strata,
     s_corolla,
-    stratum,
     stratum_to_dot,
     two_part_tree,
 )
@@ -45,15 +44,15 @@ print(f"{len(corners)} corners = 7!! ; {n_cat} caterpillars, "
 print("\n== the substratum order: contract edges to move up ==")
 deep = corners[0][0]
 (edge, *_) = sorted(deep.tree.graph.edges, key=sorted)
-up = stratum(contract_edge(deep.tree, edge))
+up = contract_edge(deep.tree, edge)
 print(f"contracting one edge: codim {deep.codim} -> {up.codim}")
 witness = is_substratum(deep, up)
 print(f"witness edge set: {witness.edges}")
-top = stratum(s_corolla(labels))
+top = s_corolla(labels)
 print(f"everything lies under the corolla: {is_substratum(deep, top).holds}")
 
 print("\n== forgetting marked points, then stabilizing ==")
-s = stratum(two_part_tree(["1", "2"], ["3", "4", "5"]))
+s = two_part_tree(["1", "2"], ["3", "4", "5"])
 print("start: 12|345 over {1..5}")
 print("forget 5      ->", sorted(admissible_projection(s, ["1", "2", "3", "4"]).tree.labels),
       "codim", admissible_projection(s, ["1", "2", "3", "4"]).codim)
@@ -63,7 +62,7 @@ print("forget 4 and 5 -> corolla over {1,2,3}: codim", out.codim)
 print("\n== the dual tree of a stable curve ==")
 marked = {"1": "A", "2": "A", "3": "B", "4": "B", "5": "B"}
 dual = curve_to_dessin(CurveCombinatorics(("A", "B"), (("A", "B"),), marked))
-print(f"two components meeting once: codim {stratum(dual).codim}, "
+print(f"two components meeting once: codim {dual.codim}, "
       f"split {sorted(map(sorted, dual.label_splits()))}")
 try:
     curve_to_dessin(CurveCombinatorics(("A", "B"), (("A", "B"), ("A", "B")), marked))

@@ -80,11 +80,11 @@ def _write_rows(path, rows):
     _write(path, "".join(",".join(str(x) for x in row) + "\n" for row in rows))
 
 
-def _in_range(flag, value, lo, hi) -> bool:
-    if lo <= value <= hi:
-        return True
-    print(f"error: {flag} must be between {lo} and {hi}, got {value}", file=sys.stderr)
-    return False
+def _in_range(flag, value, lo, hi):
+    """`value` if lo <= value <= hi; else a ValueError, which `main` prints."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be between {lo} and {hi}, got {value}")
+    return value
 
 
 def _print_report(report, as_json=False, **extra) -> int:
@@ -105,8 +105,7 @@ def _print_report(report, as_json=False, **extra) -> int:
 # --- strata ------------------------------------------------------------------
 
 def cmd_strata(args) -> int:
-    if not _in_range("--n", args.n, 3, MAX_STRATA_LABELS):
-        return EXIT_VALIDATION
+    _in_range("--n", args.n, 3, MAX_STRATA_LABELS)
     grouped = strata.enumerate_strata(_labels(args.n))
     flat = [s for group in grouped.values() for s in group]
 
@@ -150,11 +149,9 @@ def cmd_strata(args) -> int:
 # --- hopf --------------------------------------------------------------------
 
 def cmd_hopf(args) -> int:
-    if not _in_range("--max-vertices", args.max_vertices, 1, MAX_HOPF_VERTICES):
-        return EXIT_VALIDATION
+    _in_range("--max-vertices", args.max_vertices, 1, MAX_HOPF_VERTICES)
     if args.json and not args.verify:
-        print("error: --json needs --verify", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("--json needs --verify")
     if args.verify:
         report = hopf.verify_identities(args.max_vertices, args.seed)
         stats = hopf.CACHE.stats()
@@ -167,8 +164,7 @@ def cmd_hopf(args) -> int:
         return status
 
     if not args.tree:
-        print("error: provide --tree or --verify", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("provide --tree or --verify")
     t = hopf.parse_tree(args.tree)
     x = hopf.ForestPolynomial.generator(t)
     did_something = False
@@ -192,13 +188,11 @@ def cmd_hopf(args) -> int:
 # --- qsm ---------------------------------------------------------------------
 
 def cmd_qsm(args) -> int:
-    if not (_in_range("--m", args.m, 1, MAX_QSM_CONDUCTOR)
-            and _in_range("--lmax", args.lmax, 1, MAX_QSM_WINDOW)
-            and _in_range("--trunc", args.trunc, 0, MAX_QSM_TRUNC)):
-        return EXIT_VALIDATION
+    _in_range("--m", args.m, 1, MAX_QSM_CONDUCTOR)
+    _in_range("--lmax", args.lmax, 1, MAX_QSM_WINDOW)
+    _in_range("--trunc", args.trunc, 0, MAX_QSM_TRUNC)
     if args.json and args.qsm_command != "verify":
-        print("error: --json needs the verify command", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("--json needs the verify command")
     system = qsm.QsmSystem(m=args.m, N=args.N, D=args.D, max_length=args.lmax)
     if args.k != "auto" and int(args.k) != system.k:
         raise ValueError(

@@ -53,6 +53,22 @@ class LabelOutOfRange(ValueError):
     pass
 
 
+def _int_at_least(name: str, value, least: int = 1, error=ValueError):
+    """`value` if it is an int, not a bool, >= least; else `error` naming it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _refusal(a, m: int, member: bool = False) -> ValueError:
+    """The error refusing `a` as a unit modulo m, or as a group element (`member`)."""
+    if not isinstance(a, int):
+        return UnknownGroupElement(f"{a!r} is not an integer residue modulo {m}")
+    if member:
+        return UnknownGroupElement(f"{a} is not in the configured group modulo {m}")
+    return NotCoprime(f"{a} is not invertible modulo {m}")
+
+
 # --- cyclotomic polynomials --------------------------------------------------
 
 def _poly_divmod_exact(num, den):
@@ -73,7 +89,7 @@ def _poly_divmod_exact(num, den):
 @lru_cache(maxsize=128, typed=True)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
-    _conductor(m)
+    _int_at_least("conductor", m)
     poly = [0] * (m + 1)
     poly[0], poly[m] = -1, 1        # x^m - 1
     for d in range(1, m):
@@ -145,7 +161,7 @@ class CyclotomicNumber:
     den: int
 
     def __new__(cls, m: int, num, den: int = 1):
-        _check_conductor(m)
+        _int_at_least("conductor", m)
         num, d = tuple(num), len(_powers(m)[0])
         if len(num) != d:
             raise CyclotomicError(f"expected {d} coordinates for conductor {m}, got {len(num)}")
@@ -293,9 +309,9 @@ def galois_act_value(a: int, z: CyclotomicNumber) -> CyclotomicNumber:
     m = z.m
     try:
         if gcd(a, m) != 1:
-            raise NotCoprime(f"{a} is not invertible modulo {m}")
+            raise _refusal(a, m)
     except TypeError:       # a float or Fraction: no residue, as in GaloisGroup.element
-        raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {m}") from None
+        raise _refusal(a, m) from None
     return _cyc(m, tuple(_fold(m, zip(count(0, a), z.num))), z.den)
 
 
@@ -318,10 +334,8 @@ class GroupElement:
 
     def __post_init__(self):
         m = self.group.m
-        if not isinstance(self.a, int):
-            raise UnknownGroupElement(f"{self.a!r} is not an integer residue modulo {m}")
-        if self.a not in self.group.elements:
-            raise UnknownGroupElement(f"{self.a} is not in the configured group modulo {m}")
+        if not isinstance(self.a, int) or self.a not in self.group.elements:
+            raise _refusal(self.a, m, member=True)
         object.__setattr__(self, "m", m)
 
     def on_label(self, j: int) -> int:
@@ -336,13 +350,6 @@ class GroupElement:
         return self.group.element((self.a * other.a) % self.m)
 
 
-def _conductor(m: int) -> int:
-    """`m` if it is an integer >= 1; a bool or a float is refused."""
-    if not _is_positive_int(m):
-        raise ValueError(f"conductor must be >= 1, got {m}")
-    return m
-
-
 @dataclass(frozen=True)
 class GaloisGroup:
     """A subgroup of (Z/m)* acting on Z/m labels and on Q(zeta_m) values.
@@ -355,14 +362,15 @@ class GaloisGroup:
 
     @staticmethod
     def full(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, tuple(a for a in range(_conductor(m)) if gcd(a, m) == 1))
+        _int_at_least("conductor", m)
+        return GaloisGroup(m, tuple(a for a in range(m) if gcd(a, m) == 1))
 
     @staticmethod
     def generated(m: int, generators) -> "GaloisGroup":
-        _conductor(m)
+        _int_at_least("conductor", m)
         for a in generators:
-            if gcd(a, m) != 1:
-                raise NotCoprime(f"{a} is not invertible modulo {m}")
+            if not isinstance(a, int) or gcd(a, m) != 1:
+                raise _refusal(a, m)
         elems = {1 % m}
         frontier = [1 % m]
         while frontier:
@@ -376,15 +384,15 @@ class GaloisGroup:
 
     @staticmethod
     def trivial(m: int) -> "GaloisGroup":
-        return GaloisGroup(m, (1 % _conductor(m),))
+        return GaloisGroup(m, (1 % _int_at_least("conductor", m),))
 
     def __post_init__(self):
-        if 1 % _conductor(self.m) not in self.elements:
+        if 1 % _int_at_least("conductor", self.m) not in self.elements:
             raise ValueError("group must contain 1")
         elems = set(self.elements)
         for a in elems:
             if gcd(a, self.m) != 1:
-                raise NotCoprime(f"{a} is not invertible modulo {self.m}")
+                raise _refusal(a, self.m)
             for b in elems:
                 if (a * b) % self.m not in elems:
                     raise ValueError("element set is not closed under multiplication")
@@ -402,11 +410,9 @@ class GaloisGroup:
         return table
 
     def element(self, a: int) -> GroupElement:
-        if not isinstance(a, int):
-            raise UnknownGroupElement(f"{a!r} is not an integer residue modulo {self.m}")
-        g = self._element_table.get(a % self.m)
+        g = self._element_table.get(a % self.m) if isinstance(a, int) else None
         if g is None:
-            raise UnknownGroupElement(f"{a} is not in the configured group modulo {self.m}")
+            raise _refusal(a, self.m, member=True)
         return g
 
     def fixed_labels(self) -> tuple[int, ...]:
@@ -433,15 +439,6 @@ def _label_sum_and_nodes(t, m) -> tuple[int, int]:
     return total, nodes
 
 
-def _is_positive_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
-
-def _check_conductor(m):
-    if not _is_positive_int(m):
-        raise ValueError("conductor must be a positive integer")
-
-
 @dataclass(frozen=True)
 class ExponentSumCharacter:
     """phi(X_t) = zeta_m^(sum of vertex labels) / D^(vertex count).
@@ -454,9 +451,8 @@ class ExponentSumCharacter:
     denominator: int = 1
 
     def __post_init__(self):
-        _check_conductor(self.m)
-        if not _is_positive_int(self.denominator):
-            raise ValueError("denominator must be a positive integer")
+        _int_at_least("conductor", self.m)
+        _int_at_least("denominator", self.denominator)
 
     def on_tree(self, t) -> CyclotomicNumber:
         total, nodes = _label_sum_and_nodes(t, self.m)
@@ -473,7 +469,7 @@ class TableCharacter:
     table: tuple  # pairs (tree, CyclotomicNumber)
 
     def __post_init__(self):
-        _check_conductor(self.m)
+        _int_at_least("conductor", self.m)
         if not all(isinstance(v, CyclotomicNumber) and v.m == self.m for _, v in self.table):
             raise ValueError(f"table values must be cyclotomic numbers of conductor {self.m}")
 
@@ -545,7 +541,7 @@ def character_from_json(obj) -> object:
         return ExponentSumCharacter(m, obj.get("D", 1))
     if not isinstance(obj.get("table"), dict):
         raise ValueError("character JSON needs a 'table' object or the rule 'exp-sum'")
-    _check_conductor(m)         # before the table values are read at conductor m
+    _int_at_least("conductor", m)   # before the table values are read at conductor m
     table = tuple(
         (hopf.parse_tree(text), CyclotomicNumber.from_coeffs(m, coeffs))
         for text, coeffs in obj["table"].items()

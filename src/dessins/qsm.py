@@ -31,7 +31,7 @@ from dessins.galois import (
     CyclotomicNumber,
     ExponentSumCharacter,
     GaloisGroup,
-    _is_positive_int,
+    _int_at_least,
     balance_check,
     char_eval,
     complex_embed,
@@ -229,8 +229,7 @@ def build_rep(char: ExponentSumCharacter, max_length: int, alphabet,
               trees=()) -> TruncatedRep:
     """Basis of all words of length <= max_length over the alphabet."""
     alphabet = tuple(sorted(alphabet))
-    if max_length < 1:
-        raise WindowTooSmall("window must contain words of length >= 1")
+    _int_at_least("max_length", max_length, 1, WindowTooSmall)
     basis = tuple(words_upto(alphabet, max_length))
     index = {w: i for i, w in enumerate(basis)}
     return TruncatedRep(char, alphabet, max_length, basis, index, tuple(trees))
@@ -313,8 +312,7 @@ def lam(word, N: int) -> int:
 def _check_spectral_base(N) -> None:
     """H = len(w) * log N gives every non-empty word a positive energy only for
     N >= 2, and exact level weights N^-(beta L) need an integer N."""
-    if not isinstance(N, int) or N < 2:
-        raise QsmError("N must be an integer >= 2")
+    _int_at_least("N", N, 2, QsmError)
 
 
 def hamiltonian(rep: TruncatedRep, N: int) -> list[float]:
@@ -392,8 +390,7 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
     for integer beta.  Raises Divergent when r >= 1.
     """
     _check_spectral_base(N)
-    if not isinstance(k, int) or k < 0:
-        raise QsmError("k must be an integer >= 0")
+    _int_at_least("k", k, 0, QsmError)
     if model == "paper":                # command-line alias
         model = "vertex-edge"
     if model == "word":
@@ -411,9 +408,7 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
         return PartitionResult(value, 0 * value)
     if mode != "truncated":
         raise QsmError(f"unknown mode {mode!r}")
-    if not isinstance(max_length, int) or max_length < 0:
-        raise QsmError("truncated mode needs an integer max_length >= 0")
-    r_next = r ** (max_length + 1)
+    r_next = r ** (_int_at_least("max_length", max_length, 0, QsmError) + 1)
     return PartitionResult(first * (1 - r_next) / (1 - r), first * r_next / (1 - r))
 
 
@@ -437,13 +432,10 @@ class QsmSystem:
     max_length: int = 6
 
     def __post_init__(self):
-        if not _is_positive_int(self.m):
-            raise QsmError("m must be an integer >= 1")
+        _int_at_least("m", self.m, 1, QsmError)
         _check_spectral_base(self.N)
-        if not _is_positive_int(self.D):
-            raise QsmError("D must be an integer >= 1")
-        if not _is_positive_int(self.max_length):
-            raise WindowTooSmall("max_length must be an integer >= 1")
+        _int_at_least("D", self.D, 1, QsmError)
+        _int_at_least("max_length", self.max_length, 1, WindowTooSmall)
 
     @cached_property
     def group(self) -> GaloisGroup:

@@ -107,8 +107,10 @@ class Stratum:
     `order` lists S by `_labelkey`; `splits` holds, for each edge, the side
     of its label bipartition without order[0] as a bitmask over `order`, in
     ascending order.  `Stratum(order, splits)` trusts its input: `s_tree`
-    checks an explicit graph.  `Stratum(s)` and `Stratum(tree=s)` return the
-    stratum s, and refuse anything else with `StrataError`; `s.tree` is s.
+    checks an explicit graph.  Three other names remain only because the
+    benchmark harness reads them: `Stratum(s)` returns the stratum s and
+    refuses anything else with `StrataError`, `s.tree` is s, and
+    `StableSTree` is this class.
     Equality, hashing, `codim`, `dim` and `canonical_key` read the splits;
     the flag view is built when `graph` or `tail_labels` is first read, and
     kept.  A stratum is immutable: assigning
@@ -117,12 +119,11 @@ class Stratum:
 
     __slots__ = ("order", "splits", "_flag_view")
 
-    def __new__(cls, order=None, splits=None, *, tree=None):
+    def __new__(cls, order, splits=None):
         if splits is None:
-            s = order if tree is None else tree
-            if not isinstance(s, Stratum):
-                raise StrataError(f"{s!r} is not a stratum")
-            return s
+            if not isinstance(order, Stratum):
+                raise StrataError(f"{order!r} is not a stratum")
+            return order
         return _stratum(order, splits)
 
     @property
@@ -348,10 +349,6 @@ def s_tree(graph: CombinatorialGraph, tail_labels) -> Stratum:
 
 def s_corolla(labels) -> Stratum:
     return _stratum(_order(labels, 3), ())
-
-
-def stratum(tree: Stratum) -> Stratum:
-    return Stratum(tree)
 
 
 def two_part_tree(part1, part2) -> Stratum:

@@ -305,7 +305,7 @@ def test_qsm_verify_divergent_prints_no_partial_report(capsys):
 def test_qsm_spectral_base_below_two_exits_one(capsys, argv):
     assert run_cli("qsm", *argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: N must be an integer >= 2\n"
+    assert captured.err == f"error: N must be an integer >= 2, got {argv[argv.index('--N') + 1]}\n"
     assert captured.out == ""
 
 
@@ -316,7 +316,7 @@ def test_qsm_spectral_base_below_two_exits_one(capsys, argv):
 def test_qsm_character_denominator_below_one_exits_one(capsys, argv):
     assert run_cli("qsm", *argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: D must be an integer >= 1\n"
+    assert captured.err == "error: D must be an integer >= 1, got 0\n"
     assert captured.out == ""
 
 

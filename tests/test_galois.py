@@ -161,7 +161,7 @@ def test_group_modulo_one_is_the_one_element_group(build):
                          ids=["full", "trivial", "generated"])
 @pytest.mark.parametrize("m", [0, -12])
 def test_group_rejects_conductor_below_one(build, m):
-    with pytest.raises(ValueError, match="conductor must be >= 1"):
+    with pytest.raises(ValueError, match=rf"^conductor must be an integer >= 1, got {m}$"):
         build(m)
 
 
@@ -289,46 +289,51 @@ def test_character_json_round_trip():
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: ExponentSumCharacter(12, 1.5), "denominator must be a positive integer"),
-    (lambda: ExponentSumCharacter(12, Fraction(2)), "denominator must be a positive integer"),
-    (lambda: ExponentSumCharacter(0), "conductor must be a positive integer"),
-    (lambda: ExponentSumCharacter(-12, 2), "conductor must be a positive integer"),
-    (lambda: ExponentSumCharacter(12.0), "conductor must be a positive integer"),
+    (lambda: ExponentSumCharacter(12, 1.5), r"^denominator must be an integer >= 1, got 1\.5$"),
+    (lambda: ExponentSumCharacter(12, Fraction(2)),
+     r"^denominator must be an integer >= 1, got Fraction\(2, 1\)$"),
+    (lambda: ExponentSumCharacter(0), r"^conductor must be an integer >= 1, got 0$"),
+    (lambda: ExponentSumCharacter(-12, 2), r"^conductor must be an integer >= 1, got -12$"),
+    (lambda: ExponentSumCharacter(12.0), r"^conductor must be an integer >= 1, got 12\.0$"),
     (lambda: character_from_json([1]), "must be an object with an 'm' field"),
     (lambda: character_from_json({"table": {}}), "must be an object with an 'm' field"),
     (lambda: character_from_json({"m": 12}), "needs a 'table' object or the rule 'exp-sum'"),
     (lambda: character_from_json({"m": 12, "table": [1]}),
      "needs a 'table' object or the rule 'exp-sum'"),
     (lambda: character_from_json({"m": 0, "rule": "exp-sum"}),
-     "conductor must be a positive integer"),
-    (lambda: TableCharacter(0, ()), "conductor must be a positive integer"),
-    (lambda: TableCharacter(-12, ()), "conductor must be a positive integer"),
-    (lambda: TableCharacter(12.0, ()), "conductor must be a positive integer"),
-    (lambda: character_from_json({"m": 0, "table": {}}), "conductor must be a positive integer"),
+     r"^conductor must be an integer >= 1, got 0$"),
+    (lambda: TableCharacter(0, ()), r"^conductor must be an integer >= 1, got 0$"),
+    (lambda: TableCharacter(-12, ()), r"^conductor must be an integer >= 1, got -12$"),
+    (lambda: TableCharacter(12.0, ()), r"^conductor must be an integer >= 1, got 12\.0$"),
+    (lambda: character_from_json({"m": 0, "table": {}}),
+     r"^conductor must be an integer >= 1, got 0$"),
     (lambda: TableCharacter(12, ((leaf(0), zeta(60)),)),
      "table values must be cyclotomic numbers of conductor 12"),
     (lambda: TableCharacter(12, ((leaf(0), zeta(12)), (leaf(1), 1))),
      "table values must be cyclotomic numbers of conductor 12"),
-    (lambda: ExponentSumCharacter(True), "conductor must be a positive integer"),
-    (lambda: ExponentSumCharacter(12, True), "denominator must be a positive integer"),
-    (lambda: TableCharacter(True, ()), "conductor must be a positive integer"),
-    (lambda: character_from_json({"m": 12.7, "table": {}}), "conductor must be a positive integer"),
-    (lambda: character_from_json({"m": True, "table": {}}), "conductor must be a positive integer"),
-    (lambda: character_from_json({"m": "12", "table": {}}), "conductor must be a positive integer"),
+    (lambda: ExponentSumCharacter(True), r"^conductor must be an integer >= 1, got True$"),
+    (lambda: ExponentSumCharacter(12, True), r"^denominator must be an integer >= 1, got True$"),
+    (lambda: TableCharacter(True, ()), r"^conductor must be an integer >= 1, got True$"),
+    (lambda: character_from_json({"m": 12.7, "table": {}}),
+     r"^conductor must be an integer >= 1, got 12\.7$"),
+    (lambda: character_from_json({"m": True, "table": {}}),
+     r"^conductor must be an integer >= 1, got True$"),
+    (lambda: character_from_json({"m": "12", "table": {}}),
+     r"^conductor must be an integer >= 1, got '12'$"),
     (lambda: character_from_json({"m": 0, "table": {"j1": ["1"]}}),
-     "conductor must be a positive integer"),
+     r"^conductor must be an integer >= 1, got 0$"),
     (lambda: character_from_json({"m": 12.7, "rule": "exp-sum"}),
-     "conductor must be a positive integer"),
+     r"^conductor must be an integer >= 1, got 12\.7$"),
     (lambda: character_from_json({"m": True, "rule": "exp-sum"}),
-     "conductor must be a positive integer"),
+     r"^conductor must be an integer >= 1, got True$"),
     (lambda: character_from_json({"m": "12", "rule": "exp-sum"}),
-     "conductor must be a positive integer"),
+     r"^conductor must be an integer >= 1, got '12'$"),
     (lambda: character_from_json({"m": 12, "D": 2.5, "rule": "exp-sum"}),
-     "denominator must be a positive integer"),
+     r"^denominator must be an integer >= 1, got 2\.5$"),
     (lambda: character_from_json({"m": 12, "D": True, "rule": "exp-sum"}),
-     "denominator must be a positive integer"),
+     r"^denominator must be an integer >= 1, got True$"),
     (lambda: character_from_json({"m": 12, "D": "2", "rule": "exp-sum"}),
-     "denominator must be a positive integer"),
+     r"^denominator must be an integer >= 1, got '2'$"),
 ], ids=["float-denominator", "fraction-denominator", "zero-conductor", "negative-conductor",
         "float-conductor", "json-not-an-object", "json-without-m", "json-without-table",
         "json-table-not-an-object", "json-zero-conductor", "table-zero-conductor",

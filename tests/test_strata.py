@@ -27,7 +27,6 @@ from dessins.strata import (
     open_stratum_boundary,
     project_divisor_check,
     s_corolla,
-    stratum,
     stratum_from_json,
     stratum_to_json,
     two_part_tree,
@@ -55,7 +54,7 @@ def test_curve_to_dessin_irreducible():
     c = CurveCombinatorics(("c0",), (), {l: "c0" for l in labels(4)})
     t = curve_to_dessin(c)
     assert len(t.graph.vertices) == 1 and t.graph.n_tails == 4
-    assert stratum(t).codim == 0
+    assert t.codim == 0
 
 
 def test_curve_to_dessin_two_components():
@@ -186,7 +185,7 @@ def test_trivalent_counts_match_double_factorial():
 
 
 def test_dimension_zero_over_three_labels_is_the_corolla():
-    corolla = stratum(s_corolla([1, 2, 3]))
+    corolla = s_corolla([1, 2, 3])
     assert maximal_codim_strata([1, 2, 3]) == [(corolla, True)]
     assert strata.trivalent_strata([3, 2, 1]) == [corolla]
     with pytest.raises(TooSmall):
@@ -248,7 +247,7 @@ def test_contract_edge_caterpillar():
 def test_contract_edge_raises_dim():
     for s in divisorial_strata(labels(5)):
         (e,) = s.tree.graph.edges
-        assert stratum(contract_edge(s.tree, e)).dim == s.dim + 1
+        assert contract_edge(s.tree, e).dim == s.dim + 1
 
 
 def test_contract_edge_no_such_edge():
@@ -258,7 +257,7 @@ def test_contract_edge_no_such_edge():
 
 
 def test_substratum_top_element():
-    top = stratum(s_corolla(labels(5)))
+    top = s_corolla(labels(5))
     for group in enumerate_strata(labels(5)).values():
         for s in group:
             w = is_substratum(s, top)
@@ -278,8 +277,8 @@ def test_substratum_incomparable_divisors():
 
 
 def test_substratum_label_mismatch():
-    a = stratum(s_corolla(labels(4)))
-    b = stratum(s_corolla(labels(5)))
+    a = s_corolla(labels(4))
+    b = s_corolla(labels(5))
     with pytest.raises(LabelSetMismatch):
         is_substratum(a, b)
 
@@ -341,14 +340,14 @@ def test_poset_sanity():
 
 
 def test_open_stratum_boundary_corolla_four():
-    top = stratum(s_corolla(labels(4)))
+    top = s_corolla(labels(4))
     boundary = open_stratum_boundary(top)
     assert len(boundary) == 3
     assert all(s.codim == 1 for s in boundary)
 
 
 def test_open_stratum_boundary_corolla_five():
-    assert len(open_stratum_boundary(stratum(s_corolla(labels(5))))) == 10
+    assert len(open_stratum_boundary(s_corolla(labels(5)))) == 10
 
 
 def test_open_stratum_boundary_matches_poset():
@@ -369,7 +368,7 @@ def test_open_stratum_boundary_empty_at_dim_zero():
 
 
 def test_clean_dessin_one_edge():
-    s = stratum(two_part_tree(["1", "2"], ["3", "4"]))
+    s = two_part_tree(["1", "2"], ["3", "4"])
     d = clean_dessin(s)
     assert len(d.black) == 2 + 4 and len(d.white) == 1
     assert len(d.black) + len(d.white) == 7
@@ -398,7 +397,7 @@ def _renamed_vertices(t, names):
     rename = dict(zip(g.vertices, names))
     h = graphs.validate(g.flags, rename.values(), {f: rename[v] for f, v in g.boundary.items()},
                         g.involution)
-    return stratum(strata.s_tree(h, t.tail_labels))
+    return strata.s_tree(h, t.tail_labels)
 
 
 def test_clean_dessin_names_never_collide_with_tree_vertices():
@@ -438,8 +437,8 @@ def test_clean_dessin_rejects_non_caterpillar():
 
 
 def test_compose_strata_corollas():
-    s1 = stratum(s_corolla(["1", "2", "x"]))
-    s2 = stratum(s_corolla(["3", "4", "y"]))
+    s1 = s_corolla(["1", "2", "x"])
+    s2 = s_corolla(["3", "4", "y"])
     out = compose_strata(s1, "x", s2, "y")
     assert out.codim == 1
     assert out.tree.labels == {"1", "2", "3", "4"}
@@ -447,41 +446,41 @@ def test_compose_strata_corollas():
 
 
 def test_compose_strata_codim_additivity():
-    s1 = stratum(s_corolla(["1", "2", "3", "x"]))
-    s2 = stratum(s_corolla(["4", "5", "y"]))
+    s1 = s_corolla(["1", "2", "3", "x"])
+    s2 = s_corolla(["4", "5", "y"])
     out = compose_strata(s1, "x", s2, "y")
     assert out.codim == s1.codim + s2.codim + 1
     assert out.tree.labels == {"1", "2", "3", "4", "5"}
 
 
 def test_compose_strata_label_collision():
-    s1 = stratum(s_corolla(["1", "2", "x"]))
-    s2 = stratum(s_corolla(["2", "4", "y"]))
+    s1 = s_corolla(["1", "2", "x"])
+    s2 = s_corolla(["2", "4", "y"])
     with pytest.raises(LabelCollision):
         compose_strata(s1, "x", s2, "y")
 
 
 def test_projection_corolla():
-    s = stratum(s_corolla(labels(5)))
+    s = s_corolla(labels(5))
     out = admissible_projection(s, labels(4))
     assert out.tree == s_corolla(labels(4))
 
 
 def test_projection_no_contraction_needed():
-    s = stratum(two_part_tree(["1", "2"], ["3", "4", "5"]))
+    s = two_part_tree(["1", "2"], ["3", "4", "5"])
     out = admissible_projection(s, labels(4))
     assert out.tree == two_part_tree(["1", "2"], ["3", "4"])
 
 
 def test_projection_forces_stabilization():
-    s = stratum(two_part_tree(["1", "2"], ["3", "4", "5"]))
+    s = two_part_tree(["1", "2"], ["3", "4", "5"])
     out = admissible_projection(s, ["1", "2", "3"])
     assert out.tree == s_corolla(["1", "2", "3"])
     assert out.codim == 0
 
 
 def test_projection_target_too_small():
-    s = stratum(s_corolla(labels(5)))
+    s = s_corolla(labels(5))
     with pytest.raises(TargetTooSmall):
         admissible_projection(s, ["1", "2"])
 

@@ -22,7 +22,6 @@ from dessins.strata import (
     enumerate_strata,
     s_corolla,
     s_tree,
-    stratum,
     stratum_from_json,
     stratum_to_json,
 )
@@ -107,7 +106,7 @@ def test_equal_trees_from_every_route_hash_alike():
     routes = 0
     for t in list(by_tree):
         again = s_tree(t.graph, t.tail_labels)
-        via_json = stratum_from_json(json.loads(json.dumps(stratum_to_json(stratum(t))))).tree
+        via_json = stratum_from_json(json.loads(json.dumps(stratum_to_json(t)))).tree
         for other in (again, via_json):
             assert other == t and hash(other) == hash(t) and by_tree[other].tree is t
             routes += 1
@@ -118,7 +117,7 @@ def test_equal_trees_from_every_route_hash_alike():
     # grafting a corolla at the tail "x" of every tree over five labels gives
     # trees over the six mixed labels
     for s in flat((1, 2, "a", "b", "x")):
-        got = compose_strata(s, "x", stratum(s_corolla((3, "c", "y"))), "y").tree
+        got = compose_strata(s, "x", s_corolla((3, "c", "y")), "y").tree
         assert by_tree[got].tree == got and hash(by_tree[got].tree) == hash(got)
         routes += 1
     assert routes == 2 * 236 + (25 + 2 * 105 + 3 * 105) + 26

@@ -29,7 +29,6 @@ from dessins.strata import (
     admissible_projection,
     enumerate_strata,
     s_corolla,
-    stratum,
     two_part_tree,
 )
 
@@ -142,7 +141,7 @@ def test_projection_matches_fresh_tables_over_thousands_of_label_orders():
     # bounded table of projections is filled, evicted and refilled
     pairs = []
     for picked in itertools.combinations(range(12), 6):
-        s = stratum(two_part_tree(picked[:3], picked[3:]))
+        s = two_part_tree(picked[:3], picked[3:])
         pairs += [(s, picked[1:]), (s, picked[:4]), (s, picked[::2])]
     assert len({(s.tree.order, frozenset(target)) for s, target in pairs}) == 2772
     assert 2772 > strata._projector.cache_info().maxsize
@@ -161,7 +160,7 @@ def test_projection_matches_fresh_tables_over_thousands_of_label_orders():
         "floats-then-bools"])
 def test_equal_labels_of_other_types_keep_their_own_type(first, second, target):
     for order in (first, second, first):
-        for s in (stratum(s_corolla(order)), stratum(two_part_tree(order[:2], order[2:]))):
+        for s in (s_corolla(order), two_part_tree(order[:2], order[2:])):
             got = admissible_projection(s, target)
             assert same_projection(got, ref_project(s, target))
             assert [type(lab) for lab in got.tree.order] == \
@@ -174,7 +173,7 @@ def test_equal_labels_of_other_types_keep_their_own_type(first, second, target):
 ], ids=["two", "two-repeated", "two-outside", "three-outside", "superset", "strings",
         "unhashable"])
 def test_refused_targets_raise_alike_on_every_call(target):
-    s = stratum(two_part_tree([1, 2], [3, 4, 5]))
+    s = two_part_tree([1, 2], [3, 4, 5])
     with pytest.raises(Exception) as want:
         ref_project(s, target)
     assert want.type in (TargetTooSmall, LabelSetMismatch, TypeError)

@@ -9,7 +9,7 @@ off their flag graphs through `s_tree`, not built from splits."""
 import itertools
 import math
 
-from dessins.strata import compose_strata, enumerate_strata, s_tree, stratum
+from dessins.strata import compose_strata, enumerate_strata, s_tree
 
 
 def all_strata(labels):
@@ -19,7 +19,7 @@ def all_strata(labels):
 def rename(s, sigma):
     """The stratum with every label l renamed sigma[l]."""
     t = s.tree
-    return stratum(s_tree(t.graph, {f: sigma[lab] for f, lab in t.tail_labels.items()}))
+    return s_tree(t.graph, {f: sigma[lab] for f, lab in t.tail_labels.items()})
 
 
 # 4, 5 and 3 labels (4, 26 and 1 strata), of mixed types

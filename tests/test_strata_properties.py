@@ -20,7 +20,6 @@ from dessins.strata import (
     open_stratum_boundary,
     s_corolla,
     s_tree,
-    stratum,
     stratum_from_json,
     stratum_to_json,
 )
@@ -38,7 +37,7 @@ def label_sets(draw, min_size=3):
 
 
 def random_stratum(draw, labels):
-    s = stratum(s_corolla(labels))
+    s = s_corolla(labels)
     for _ in range(draw(st.integers(0, len(labels) - 3))):
         s = draw(st.sampled_from(open_stratum_boundary(s)))
     return s
@@ -112,7 +111,7 @@ def test_is_substratum_is_split_inclusion(data):
         outer = inner                   # a contraction of inner: always below
         for _ in range(data.draw(st.integers(0, inner.codim))):
             e = data.draw(st.sampled_from(sorted(outer.tree.graph.edges, key=sorted)))
-            outer = stratum(contract_edge(outer.tree, e))
+            outer = contract_edge(outer.tree, e)
     else:
         outer = random_stratum(data.draw, labels)
     witness = is_substratum(inner, outer)

@@ -73,7 +73,7 @@ def assert_matches(s, ref):
     assert repr(s) == repr(ref)
     t = s.tree
     assert t is s.tree and t == ref.tree and types(t.order) == types(order)
-    assert Stratum(t).tree is t and Stratum(tree=t).tree is t and Stratum(t) == s
+    assert Stratum(t).tree is t and t.tree is t and Stratum(t) == s
     with pytest.raises(AttributeError):
         s.tree = t
     with pytest.raises(AttributeError):

@@ -9,7 +9,7 @@ import pytest
 from dessins import galois, graphs, operads, qsm, strata
 from dessins.galois import CyclotomicNumber, ExponentSumCharacter, GaloisGroup, zeta
 from dessins.graphs import corolla, disjoint_union, validate
-from dessins.strata import CurveCombinatorics, s_corolla, stratum
+from dessins.strata import CurveCombinatorics, s_corolla
 
 
 def raises_exactly(exc_type, match, call):
@@ -76,10 +76,10 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
      lambda: strata.curve_to_dessin(CurveCombinatorics((1, "1"), ((1, "1"),),
                                                        {1: 1, 2: 1, 3: "1", 4: "1"}))),
     (strata.StrataError, "label not present",
-     lambda: strata.compose_strata(stratum(s_corolla([1, 2, 3])), 9,
-                                   stratum(s_corolla([4, 5, 6])), 4)),
+     lambda: strata.compose_strata(s_corolla([1, 2, 3]), 9,
+                                   s_corolla([4, 5, 6]), 4)),
     (strata.LabelSetMismatch, "subset",
-     lambda: strata.admissible_projection(stratum(s_corolla([1, 2, 3, 4])), [1, 2, 9])),
+     lambda: strata.admissible_projection(s_corolla([1, 2, 3, 4]), [1, 2, 9])),
     (strata.StrataError, STABLE, lambda: strata.s_tree(TRIANGLE, _tail_labels(TRIANGLE))),
     (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, _tail_labels(SELF_LOOP))),
     (strata.StrataError, STABLE, lambda: strata.s_tree(PARALLEL, _tail_labels(PARALLEL))),
@@ -90,7 +90,7 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
      lambda: strata.s_tree(disjoint_union(SELF_LOOP, ABC), {})),
     (strata.StrataError, STABLE, lambda: strata.s_tree(SELF_LOOP, {})),
     (strata.StrataError, r"^\(1, 2, 3\) is not a stratum$", lambda: strata.Stratum((1, 2, 3))),
-    (strata.StrataError, r"^'abc' is not a stratum$", lambda: strata.Stratum(tree="abc")),
+    (strata.StrataError, r"^'abc' is not a stratum$", lambda: strata.Stratum("abc")),
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
         "label-unhashable", "label-holds-unhashable", "one-label-part", "overlapping-parts", "double-point-off-curve",
         "marked-point-off-curve", "components-share-a-name",
@@ -146,7 +146,7 @@ def test_iterate_grafts_refuses_a_part_index_outside_the_parts(plan, match):
 
 
 def _payload(**changes):
-    obj = strata.stratum_to_json(stratum(strata.two_part_tree([1, 2], [3, 4, 5])))
+    obj = strata.stratum_to_json(strata.two_part_tree([1, 2], [3, 4, 5]))
     return {**obj, **changes}
 
 
@@ -215,7 +215,7 @@ def test_malformed_stratum_json_raises_a_named_error(exc_type, match, obj):
 
 
 def test_stratum_from_json_takes_labels_in_any_order():
-    s = stratum(strata.two_part_tree([1, 2], [3, 4, 5]))
+    s = strata.two_part_tree([1, 2], [3, 4, 5])
     assert strata.stratum_from_json(_payload(labels=[5, 3, 1, 4, 2])) == s
 
 
@@ -228,7 +228,8 @@ def test_stratum_from_json_takes_labels_in_any_order():
     (galois.CyclotomicError, "mixed conductors", lambda: zeta(12) * zeta(5)),
     (galois.CyclotomicError, "expected 4 coefficients",
      lambda: CyclotomicNumber.from_coeffs(12, (1, 2, 3))),
-    (ValueError, "positive integer", lambda: ExponentSumCharacter(12, 0)),
+    (ValueError, r"^denominator must be an integer >= 1, got 0$",
+     lambda: ExponentSumCharacter(12, 0)),
     (galois.UnknownGroupElement, r"^5\.0 is not an integer residue modulo 12$",
      lambda: GaloisGroup(12, (1, 5)).element(5.0)),
     (galois.UnknownGroupElement, r"^Fraction\(5, 1\) is not an integer residue modulo 12$",
@@ -265,17 +266,19 @@ def test_stratum_from_json_takes_labels_in_any_order():
     (galois.CyclotomicError, r"^coordinates and denominator must be integers$",
      lambda: CyclotomicNumber(12, (1, 0, 0, 0), 2.0)),
     (galois.DivisionByZero, r"^zero denominator$", lambda: CyclotomicNumber(12, (1, 0, 0, 0), 0)),
-    (ValueError, r"^conductor must be a positive integer$",
+    (ValueError, r"^conductor must be an integer >= 1, got 0$",
      lambda: CyclotomicNumber(0, ())),
-    (ValueError, r"^conductor must be >= 1, got True$", lambda: GaloisGroup.full(True)),
-    (ValueError, r"^conductor must be >= 1, got 2\.0$", lambda: GaloisGroup.full(2.0)),
-    (ValueError, r"^conductor must be >= 1, got True$", lambda: GaloisGroup(True, (0,))),
-    (ValueError, r"^conductor must be >= 1, got 2\.0$", lambda: GaloisGroup.trivial(2.0)),
-    (ValueError, r"^conductor must be >= 1, got 5\.0$",
+    (ValueError, r"^conductor must be an integer >= 1, got True$", lambda: GaloisGroup.full(True)),
+    (ValueError, r"^conductor must be an integer >= 1, got 2\.0$", lambda: GaloisGroup.full(2.0)),
+    (ValueError, r"^conductor must be an integer >= 1, got True$",
+     lambda: GaloisGroup(True, (0,))),
+    (ValueError, r"^conductor must be an integer >= 1, got 2\.0$",
+     lambda: GaloisGroup.trivial(2.0)),
+    (ValueError, r"^conductor must be an integer >= 1, got 5\.0$",
      lambda: GaloisGroup.generated(5.0, [1])),
-    (ValueError, r"^conductor must be >= 1, got True$",
+    (ValueError, r"^conductor must be an integer >= 1, got True$",
      lambda: galois.cyclotomic_polynomial(True)),
-    (ValueError, r"^conductor must be >= 1, got 2\.0$",
+    (ValueError, r"^conductor must be an integer >= 1, got 2\.0$",
      lambda: galois.cyclotomic_polynomial(2.0)),
 ], ids=["group-without-one", "group-with-non-unit", "group-not-closed",
         "non-unit-generator", "mixed-conductors-add", "mixed-conductors-mul",
@@ -300,7 +303,9 @@ def test_galois_validation_errors(exc_type, match, call):
 ])
 @pytest.mark.parametrize("value", [True, False])
 def test_qsm_system_refuses_bool_fields(exc_type, match, field, value):
-    raises_exactly(exc_type, match, lambda: qsm.QsmSystem(**{field: value}))
+    # the whole message: the pinned text, then the value it names
+    raises_exactly(exc_type, match.rstrip("$") + f", got {value}$",
+                   lambda: qsm.QsmSystem(**{field: value}))
 
 
 @pytest.mark.parametrize("match,args", [
@@ -361,57 +366,91 @@ def test_a_label_map_that_misses_a_tail_is_refused(call):
 
 
 # Every input refusal of the conductor, integer-residue, count and window
-# checks that galois and qsm share, with the exception type each caller raises.
+# checks that galois and qsm share: the exception type each caller raises and
+# the whole message, which names the refused value.
+CONDUCTOR = "conductor must be an integer >= 1, got "
 REFUSALS = {
-    "full-zero": (ValueError, lambda: GaloisGroup.full(0)),
-    "full-float": (ValueError, lambda: GaloisGroup.full(2.0)),
-    "trivial-bool": (ValueError, lambda: GaloisGroup.trivial(True)),
-    "generated-negative": (ValueError, lambda: GaloisGroup.generated(-12, [1])),
-    "group-float": (ValueError, lambda: GaloisGroup(12.0, (1,))),
-    "polynomial-zero": (ValueError, lambda: galois.cyclotomic_polynomial(0)),
-    "value-zero-conductor": (ValueError, lambda: CyclotomicNumber(0, ())),
-    "value-float-conductor": (ValueError, lambda: CyclotomicNumber(2.0, (1,))),
-    "exp-sum-zero-conductor": (ValueError, lambda: ExponentSumCharacter(0)),
-    "exp-sum-fraction-denominator": (ValueError, lambda: ExponentSumCharacter(12, Fraction(2))),
-    "exp-sum-bool-denominator": (ValueError, lambda: ExponentSumCharacter(12, True)),
-    "table-float-conductor": (ValueError, lambda: galois.TableCharacter(12.0, ())),
-    "json-string-conductor": (ValueError,
+    "full-zero": (ValueError, CONDUCTOR + "0", lambda: GaloisGroup.full(0)),
+    "full-float": (ValueError, CONDUCTOR + "2.0", lambda: GaloisGroup.full(2.0)),
+    "trivial-bool": (ValueError, CONDUCTOR + "True", lambda: GaloisGroup.trivial(True)),
+    "generated-negative": (ValueError, CONDUCTOR + "-12",
+                           lambda: GaloisGroup.generated(-12, [1])),
+    "group-float": (ValueError, CONDUCTOR + "12.0", lambda: GaloisGroup(12.0, (1,))),
+    "polynomial-zero": (ValueError, CONDUCTOR + "0", lambda: galois.cyclotomic_polynomial(0)),
+    "value-zero-conductor": (ValueError, CONDUCTOR + "0", lambda: CyclotomicNumber(0, ())),
+    "value-float-conductor": (ValueError, CONDUCTOR + "2.0",
+                              lambda: CyclotomicNumber(2.0, (1,))),
+    "exp-sum-zero-conductor": (ValueError, CONDUCTOR + "0", lambda: ExponentSumCharacter(0)),
+    "exp-sum-fraction-denominator": (ValueError,
+                                     "denominator must be an integer >= 1, got Fraction(2, 1)",
+                                     lambda: ExponentSumCharacter(12, Fraction(2))),
+    "exp-sum-bool-denominator": (ValueError, "denominator must be an integer >= 1, got True",
+                                 lambda: ExponentSumCharacter(12, True)),
+    "table-float-conductor": (ValueError, CONDUCTOR + "12.0",
+                              lambda: galois.TableCharacter(12.0, ())),
+    "json-string-conductor": (ValueError, CONDUCTOR + "'12'",
                               lambda: galois.character_from_json({"m": "12", "table": {}})),
-    "json-exp-sum-zero-conductor": (ValueError,
-                                    lambda: galois.character_from_json({"m": 0, "rule": "exp-sum"})),
-    "json-string-denominator": (ValueError, lambda: galois.character_from_json(
-        {"m": 12, "D": "2", "rule": "exp-sum"})),
-    "element-float": (galois.UnknownGroupElement, lambda: GaloisGroup.full(12).element(5.0)),
-    "element-outside": (galois.UnknownGroupElement, lambda: GaloisGroup(12, (1, 5)).element(7)),
+    "json-rule-zero-conductor": (ValueError, CONDUCTOR + "0", lambda: galois.character_from_json(
+        {"m": 0, "rule": "exp-sum"})),
+    "json-string-denominator": (ValueError, "denominator must be an integer >= 1, got '2'",
+                                lambda: galois.character_from_json(
+                                    {"m": 12, "D": "2", "rule": "exp-sum"})),
+    "element-float": (galois.UnknownGroupElement, "5.0 is not an integer residue modulo 12",
+                      lambda: GaloisGroup.full(12).element(5.0)),
+    "element-outside": (galois.UnknownGroupElement, "7 is not in the configured group modulo 12",
+                        lambda: GaloisGroup(12, (1, 5)).element(7)),
     "group-element-fraction": (galois.UnknownGroupElement,
+                               "Fraction(5, 1) is not an integer residue modulo 12",
                                lambda: galois.GroupElement(GaloisGroup.full(12), Fraction(5))),
     "group-element-unreduced": (galois.UnknownGroupElement,
+                                "17 is not in the configured group modulo 12",
                                 lambda: galois.GroupElement(GaloisGroup.full(12), 17)),
-    "act-float": (galois.UnknownGroupElement, lambda: galois.galois_act_value(5.0, zeta(12))),
-    "act-non-unit": (galois.NotCoprime, lambda: galois.galois_act_value(3, zeta(12))),
-    "generated-non-unit": (galois.NotCoprime, lambda: GaloisGroup.generated(12, [5, 3])),
-    "group-non-unit": (galois.NotCoprime, lambda: GaloisGroup(12, (1, 3))),
-    "system-m-zero": (qsm.QsmError, lambda: qsm.QsmSystem(m=0)),
-    "system-m-string": (qsm.QsmError, lambda: qsm.QsmSystem(m="12")),
-    "system-n-one": (qsm.QsmError, lambda: qsm.QsmSystem(N=1)),
-    "system-n-float": (qsm.QsmError, lambda: qsm.QsmSystem(N=10.0)),
-    "system-d-zero": (qsm.QsmError, lambda: qsm.QsmSystem(D=0)),
-    "system-window-zero": (qsm.WindowTooSmall, lambda: qsm.QsmSystem(max_length=0)),
-    "hamiltonian-n-one": (qsm.QsmError, lambda: qsm.hamiltonian(qsm.QsmSystem().rep, 1)),
-    "partition-n-bool": (qsm.QsmError, lambda: qsm.partition_function(1, 2, True)),
-    "partition-k-negative": (qsm.QsmError, lambda: qsm.partition_function(1, -1, 10)),
-    "partition-k-fraction": (qsm.QsmError, lambda: qsm.partition_function(1, Fraction(2), 10)),
-    "partition-truncated-negative": (qsm.QsmError, lambda: qsm.partition_function(
-        1, 2, 10, mode="truncated", max_length=-1)),
-    "partition-truncated-float": (qsm.QsmError, lambda: qsm.partition_function(
-        1, 2, 10, mode="truncated", max_length=2.0)),
-    "window-zero": (qsm.WindowTooSmall,
+    "act-float": (galois.UnknownGroupElement, "5.0 is not an integer residue modulo 12",
+                  lambda: galois.galois_act_value(5.0, zeta(12))),
+    "act-non-unit": (galois.NotCoprime, "3 is not invertible modulo 12",
+                     lambda: galois.galois_act_value(3, zeta(12))),
+    "generated-float": (galois.UnknownGroupElement, "5.0 is not an integer residue modulo 12",
+                        lambda: GaloisGroup.generated(12, [5.0])),
+    "generated-non-unit": (galois.NotCoprime, "3 is not invertible modulo 12",
+                           lambda: GaloisGroup.generated(12, [5, 3])),
+    "group-non-unit": (galois.NotCoprime, "3 is not invertible modulo 12",
+                       lambda: GaloisGroup(12, (1, 3))),
+    "system-m-zero": (qsm.QsmError, "m must be an integer >= 1, got 0",
+                      lambda: qsm.QsmSystem(m=0)),
+    "system-m-string": (qsm.QsmError, "m must be an integer >= 1, got '12'",
+                        lambda: qsm.QsmSystem(m="12")),
+    "system-n-one": (qsm.QsmError, "N must be an integer >= 2, got 1", lambda: qsm.QsmSystem(N=1)),
+    "system-n-float": (qsm.QsmError, "N must be an integer >= 2, got 10.0",
+                       lambda: qsm.QsmSystem(N=10.0)),
+    "system-d-zero": (qsm.QsmError, "D must be an integer >= 1, got 0",
+                      lambda: qsm.QsmSystem(D=0)),
+    "system-window-zero": (qsm.WindowTooSmall, "max_length must be an integer >= 1, got 0",
+                           lambda: qsm.QsmSystem(max_length=0)),
+    "hamiltonian-n-one": (qsm.QsmError, "N must be an integer >= 2, got 1",
+                          lambda: qsm.hamiltonian(qsm.QsmSystem().rep, 1)),
+    "partition-n-bool": (qsm.QsmError, "N must be an integer >= 2, got True",
+                         lambda: qsm.partition_function(1, 2, True)),
+    "partition-k-negative": (qsm.QsmError, "k must be an integer >= 0, got -1",
+                             lambda: qsm.partition_function(1, -1, 10)),
+    "partition-k-fraction": (qsm.QsmError, "k must be an integer >= 0, got Fraction(2, 1)",
+                             lambda: qsm.partition_function(1, Fraction(2), 10)),
+    "partition-k-bool": (qsm.QsmError, "k must be an integer >= 0, got True",
+                         lambda: qsm.partition_function(1, True, 10)),
+    "partition-truncated-negative": (qsm.QsmError, "max_length must be an integer >= 0, got -1",
+                                     lambda: qsm.partition_function(
+                                         1, 2, 10, mode="truncated", max_length=-1)),
+    "partition-truncated-float": (qsm.QsmError, "max_length must be an integer >= 0, got 2.0",
+                                  lambda: qsm.partition_function(
+                                      1, 2, 10, mode="truncated", max_length=2.0)),
+    "window-zero": (qsm.WindowTooSmall, "max_length must be an integer >= 1, got 0",
                     lambda: qsm.build_rep(ExponentSumCharacter(12, 2), 0, (0,))),
+    "window-float": (qsm.WindowTooSmall, "max_length must be an integer >= 1, got 2.5",
+                     lambda: qsm.build_rep(ExponentSumCharacter(12, 2), 2.5, (0,))),
 }
 
 
-@pytest.mark.parametrize("exc_type,call", REFUSALS.values(), ids=REFUSALS.keys())
-def test_each_input_refusal_has_its_callers_type(exc_type, call):
+@pytest.mark.parametrize("exc_type,message,call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_input_refusal_has_its_callers_type(exc_type, message, call):
     with pytest.raises(exc_type) as info:
         call()
-    assert info.type is exc_type
+    assert info.type is exc_type and str(info.value) == message
