@@ -45,9 +45,20 @@ MAX_QSM_CONDUCTOR = 100
 MAX_QSM_WINDOW = 8
 
 # `qsm partition --trunc 2000` sums the five default integer betas exactly in
-# 0.14 s, all of it start-up: each sum is one closed form, so --trunc 20,000
-# also takes 0.14 s, 50,000 0.19 s and 200,000 0.6 s (2 CPUs, Python 3.11).
+# 0.14 s, all of it start-up.  Each sum is one closed form, but its Fraction
+# r^(trunc + 1) has about beta * trunc digits: at --trunc 2000 one row takes
+# 26 ms at beta = 100, 1.15 s at beta = 1,000 and 7.6 s at beta = 3,000.
 MAX_QSM_TRUNC = 2000
+
+# So |beta| and the number of betas are bounded too: 100 rows at beta = 100 and
+# --trunc 2000 take 3.3-3.6 s, and 4.1 s in the vertex-edge model.
+MAX_QSM_BETA = 100
+MAX_QSM_BETAS = 100
+
+# `hopf --tree` on a star with distinct leaf labels, which has the most
+# admissible cuts of any tree of its size, 2^(n-1): `--antipode --coproduct`
+# takes 2.1 s and 148 MiB at 11 vertices, and 9.2 s and 521 MiB at 12.
+MAX_HOPF_TREE_VERTICES = 11
 
 
 def _labels(n):
@@ -55,17 +66,21 @@ def _labels(n):
 
 
 def _parse_betas(text):
+    def beta(value):        # nan fails both comparisons, so it is refused too
+        return _in_range("--beta", value, -MAX_QSM_BETA, MAX_QSM_BETA)
+
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(beta(int(lo)), beta(int(hi)) + 1))
         elif chunk:
             val = float(chunk)
-            out.append(int(val) if val == int(val) else val)
+            out.append(beta(int(val) if val.is_integer() else val))
     if not out:
         raise ValueError(f"no inverse temperatures in {text!r}")
+    _in_range("the number of --beta values", len(out), 1, MAX_QSM_BETAS)
     return out
 
 
@@ -166,6 +181,7 @@ def cmd_hopf(args) -> int:
     if not args.tree:
         raise ValueError("provide --tree or --verify")
     t = hopf.parse_tree(args.tree)
+    _in_range("--tree vertices", len(hopf.tree_labels(t)), 1, MAX_HOPF_TREE_VERTICES)
     x = hopf.ForestPolynomial.generator(t)
     did_something = False
     if args.coproduct:

@@ -84,10 +84,18 @@ def forest_nodes(f) -> int:
 _LABEL_RE = re.compile(r"\s*(j?\d+|[A-Za-z_]\w*)\s*")
 
 
+# Parsing and the recursive walks over a tree (its vertex count, a
+# character's label sum, after a qsm window grafts up to 8 more levels) take
+# one frame per level, so this depth keeps them within Python's default
+# recursion limit of 1,000.
+MAX_TREE_DEPTH = 500
+
+
 def parse_tree(text: str):
     """Parse nested bracket syntax like "j3[j1, j2[j0]]".
 
     Labels "j<k>" or bare digits become ints; other identifiers stay strings.
+    A tree nested deeper than MAX_TREE_DEPTH levels is refused.
     """
     pos = 0
 
@@ -104,14 +112,17 @@ def parse_tree(text: str):
             return int(raw[1:])
         return raw
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
+        if depth > MAX_TREE_DEPTH:
+            raise TreeSyntaxError(
+                f"tree nests deeper than {MAX_TREE_DEPTH} levels at position {pos}")
         label = parse_label()
         children = []
         if pos < len(text) and text[pos] == "[":
             pos += 1
             while True:
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
                 if pos < len(text) and text[pos] == ",":
                     pos += 1
                     continue
@@ -123,7 +134,7 @@ def parse_tree(text: str):
             pos += 1
         return node(*([label] + children))
 
-    t = parse_node()
+    t = parse_node(1)
     if pos != len(text):
         raise TreeSyntaxError(f"trailing input at position {pos} in {text!r}")
     return t

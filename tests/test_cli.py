@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dessins import hopf, qsm, strata
+from dessins import cli, hopf, qsm, strata
 from dessins.cli import main
 
 
@@ -392,3 +392,64 @@ def test_each_cli_refusal_prints_one_error_line(capsys, argv, message):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def _chain(depth):
+    return "j0[" * (depth - 1) + "j0" + "]" * (depth - 1)
+
+
+def _star(vertices):
+    return "j0[" + ",".join(f"j{i}" for i in range(1, vertices)) + "]"
+
+
+def test_deep_chains_and_wide_stars_exit_zero_or_with_one_error_line(capsys):
+    # the parse depth leaves room for the qsm window and the character's walk,
+    # and a star is the tree whose antipode has the most terms for its size
+    depth, vertices = hopf.MAX_TREE_DEPTH, cli.MAX_HOPF_TREE_VERTICES
+    runs = [(("hopf", "--tree", _chain(d)), d <= vertices) for d in range(1, 1201)]
+    runs += [(("qsm", "gibbs", "--tree", _chain(d), "--beta", "1"), d <= depth)
+             for d in range(1, 1201)]
+    runs += [(("qsm", "gibbs", "--tree", _chain(d), "--route", route, "--lmax", "8", "--beta", "1"),
+              d <= depth)
+             for d in (depth, depth + 1) for route in ("series", "trace")]
+    runs += [(("hopf", "--tree", _star(n), "--antipode"), n <= vertices)
+             for n in range(2, vertices + 2)]
+    try:
+        for argv, accepted in runs:
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            assert (code, err.count("\n")) == ((0, 0) if accepted else (1, 1)), argv[:2]
+            assert accepted or err.startswith("error: "), argv[:2]
+    finally:
+        hopf.clear_caches()
+    assert run_cli("hopf", "--tree", _star(vertices + 1)) == 1
+    assert capsys.readouterr().err == "error: --tree vertices must be between 1 and 11, got 12\n"
+    assert run_cli("qsm", "gibbs", "--tree", _chain(depth + 1)) == 1
+    assert capsys.readouterr().err == "error: tree nests deeper than 500 levels at position 1500\n"
+
+
+@pytest.mark.parametrize("beta,message", [
+    ("inf", "--beta must be between -100 and 100, got inf"),
+    ("-inf", "--beta must be between -100 and 100, got -inf"),
+    ("1e400", "--beta must be between -100 and 100, got inf"),
+    ("nan", "--beta must be between -100 and 100, got nan"),
+    ("100.5", "--beta must be between -100 and 100, got 100.5"),
+    ("1,-101", "--beta must be between -100 and 100, got -101"),
+    ("1..101", "--beta must be between -100 and 100, got 101"),
+    ("-100000..1", "--beta must be between -100 and 100, got -100000"),
+    ("0..100", "the number of --beta values must be between 1 and 100, got 101"),
+    (",".join(["2"] * 101), "the number of --beta values must be between 1 and 100, got 101"),
+], ids=["inf", "minus-inf", "overflow", "nan", "float-past-bound", "int-past-bound",
+        "range-end-past-bound", "range-start-past-bound", "range-too-long", "list-too-long"])
+@pytest.mark.parametrize("command", ["partition", "gibbs"])
+def test_qsm_betas_past_their_bounds_exit_one(capsys, command, beta, message):
+    assert run_cli("qsm", command, f"--beta={beta}") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_qsm_betas_at_their_bounds_are_accepted(capsys):
+    assert run_cli("qsm", "partition", "--exact", "--beta", "1..100") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 101
+    assert run_cli("qsm", "partition", "--beta", "100", "--trunc", "2000") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "100,1.0,,,0.0"
