@@ -12,6 +12,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from dessins import qsm, strata
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -50,3 +52,21 @@ def test_every_library_name_the_workloads_read_resolves():
     missing = [f"{layer}.{name}" for layer, name in sorted(names)
                if not hasattr(importlib.import_module(f"dessins.{layer}"), name)]
     assert missing == []
+
+
+# The harness also uses these without a `<layer>.<name>` read that the scan
+# above sees: `workloads.py` wraps strata as `strata.Stratum(s)` and reads
+# `s.tree`, `spans.py` names `StableSTree` in `METHODS`, and `workloads.py`
+# reads three fields of the time evolution report.  ROADMAP item 1 moves the
+# harness off them, so that they can be retired.
+def test_the_stratum_names_the_harness_reads_still_reach_the_stratum():
+    s = strata.two_part_tree([1, 2], [3, 4, 5])
+    assert strata.Stratum(s) is s and s.tree is s
+    assert strata.StableSTree is strata.Stratum
+
+
+def test_the_time_evolution_report_has_the_fields_the_harness_reads():
+    system = qsm.QsmSystem(max_length=2)
+    report = qsm.time_evolution_report(system.rep, system.N, 0.5, group=system.group)
+    assert report.max_shift_deviation <= 1e-10
+    assert report.diag_invariant is True and report.galois_commutes is True
