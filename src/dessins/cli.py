@@ -45,19 +45,17 @@ MAX_QSM_CONDUCTOR = 100
 MAX_QSM_WINDOW = 8
 
 # `qsm partition --trunc 2000` sums the five default integer betas exactly in
-# 0.14 s, all of it start-up.  Each sum is one closed form, but its Fraction
-# r^(trunc + 1) has about beta * trunc digits: at --trunc 2000 one row takes
-# 26 ms at beta = 100, 1.15 s at beta = 1,000 and 7.6 s at beta = 3,000.
+# 0.14 s.  Each sum is one closed form, but its r^(trunc + 1) has about
+# beta * trunc digits: at --trunc 2000 a row takes 26 ms at beta = 100, 1.15 s
+# at 1,000 and 7.6 s at 3,000.  100 rows at beta = 100 take 3.3-3.6 s (4.1 s
+# in the vertex-edge model), so |beta| and the number of betas are bounded.
 MAX_QSM_TRUNC = 2000
-
-# So |beta| and the number of betas are bounded too: 100 rows at beta = 100 and
-# --trunc 2000 take 3.3-3.6 s, and 4.1 s in the vertex-edge model.
 MAX_QSM_BETA = 100
 MAX_QSM_BETAS = 100
 
-# `hopf --tree` on a star with distinct leaf labels, which has the most
-# admissible cuts of any tree of its size, 2^(n-1): `--antipode --coproduct`
-# takes 2.1 s and 148 MiB at 11 vertices, and 9.2 s and 521 MiB at 12.
+# A star with distinct leaf labels has the most admissible cuts of any tree of
+# its size, 2^(n-1): `hopf --tree` on one with `--antipode --coproduct` takes
+# 2.1 s and 148 MiB at 11 vertices, and 9.2 s and 521 MiB at 12.
 MAX_HOPF_TREE_VERTICES = 11
 
 
@@ -183,20 +181,17 @@ def cmd_hopf(args) -> int:
     t = hopf.parse_tree(args.tree)
     _in_range("--tree vertices", len(hopf.tree_labels(t)), 1, MAX_HOPF_TREE_VERTICES)
     x = hopf.ForestPolynomial.generator(t)
-    did_something = False
     if args.coproduct:
-        did_something = True
         pairs = hopf.coproduct(x)
         print(f"coproduct of {hopf.format_tree(t)} ({len(pairs.terms)} terms):")
         for (a, b), c in sorted(pairs.terms.items()):
             print(f"  {c} * {hopf.format_forest(a)} (x) {hopf.format_forest(b)}")
     if args.antipode:
-        did_something = True
         s = hopf.antipode(x)
         print(f"antipode of {hopf.format_tree(t)}:")
         for f, c in sorted(s.terms.items()):
             print(f"  {c} * {hopf.format_forest(f)}")
-    if args.counit or not did_something:
+    if args.counit or not (args.coproduct or args.antipode):
         print(f"counit of {hopf.format_tree(t)}: {hopf.counit(x)}")
     return EXIT_OK
 
@@ -320,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (ValueError, OSError) as exc:
-        # bad trees, betas and parameters, and divergent series, end up here
+        # every refusal, from a flag out of range to a divergent series, ends up here
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

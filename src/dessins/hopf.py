@@ -82,12 +82,8 @@ def forest_nodes(f) -> int:
 # --- text form --------------------------------------------------------------
 
 _LABEL_RE = re.compile(r"\s*(j?\d+|[A-Za-z_]\w*)\s*")
-
-
-# Parsing and the recursive walks over a tree (its vertex count, a
-# character's label sum, after a qsm window grafts up to 8 more levels) take
-# one frame per level, so this depth keeps them within Python's default
-# recursion limit of 1,000.
+# Parsing and a character's label sum, after a qsm window grafts up to 8 more
+# levels, take a frame per level: room under the default recursion limit.
 MAX_TREE_DEPTH = 500
 
 
@@ -115,8 +111,7 @@ def parse_tree(text: str):
     def parse_node(depth):
         nonlocal pos
         if depth > MAX_TREE_DEPTH:
-            raise TreeSyntaxError(
-                f"tree nests deeper than {MAX_TREE_DEPTH} levels at position {pos}")
+            raise TreeSyntaxError(f"tree deeper than {MAX_TREE_DEPTH} levels at position {pos}")
         label = parse_label()
         children = []
         if pos < len(text) and text[pos] == "[":

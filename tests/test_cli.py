@@ -425,7 +425,7 @@ def test_deep_chains_and_wide_stars_exit_zero_or_with_one_error_line(capsys):
     assert run_cli("hopf", "--tree", _star(vertices + 1)) == 1
     assert capsys.readouterr().err == "error: --tree vertices must be between 1 and 11, got 12\n"
     assert run_cli("qsm", "gibbs", "--tree", _chain(depth + 1)) == 1
-    assert capsys.readouterr().err == "error: tree nests deeper than 500 levels at position 1500\n"
+    assert capsys.readouterr().err == "error: tree deeper than 500 levels at position 1500\n"
 
 
 @pytest.mark.parametrize("beta,message", [
