@@ -391,7 +391,7 @@ class GaloisGroup:
             raise ValueError("group must contain 1")
         elems = set(self.elements)
         for a in elems:
-            if gcd(a, self.m) != 1:
+            if not isinstance(a, int) or gcd(a, self.m) != 1:
                 raise _refusal(a, self.m)
             for b in elems:
                 if (a * b) % self.m not in elems:

@@ -415,6 +415,8 @@ REFUSALS = {
                            lambda: GaloisGroup.generated(12, [5, 3])),
     "group-non-unit": (galois.NotCoprime, "3 is not invertible modulo 12",
                        lambda: GaloisGroup(12, (1, 3))),
+    "group-float-element": (galois.UnknownGroupElement, "5.0 is not an integer residue modulo 12",
+                            lambda: GaloisGroup(12, (1, 5.0))),
     "system-m-zero": (qsm.QsmError, "m must be an integer >= 1, got 0",
                       lambda: qsm.QsmSystem(m=0)),
     "system-m-string": (qsm.QsmError, "m must be an integer >= 1, got '12'",
