@@ -530,7 +530,10 @@ def _delta(f: int) -> dict:
     if len(tids) == 1:
         label, children = table.node[f]
         # B_j is injective, so distinct left forests give distinct keys
-        out = {(table.intern(label, a), b): c for (a, b), c in _delta(children).items()}
+        # tree ids are >= 1, so a lookup miss is the only falsy result
+        ids, intern = table.ids, table.intern
+        out = {(ids.get((label, a)) or intern(label, a), b): c
+               for (a, b), c in _delta(children).items()}
         out[(0, f)] = 1
     else:
         # the product of the trees' coproducts; forest 0 is the unit of each join
@@ -627,34 +630,38 @@ def _checked_tree(t) -> int:
 def coassociativity_holds(t) -> bool:
     """(coproduct (x) id) coproduct == (id (x) coproduct) coproduct on X_t.
 
-    Both sides are grouped by their last tensor factor z.  At z the left side
-    is the sum of c Delta(a) over the terms c a (x) z of Delta(X_t), so a lone
-    term with c = 1 is the memoised Delta(a) itself; only the right side, the
-    sum of c c2 a (x) b1 over the terms c a (x) b and c2 b1 (x) z of Delta(b),
-    is built.
+    The left side comes first, as one remainder per last tensor factor z: the
+    sum of c Delta(a) over the terms c a (x) z of Delta(X_t), started from a
+    copy of the first such term's memoised Delta(a), scaled by c.  Each term
+    c c2 a (x) b1 (x) z of the right side, over the terms c a (x) b and
+    c2 b1 (x) z of Delta(b), is then subtracted from the remainder at z and
+    dropped where it cancels, so the right side is never built.  The two
+    sides are equal as polynomials exactly when every remainder is zero,
+    whatever the sign or type of the coefficients.
     """
     f = _checked_tree(t)
-    by_last: dict = {}      # z -> [(a, c)] over the terms c a (x) z
-    right: dict = {}        # z -> {(a, b1): coefficient}
-    for (a, b), c in _delta(f).items():
-        by_last.setdefault(b, []).append((a, c))
-        for (b1, z), c2 in _delta(b).items():
-            part = right.get(z)
-            if part is None:
-                part = right[z] = {}
-            k = (a, b1)
-            part[k] = part.get(k, 0) + c * c2
-    for z, terms in by_last.items():
-        if len(terms) == 1 and terms[0][1] == 1:
-            left = _delta(terms[0][0])
+    delta = _delta(f)
+    rest: dict = {}         # z -> left side at z minus the right side read so far
+    for (a, b), c in delta.items():
+        part = rest.get(b)
+        if part is None:
+            rest[b] = _delta(a).copy() if c == 1 else {k: c * c2 for k, c2 in _delta(a).items()}
         else:
-            left = {}
-            for a, c in terms:
-                for k, c2 in _delta(a).items():
-                    left[k] = left.get(k, 0) + c * c2
-        if left != right.pop(z, {}):
-            return False
-    return not right
+            for k, c2 in _delta(a).items():
+                part[k] = part.get(k, 0) + c * c2
+    for (a, b), c in delta.items():
+        for (b1, z), c2 in _delta(b).items():
+            k = (a, b1)
+            try:
+                part = rest[z]
+                s = part.pop(k) - c * c2
+            except KeyError:        # a term the left side lacks
+                part = rest.setdefault(z, {})
+                s = part.get(k, 0) - c * c2
+            if s:
+                part[k] = s
+    # a remainder keeps a zero only from a zero coefficient or a left-side sum of 0
+    return not any(rest.values()) or not any(any(part.values()) for part in rest.values())
 
 
 def counit_axioms_hold(t) -> bool:

@@ -176,7 +176,20 @@ def test_hopf_verify_json_failure_exits_two(monkeypatch, capsys):
     assert "1 of 4 checks failed" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "7"])
+def test_hopf_max_vertices_accepts_the_cap(capsys, monkeypatch):
+    asked = []
+
+    def record(max_vertices, seed):
+        asked.append(max_vertices)
+        return hopf.Report(())
+
+    monkeypatch.setattr(hopf, "verify_identities", record)
+    assert run_cli("hopf", "--verify", "--max-vertices", str(cli.MAX_HOPF_VERTICES)) == 0
+    assert asked == [cli.MAX_HOPF_VERTICES] == [7]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["0", "8"])
 def test_hopf_max_vertices_out_of_range_exits_before_enumerating(capsys, monkeypatch, value):
     def refuse(*args):
         raise AssertionError("enumerated trees for a refused --max-vertices")
@@ -184,7 +197,7 @@ def test_hopf_max_vertices_out_of_range_exits_before_enumerating(capsys, monkeyp
     monkeypatch.setattr(hopf, "enumerate_trees", refuse)
     assert run_cli("hopf", "--verify", "--max-vertices", value) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --max-vertices must be between 1 and 6")
+    assert captured.err.startswith("error: --max-vertices must be between 1 and 7")
     assert captured.out == ""
 
 
@@ -373,20 +386,21 @@ def test_cli_runs_without_numpy():
 @pytest.mark.parametrize("argv,message", [
     (("strata", "--n", "2"), "--n must be between 3 and 9, got 2"),
     (("strata", "--n", "10"), "--n must be between 3 and 9, got 10"),
-    (("hopf", "--verify", "--max-vertices", "7"), "--max-vertices must be between 1 and 6, got 7"),
+    (("hopf", "--verify", "--max-vertices", "8"), "--max-vertices must be between 1 and 7, got 8"),
     (("hopf", "--tree", "j0", "--json"), "--json needs --verify"),
     (("hopf",), "provide --tree or --verify"),
     (("hopf", "--tree", "j0[j0"), "expected ']' at position 5 in 'j0[j0'"),
     (("qsm", "build", "--m", "101"), "--m must be between 1 and 100, got 101"),
     (("qsm", "verify", "--lmax", "0"), "--lmax must be between 1 and 8, got 0"),
     (("qsm", "gibbs", "--trunc", "2001"), "--trunc must be between 0 and 2000, got 2001"),
+    (("qsm", "partition", "--N", "21"), "--N must be between 2 and 20, got 21"),
     (("qsm", "build", "--json"), "--json needs the verify command"),
     (("qsm", "partition", "--json"), "--json needs the verify command"),
     (("qsm", "build", "--k", "3"), "--k 3 disagrees with the 2 fixed labels of (Z/12)*"),
     (("qsm", "partition", "--beta", "abc"), "could not convert string to float: 'abc'"),
     (("qsm", "gibbs", "--tree", "j13", "--beta", "1"), "label 13 is not a residue modulo 12"),
 ], ids=["n-low", "n-high", "max-vertices-high", "hopf-json-without-verify", "hopf-nothing",
-        "hopf-tree-syntax", "m-high", "lmax-low", "trunc-high", "qsm-json-build",
+        "hopf-tree-syntax", "m-high", "lmax-low", "trunc-high", "N-high", "qsm-json-build",
         "qsm-json-partition", "k-mismatch", "beta-not-a-number", "label-off-conductor"])
 def test_each_cli_refusal_prints_one_error_line(capsys, argv, message):
     assert run_cli(*argv) == 1
@@ -446,6 +460,17 @@ def test_qsm_betas_past_their_bounds_exit_one(capsys, command, beta, message):
     assert run_cli("qsm", command, f"--beta={beta}") == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_qsm_refused_spectral_base_exits_before_any_partition_sum(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("summed a partition function for a refused --N")
+
+    monkeypatch.setattr(qsm, "partition_function", refuse)
+    assert run_cli("qsm", "partition", "--N", str(10 ** 30), "--beta", "100", "--trunc", "2000") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --N must be between 2 and 20, got {10 ** 30}\n"
+    assert captured.out == ""
 
 
 def test_qsm_betas_at_their_bounds_are_accepted(capsys):
