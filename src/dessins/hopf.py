@@ -665,12 +665,18 @@ def coassociativity_holds(t) -> bool:
 
 
 def counit_axioms_hold(t) -> bool:
-    """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t."""
+    """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t.
+
+    The two sides are the terms of Delta(X_t) with an empty left and with an
+    empty right factor, so both hold exactly when the terms 1 (x) X_t and
+    X_t (x) 1 have coefficient 1 and no other key holds the empty forest 0:
+    a key (0, b) or (a, 0) is a third such key, and so is (0, 0), which
+    would fall in both sides.
+    """
     f = _checked_tree(t)
     delta = _delta(f)
-    left = {b: c for (a, b), c in delta.items() if not a}
-    right = {a: c for (a, b), c in delta.items() if not b}
-    return left == right == {f: 1}
+    return delta.get((0, f)) == 1 == delta.get((f, 0)) and \
+        len([k for k in delta if 0 in k]) == 2
 
 
 def antipode_identity_holds(t) -> bool:

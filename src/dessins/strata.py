@@ -217,31 +217,44 @@ def _tree(n, masks):
     Vertex 0 holds the anchor label and vertex i + 1 lies just below
     masks[i].  Returns the vertex above each split and the vertex of each
     label: the smallest split holding it, else vertex 0.
+
+    The splits of one tree are nested or disjoint, so the splits that hold a
+    label form a chain, strictly growing in size.  Read from the largest
+    split down, each split takes its labels, and the last split to have
+    taken a split's lowest label is the one just above it; the last split to
+    take a label is the label's vertex.  That is one step per (split, label)
+    incidence.
     """
-    by_size = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
-
-    def above(x):
-        for i in by_size:
-            if masks[i] != x and masks[i] & x == x:
-                return i + 1
-        return 0
-
-    return [above(m) for m in masks], [0] + [above(1 << i) for i in range(1, n)]
+    up, at = [0] * len(masks), [0] * n
+    for _, v, m in sorted(zip(map(int.bit_count, masks), range(1, len(masks) + 1), masks),
+                          reverse=True):        # splits of one size are disjoint
+        up[v - 1] = at[(m & -m).bit_length() - 1]
+        while m:
+            low = m & -m
+            at[low.bit_length() - 1] = v
+            m ^= low
+    return up, at
 
 
 @lru_cache(maxsize=64)
 def _flag_names(n_labels, n_edges):
     """Names in the flag graph of every tree with n_edges edges over n_labels
     labels, interned and shared by the graphs of many strata: the tails, the
-    vertices, each edge's two flags and its key, the edge set, and the sorted
-    flag, vertex and tail tuples."""
+    vertices, the upper and the lower flag of each edge, each edge's key, the
+    edge set, the sorted flag, vertex and tail tuples, and the involution,
+    which fixes the tails and swaps each edge's two flags.  The involution is
+    the same for every such tree, so each graph takes a copy of it."""
     tails = tuple(sys.intern(f"t{i}") for i in range(n_labels))
     vertices = tuple(sys.intern(f"v{i}") for i in range(n_edges + 1))
-    ends = tuple((sys.intern(f"e{i}.a"), sys.intern(f"e{i}.b")) for i in range(n_edges))
-    keys = tuple(frozenset(ab) for ab in ends)
-    flags = tuple(sorted(tails + tuple(f for ab in ends for f in ab)))
-    return (tails, vertices, ends, keys, frozenset(keys),
-            flags, tuple(sorted(vertices)), tuple(sorted(tails)))
+    uppers = tuple(sys.intern(f"e{i}.a") for i in range(n_edges))
+    lowers = tuple(sys.intern(f"e{i}.b") for i in range(n_edges))
+    keys = tuple(map(frozenset, zip(uppers, lowers)))
+    involution = dict(zip(tails, tails))
+    for a, b in zip(uppers, lowers):
+        involution[a], involution[b] = b, a
+    return (tails, vertices, uppers, lowers, keys, frozenset(keys),
+            tuple(sorted(involution)), tuple(sorted(vertices)), tuple(sorted(tails)),
+            involution)
 
 
 # Keyed by the label count and the split masks, not the labels, so trees over
@@ -254,17 +267,19 @@ def _flag_names(n_labels, n_edges):
 def _split_graph(n_labels, splits):
     """Flag graph of a split system over n_labels labels, its tails in label
     order, and the split of each edge: tail t{i} carries the i-th label,
-    vertex v0 the anchor, and edge e{i} joins vertex v{i+1} to the vertex
-    above it."""
-    tails, vertices, ends, keys, edges, flags, sorted_vertices, sorted_tails = \
-        _flag_names(n_labels, len(splits))
+    vertex v0 the anchor, and edge e{i} joins vertex v{i+1}, at its lower
+    flag e{i}.b, to the vertex above it, at its upper flag e{i}.a.  The
+    boundary is read off `_tree` in one pass: the tails' vertices, the upper
+    flags' and then the lower flags'."""
+    tails, vertices, uppers, lowers, keys, edges, flags, sorted_vertices, sorted_tails, \
+        involution = _flag_names(n_labels, len(splits))
     up, at = _tree(n_labels, splits)
-    boundary = {f: vertices[v] for f, v in zip(tails, at)}
-    involution = {f: f for f in tails}
-    for i, (v, (a, b)) in enumerate(zip(up, ends)):
-        boundary[a], boundary[b] = vertices[v], vertices[i + 1]
-        involution[a], involution[b] = b, a
-    g = CombinatorialGraph(flags, sorted_vertices, boundary, involution, edges, sorted_tails)
+    vertex = vertices.__getitem__
+    boundary = dict(zip(tails, map(vertex, at)))
+    boundary.update(zip(uppers, map(vertex, up)))
+    boundary.update(zip(lowers, vertices[1:]))
+    g = CombinatorialGraph(flags, sorted_vertices, boundary, dict(involution), edges,
+                           sorted_tails)
     return g, tails, dict(zip(keys, splits))
 
 
@@ -573,15 +588,18 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
         raise LabelCollision(f"shared labels {_sorted_labels(rest1 & rest2)}")
     if label1 not in s1.order or label2 not in s2.order:
         raise StrataError("label not present on the stratum")
-    order = _order(rest1 | rest2, 4)
-    bit = {lab: 1 << i for i, lab in enumerate(order)}
+    order = tuple(_sorted_labels(rest1 | rest2))
+    if len(order) < 4:
+        raise TooSmall("need at least 4 labels")
+    bit = dict(zip(order, map((1).__lshift__, range(len(order)))))
     full = (1 << len(order)) - 1
-    mask2 = sum(bit[lab] for lab in rest2)
+    mask2 = sum(map(bit.__getitem__, rest2))
     splits = {mask2 ^ full if mask2 & 1 else mask2}
     for s, site, other in ((s1, label1, mask2), (s2, label2, mask2 ^ full)):
-        bits = [other if lab == site else bit[lab] for lab in s.order]
-        for m in s.splits:
-            m = _remap(m, bits)
+        # by position: the site may also be an ordinary label of the other stratum
+        bits = list(map(bit.get, s.order))
+        bits[s.order.index(site)] = other
+        for m in map(_remap, s.splits, itertools.repeat(bits)):
             splits.add(m ^ full if m & 1 else m)
     return _stratum(order, tuple(sorted(splits)))
 
@@ -644,7 +662,8 @@ def admissible_projection(s: Stratum, target_labels) -> Stratum:
     split whose side keeps fewer than two labels has the image 0.
     """
     pick, image = _projector(s.order, frozenset(target_labels))
-    kept = {image[m] for m in s.splits} - {0}
+    kept = set(map(image.__getitem__, s.splits))     # a miss reaches __missing__
+    kept.discard(0)
     return _stratum(pick(s.order), tuple(sorted(kept)))
 
 

@@ -509,6 +509,54 @@ def test_counit_check_fails_without_the_full_cut(corrupt_delta):
     assert not any(counit_axioms_hold(t) for t in enumerate_trees((0, 1), 4))
 
 
+def _two_dict_counit(t) -> bool:
+    """The counit check as two dicts over every term of Delta(X_t)."""
+    f = hopf.CACHE.trees.of(t)
+    delta = hopf._delta(f)
+    left = {b: c for (a, b), c in delta.items() if not a}
+    right = {a: c for (a, b), c in delta.items() if not b}
+    return left == right == {f: 1}
+
+
+def _extra_empty_left(f, delta):
+    # 1 (x) b for the right factor b of a proper cut, so b != f
+    proper = [b for a, b in delta if a and b]
+    if proper:
+        delta[(0, proper[0])] = 1
+    return delta
+
+
+def _extra_empty_pair(f, delta):
+    delta[(0, 0)] = 1
+    return delta
+
+
+def _doubled_unit_left(f, delta):
+    delta[(0, f)] = 2
+    return delta
+
+
+def _dropped_unit_right(f, delta):
+    delta.pop((f, 0), None)
+    return delta
+
+
+@pytest.mark.parametrize("change", [None, _extra_empty_left, _extra_empty_pair,
+                                    _doubled_unit_left, _dropped_unit_right])
+def test_counit_check_matches_the_two_dict_check(corrupt_delta, change):
+    if change:
+        corrupt_delta(change)
+    trees = enumerate_trees((0, 1, 2), 4)
+    verdicts = [counit_axioms_hold(t) for t in trees]
+    assert verdicts == [_two_dict_counit(t) for t in trees]
+    if change is None:
+        assert all(verdicts)
+    elif change is _extra_empty_left:      # a leaf has no proper cut
+        assert verdicts == [len(hopf.vertex_paths(t)) == 1 for t in trees]
+    else:
+        assert not any(verdicts)
+
+
 def test_cache_size_counts_forests_and_edge_sets():
     hopf.clear_caches()
     admissible_cuts(chain(0, 1, 2))
