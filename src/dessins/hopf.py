@@ -665,14 +665,9 @@ def coassociativity_holds(t) -> bool:
 
 
 def counit_axioms_hold(t) -> bool:
-    """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t.
-
-    The two sides are the terms of Delta(X_t) with an empty left and with an
-    empty right factor, so both hold exactly when the terms 1 (x) X_t and
-    X_t (x) 1 have coefficient 1 and no other key holds the empty forest 0:
-    a key (0, b) or (a, 0) is a third such key, and so is (0, 0), which
-    would fall in both sides.
-    """
+    """(counit (x) id) coproduct == id == (id (x) counit) coproduct on X_t:
+    1 (x) X_t and X_t (x) 1 have coefficient 1 in Delta(X_t), and no other
+    key holds the empty forest 0 (a key (0, 0) would fall in both sides)."""
     f = _checked_tree(t)
     delta = _delta(f)
     return delta.get((0, f)) == 1 == delta.get((f, 0)) and \

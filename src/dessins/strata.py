@@ -226,8 +226,8 @@ def _tree(n, masks):
     incidence.
     """
     up, at = [0] * len(masks), [0] * n
-    for _, v, m in sorted(zip(map(int.bit_count, masks), range(1, len(masks) + 1), masks),
-                          reverse=True):        # splits of one size are disjoint
+    for m in sorted(masks, key=int.bit_count, reverse=True):    # one size: disjoint
+        v = masks.index(m) + 1
         up[v - 1] = at[(m & -m).bit_length() - 1]
         while m:
             low = m & -m
