@@ -591,15 +591,14 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     order = tuple(_sorted_labels(rest1 | rest2))
     if len(order) < 4:
         raise TooSmall("need at least 4 labels")
-    bit = dict(zip(order, map((1).__lshift__, range(len(order)))))
+    bit = {lab: 1 << i for i, lab in enumerate(order)}
     full = (1 << len(order)) - 1
     mask2 = sum(map(bit.__getitem__, rest2))
     splits = {mask2 ^ full if mask2 & 1 else mask2}
     for s, site, other in ((s1, label1, mask2), (s2, label2, mask2 ^ full)):
-        # by position: the site may also be an ordinary label of the other stratum
-        bits = list(map(bit.get, s.order))
-        bits[s.order.index(site)] = other
-        for m in map(_remap, s.splits, itertools.repeat(bits)):
+        bits = [other if lab == site else bit[lab] for lab in s.order]
+        for m in s.splits:
+            m = _remap(m, bits)
             splits.add(m ^ full if m & 1 else m)
     return _stratum(order, tuple(sorted(splits)))
 
