@@ -226,7 +226,7 @@ def _tree(n, masks):
     incidence.
     """
     up, at = [0] * len(masks), [0] * n
-    for m in sorted(masks, key=int.bit_count, reverse=True):    # one size: disjoint
+    for m in sorted(masks, key=int.bit_count, reverse=True):    # equal sizes are disjoint
         v = masks.index(m) + 1
         up[v - 1] = at[(m & -m).bit_length() - 1]
         while m:
