@@ -9,6 +9,11 @@ and antipode through `hopf._delta` and `hopf._antipode`, so a corrupted
 coproduct reaches the reference and the library alike, and their verdicts
 must agree on every tree, also when the identities fail.  Relabelling on ids,
 `hopf._relabel`, is compared with `relabel_tree` on nested tuples.
+
+The antipode is also compared with the forest formula of Connes and Kreimer,
+S(T) = sum over all edge subsets C of (-1)^(|C|+1) times the forest left by
+cutting C, which reads no coproduct: a corrupted coproduct that breaks the
+identities makes the two antipodes disagree.
 """
 
 import itertools
@@ -19,6 +24,7 @@ import pytest
 from dessins import hopf
 from dessins.galois import GaloisGroup
 from dessins.hopf import (
+    ForestPolynomial,
     antipode_identity_holds,
     balanced_cuts,
     coassociativity_holds,
@@ -82,6 +88,32 @@ def ref_antipode_identity(t):
     return not left and not right
 
 
+def ref_cuttings(t):
+    """(number of cut edges, trunk, pruned trees) for every edge subset of t."""
+    label, children = t
+    partial = [(0, [], [])]             # (cuts, kept children, pruned trees)
+    for child in children:
+        partial = [outcome
+                   for n, kept, pruned in partial
+                   for cn, trunk, below in ref_cuttings(child)
+                   for outcome in ((n + cn, kept + [trunk], pruned + below),
+                                   (n + cn + 1, kept, pruned + below + [trunk]))]
+    return [(n, hopf.node(label, *kept), pruned) for n, kept, pruned in partial]
+
+
+def ref_forest_antipode(t):
+    """S(X_t) by the forest formula, as a ForestPolynomial."""
+    terms = {}
+    for n, trunk, pruned in ref_cuttings(t):
+        ref_add(terms, hopf.forest(trunk, *pruned), (-1) ** (n + 1))
+    return ForestPolynomial(terms)
+
+
+def antipode_disagreements(trees):
+    return [t for t in trees
+            if hopf.antipode(ForestPolynomial.generator(t)) != ref_forest_antipode(t)]
+
+
 def ref_relabel(f, fn):
     """Forest id of the nested-tuple forest f relabelled by fn."""
     return hopf._forest_key([relabel_tree(t, fn) for t in f])
@@ -138,6 +170,13 @@ def test_cold_and_warm_caches_give_the_same_verdicts():
     cold = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
     warm = [tuple(check(t) for check, _ in IDENTITY_CHECKS) for t in trees]
     assert cold == warm and all(all(v) for v in cold)
+
+
+def test_antipode_matches_the_forest_formula_on_small_trees():
+    hopf.clear_caches()
+    trees = enumerate_trees(SMALL_ALPHABET, 5)
+    assert len(trees) == 1_788
+    assert antipode_disagreements(trees) == []
 
 
 # --- relabelling on ids ----------------------------------------------------------
@@ -243,3 +282,11 @@ def test_balanced_cuts_match_reference_on_a_corrupted_coproduct(corrupt_delta, n
     group = GaloisGroup.full(12)
     for t in enumerate_trees(CLOSED_ALPHABET, 3):
         assert balanced_cuts(t, group) == ref_balanced_cuts(t, group), t
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_antipode_leaves_the_forest_formula_on_a_breaking_corruption(corrupt_delta, name):
+    change, breaks = CORRUPTIONS[name]
+    corrupt_delta(change)
+    trees = enumerate_trees(SMALL_ALPHABET, 4)
+    assert bool(antipode_disagreements(trees)) == breaks

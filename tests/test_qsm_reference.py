@@ -192,7 +192,7 @@ def test_series_and_trace_are_the_closed_form_less_its_tail_exactly(m):
     system = QsmSystem(m=m, N=10, D=2, max_length=6)
     for beta in (1, 2, 5):
         try:
-            system.check_convergence(beta)
+            qsm.partition_function(beta, system.k, system.N)
         except Divergent:
             continue
         scale = Fraction(1, system.N ** beta)
