@@ -365,13 +365,6 @@ def evolution_fixes_diagonal_exactly(rep: TruncatedRep, tree) -> bool:
     return all(col == row for col, (row, _) in rep.diag(tree).cols.items())
 
 
-def _n_pow_minus_beta(N, beta):
-    if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
-        b = int(beta)
-        return Fraction(1, N ** b) if b >= 0 else Fraction(N ** (-b))
-    return float(N) ** (-float(beta))
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     value: Fraction | float
@@ -399,7 +392,7 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
         first, p = k, k * k
     else:
         raise QsmError(f"unknown multiplicity model {model!r}")
-    r = p * _n_pow_minus_beta(N, beta)
+    r = p * Fraction(N) ** -beta
     if r >= 1:
         inequality = "k * N^-beta" if model == "word" else "k^2 * N^-beta"
         raise Divergent(f"divergent series: {inequality} = {r} >= 1")
@@ -414,7 +407,7 @@ def partition_function(beta, k: int, N: int, model="word", mode="closed",
 
 def partition_trace(rep: TruncatedRep, N: int, beta) -> Fraction | float:
     """Trace of exp(-beta H) over the truncated basis (matches the level sums)."""
-    scale = _n_pow_minus_beta(N, beta)
+    scale = Fraction(N) ** -beta
     return sum(scale ** length for length in rep.length_diagonal())
 
 
@@ -464,19 +457,13 @@ class QsmSystem:
         and the fixed labels are 0 and, for even m, m/2, of phases 1 and -1."""
         return Fraction(self.m % 2) / (self.D * Fraction(self.N) ** beta)
 
-    def check_convergence(self, beta):
-        if self.k * _n_pow_minus_beta(self.N, beta) >= 1:
-            raise Divergent(
-                f"k * N^-beta = {self.k} * {self.N}^-{beta} >= 1")
-
 
 # --- Gibbs states --------------------------------------------------------------------
 
 def gibbs_closed_exact(system: QsmSystem, tree, beta: int) -> CyclotomicNumber:
     """Closed form: phi(X_t) times the rational 1/((1 - q) Z), q the system's
-    level ratio; exact for integer beta.  Convergence gives
-    0 <= q <= 1 / (D N^beta) <= k N^-beta < 1."""
-    system.check_convergence(beta)
+    level ratio; exact for integer beta.  `partition_function` raises
+    Divergent unless k N^-beta < 1, which gives 0 <= q <= 1 / (D N^beta) < 1."""
     z = partition_function(beta, system.k, system.N, "word", "closed").value
     return system.char.on_tree(tree) * (1 / ((1 - system.level_ratio(beta)) * z))
 
@@ -486,13 +473,14 @@ def gibbs_value(system: QsmSystem, tree, beta, route="closed") -> complex:
 
     Routes: "closed" (geometric series), "series" (direct truncated word sum),
     "trace" (matrix trace over the truncated representation).  All three are
-    normalized by the closed-form partition function.
+    normalized by the closed-form partition function, which raises Divergent
+    unless k N^-beta < 1; the closed route is exact at integer beta.
     """
-    system.check_convergence(beta)
+    if route == "closed" and (isinstance(beta, int) or (
+            isinstance(beta, Fraction) and beta.denominator == 1)):
+        return complex_embed(gibbs_closed_exact(system, tree, int(beta)))
     z = float(partition_function(beta, system.k, system.N).value)
     if route == "closed":
-        if isinstance(beta, int) or (isinstance(beta, Fraction) and beta.denominator == 1):
-            return complex_embed(gibbs_closed_exact(system, tree, int(beta)))
         return complex_embed(system.char.on_tree(tree)) / (1 - system.level_ratio(beta)) / z
     if route in ("series", "trace"):
         return _window_sum(system, tree, route, float(system.N) ** (-float(beta))) / z
@@ -570,9 +558,11 @@ def verify_intertwining(system: QsmSystem, trees, betas=(1, 2)) -> Report:
 def verify_system(system: QsmSystem, seed: int = 0) -> Report:
     """Every identity of the system on its window: crossed-product relations,
     time evolution, ground-state and Gibbs intertwining, agreement of the three
-    Gibbs routes, and the vanishing of the ground state on shifts."""
+    Gibbs routes, and the vanishing of the ground state on shifts.  The
+    partition function at each beta comes first: a divergent series raises
+    Divergent before any check runs."""
     betas = (1, 2)
-    system.check_convergence(min(betas))
+    z = {b: partition_function(b, system.k, system.N).value for b in betas}
     rng = random.Random(seed)
     rep = system.rep
     m = system.m
@@ -599,15 +589,14 @@ def verify_system(system: QsmSystem, seed: int = 0) -> Report:
 
     # The series and trace routes stop at the window, so they miss exactly the
     # closed form's levels beyond it: series = trace = (1 - q^(L+1)) closed.
-    for beta_val in betas:
-        scale = _n_pow_minus_beta(system.N, beta_val)
+    for beta_val, z_val in z.items():
+        scale = Fraction(system.N) ** -beta_val
         q = system.level_ratio(beta_val)
         kept = 1 - q ** (system.max_length + 1)
-        z = partition_function(beta_val, system.k, system.N).value
         agree = check_all(
             f"Gibbs three-route agreement at beta={beta_val}", trees[:4],
-            lambda t: _window_sum(system, t, "series", scale) / z
-            == _window_sum(system, t, "trace", scale) / z
+            lambda t: _window_sum(system, t, "series", scale) / z_val
+            == _window_sum(system, t, "trace", scale) / z_val
             == kept * gibbs_closed_exact(system, t, beta_val),
             show=hopf.format_tree)
         checks.append(replace(agree, detail="; ".join(
