@@ -14,9 +14,21 @@ The antipode is also compared with the forest formula of Connes and Kreimer,
 S(T) = sum over all edge subsets C of (-1)^(|C|+1) times the forest left by
 cutting C, which reads no coproduct: a corrupted coproduct that breaks the
 identities makes the two antipodes disagree.
+
+The characters phi_s(t) = s^|t| / t! (t! the product of the subtree sizes,
+extended multiplicatively to forests) check the public `coproduct` and
+`antipode` by closed forms that do not depend on how either is built:
+phi_1 * phi_2 = phi_3 under convolution, and phi_1 o S = phi_(-1) (Butcher
+1972; Brouder 2000).  They fail under every corruption that breaks the
+identities.
+
+The forest branches of `_delta` and `_antipode` and the product of two
+polynomials are compared with test-local copies of their loops written out
+in full, with the forest join inline.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +37,12 @@ from dessins import hopf
 from dessins.galois import GaloisGroup
 from dessins.hopf import (
     ForestPolynomial,
+    PairPolynomial,
+    antipode,
     antipode_identity_holds,
     balanced_cuts,
     coassociativity_holds,
+    coproduct,
     counit_axioms_hold,
     enumerate_trees,
     relabel_tree,
@@ -290,3 +305,159 @@ def test_antipode_leaves_the_forest_formula_on_a_breaking_corruption(corrupt_del
     corrupt_delta(change)
     trees = enumerate_trees(SMALL_ALPHABET, 4)
     assert bool(antipode_disagreements(trees)) == breaks
+
+
+# --- closed-form characters --------------------------------------------------------
+
+def size_and_factorial(t):
+    """|t| and the tree factorial t!, the product of the subtree sizes."""
+    size, fact = 1, 1
+    for c in t[1]:
+        n, f = size_and_factorial(c)
+        size, fact = size + n, fact * f
+    return size, fact * size
+
+
+def phi(s, f):
+    """phi_s on a forest of nested-tuple trees: the product of s^|t| / t!."""
+    out = Fraction(1)
+    for t in f:
+        n, fact = size_and_factorial(t)
+        out *= Fraction(s) ** n / fact
+    return out
+
+
+def convolution_fails(t):
+    """Whether (phi_1 * phi_2)(t), summed over coproduct(X_t), is not phi_3(t)."""
+    delta = coproduct(ForestPolynomial.generator(t))
+    return sum(c * phi(1, a) * phi(2, b) for (a, b), c in delta.terms.items()) != phi(3, (t,))
+
+
+def inverse_fails(t):
+    """Whether phi_1(S(X_t)) is not phi_(-1)(t)."""
+    s = antipode(ForestPolynomial.generator(t))
+    return sum(c * phi(1, g) for g, c in s.terms.items()) != phi(-1, (t,))
+
+
+def test_characters_convolve_and_invert_exactly_on_small_trees():
+    hopf.clear_caches()
+    trees = enumerate_trees(SMALL_ALPHABET, 5)
+    assert len(trees) == 1_788
+    assert [t for t in trees if convolution_fails(t)] == []
+    assert [t for t in trees if inverse_fails(t)] == []
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_characters_fail_on_a_breaking_corruption(corrupt_delta, name):
+    change, breaks = CORRUPTIONS[name]
+    corrupt_delta(change)
+    trees = enumerate_trees(SMALL_ALPHABET, 4)
+    assert len(trees) == 303
+    assert any(convolution_fails(t) for t in trees) == breaks
+    assert any(inverse_fails(t) for t in trees) == breaks
+
+
+# --- the forest products ---------------------------------------------------------
+
+def ref_delta_product(f):
+    """Coproduct of the forest id f of several trees: the product of its
+    trees' coproducts, joined inline and summed with `get`."""
+    table = hopf.CACHE.trees
+    forests, forest = table.forests, table.forest
+    tids = forests[f]
+    out = hopf._delta(tids[0])
+    for tid in tids[1:]:
+        product = {}
+        for (a1, b1), c1 in out.items():
+            left, right = forests[a1], forests[b1]
+            for (a2, b2), c2 in hopf._delta(tid).items():
+                k = (forest(tuple(sorted(left + forests[a2]))) if a1 and a2 else a1 or a2,
+                     forest(tuple(sorted(right + forests[b2]))) if b1 and b2 else b1 or b2)
+                product[k] = product.get(k, 0) + c1 * c2
+        out = product
+    return out
+
+
+def ref_antipode_product(f):
+    """Antipode of the forest id f of several trees: the product of its
+    trees' antipodes."""
+    out = {0: 1}
+    for tid in hopf.CACHE.trees.forests[f]:
+        product = {}
+        for g1, s1 in out.items():
+            for g2, s2 in hopf._antipode(tid).items():
+                ref_add(product, ref_join(g1, g2), s1 * s2)
+        out = product
+    return out
+
+
+def test_forest_coproducts_and_antipodes_are_the_products_of_their_trees():
+    """A true coproduct has no zero sums (every coefficient of a product of
+    coproducts is a sum of positive terms), so `_delta` dropping zero sums
+    and the reference keeping them give equal maps."""
+    hopf.clear_caches()
+    hopf.verify_identities(5)
+    for t in enumerate_trees(SMALL_ALPHABET, 5):
+        antipode(ForestPolynomial.generator(t))
+    forests = hopf.CACHE.trees.forests
+    deltas = [f for f in list(hopf.CACHE.coproduct) if len(forests[f]) > 1]
+    antipodes = [f for f in list(hopf.CACHE.antipode) if len(forests[f]) > 1]
+    assert deltas and antipodes
+    for f in deltas:
+        assert hopf._delta(f) == ref_delta_product(f), hopf._forest_tuple(f)
+    for f in antipodes:
+        assert hopf._antipode(f) == ref_antipode_product(f), hopf._forest_tuple(f)
+
+
+def ref_key_product(x, k1, k2):
+    if isinstance(x, PairPolynomial):
+        return tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1]))
+    return tuple(sorted(k1 + k2))
+
+
+def ref_mul(x, y):
+    """The terms of x * y, every pair of terms multiplied and summed."""
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            ref_add(out, ref_key_product(x, k1, k2), c1 * c2)
+    return out
+
+
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def sampled_pairs(cls, rng, n):
+    """n pairs of polynomials of cls; every other pair is c a + d b and
+    c a - d b, whose cross terms cancel."""
+    trees = enumerate_trees(SMALL_ALPHABET, 3)
+    forests = [()] + [(t,) for t in trees] + [hopf.forest(*rng.sample(trees, 2)) for _ in range(20)]
+
+    def key():
+        return rng.choice(forests) if cls is ForestPolynomial else (rng.choice(forests),
+                                                                    rng.choice(forests))
+
+    pairs = []
+    for i in range(n):
+        if i % 2:
+            a, b = key(), key()
+            while b == a:
+                b = key()
+            c, d = rng.choice(COEFFS), rng.choice(COEFFS)
+            pairs.append((cls({a: c, b: d}), cls({a: c, b: -d})))
+        else:
+            pairs.append(tuple(cls({key(): rng.choice(COEFFS) for _ in range(rng.randint(0, 4))})
+                               for _ in range(2)))
+    return pairs
+
+
+@pytest.mark.parametrize("cls", [ForestPolynomial, PairPolynomial])
+def test_polynomial_product_matches_the_written_out_loop(cls):
+    rng = random.Random(35)
+    cancelled = 0
+    for x, y in sampled_pairs(cls, rng, 200):
+        want = ref_mul(x, y)
+        assert (x * y).terms == want, (x, y)
+        cancelled += len(want) < len({ref_key_product(x, k1, k2)
+                                      for k1 in x.terms for k2 in y.terms})
+    assert cancelled >= 50
