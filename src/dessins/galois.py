@@ -84,12 +84,14 @@ def _poly_divmod_exact(num, den):
     return out
 
 
-# Each table is kept for the 128 most recent conductors.  A qsm-galois pass
+# Each table is kept for the 256 most recent conductors.  A qsm-galois pass
 # reads 12 polynomials (the divisors of 12 and 60) and 2 power tables, `qsm
 # verify --m 97` 2 and 1, the Gibbs test over conductors 1..100 100 of each,
-# the other workloads none.  Typed, so that True and 2.0 are not read from the
-# entries of 1 and 2.
-@lru_cache(maxsize=128, typed=True)
+# the other workloads none.  The whole test suite in one process reads 204
+# polynomials, 201 power tables and 101 sparse ones, and builds each once (at
+# 128 it built 262 polynomials and 261 power tables).  Typed, so that True and
+# 2.0 are not read from the entries of 1 and 2.
+@lru_cache(maxsize=256, typed=True)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
     _int_at_least("conductor", m)
@@ -101,7 +103,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def _powers(m: int) -> tuple[tuple[int, ...], ...]:
     """zeta_m^e in integer power-basis coordinates for e = 0..m-1."""
     phi = cyclotomic_polynomial(m)
@@ -114,7 +116,7 @@ def _powers(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(powers)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def _sparse_powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """zeta_m^e as its nonzero (coordinate, value) pairs for e = 0..m-1."""
     return tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in _powers(m))

@@ -9,8 +9,9 @@ for the sorted tuple of its tree ids, forest 0 is the empty forest, and a
 tree, which in the algebra is the one-tree forest, has that forest's id and
 stores its children as one forest id.  Coproducts and antipodes are maps over
 forest ids, so memo keys and the identity checks hash ints, not nested
-tuples.  Enumeration builds each tree through the table, so an enumerated
-tree is the table's own tuple and interns in one lookup.
+tuples.  A forest's coproduct and antipode are products of its trees', by
+`_product` and `_join`.  Enumeration builds each tree through the table, so
+an enumerated tree is the table's own tuple and interns in one lookup.
 
 The coproduct sums trunk (x) pruned forest over the admissible cuts (edge
 sets meeting each root-to-leaf path at most once), plus the full cut
@@ -158,13 +159,22 @@ def _add(terms: dict, key, coeff):
         terms.pop(key, None)
 
 
+def _product(x: dict, y: dict, key) -> dict:
+    """{key(k1, k2): sum of c1 * c2} over the terms of x and y; zero sums drop."""
+    out: dict = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            _add(out, key(k1, k2), c1 * c2)
+    return out
+
+
 class _Polynomial:
     """Finite exact linear combination: `terms` maps keys to nonzero coefficients.
-    A scalar scales; elements of one type add, and multiply through the product
-    of two keys that each subclass supplies as `_key_product`; types do not mix.
-    A polynomial is hashable, so `terms` is a read-only view of a dict of its
-    own (item assignment raises TypeError), and assigning or deleting `terms`
-    after construction raises `dataclasses.FrozenInstanceError`."""
+    A scalar scales; elements of one type add, subtract and multiply through the
+    product of two keys that each subclass supplies as `_key_product`; types do
+    not mix.  A polynomial is hashable, so `terms` is a read-only view of a dict
+    of its own (item assignment raises TypeError), and assigning or deleting
+    `terms` after construction raises `dataclasses.FrozenInstanceError`."""
 
     __slots__ = ("terms",)
 
@@ -184,6 +194,12 @@ class _Polynomial:
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -199,17 +215,18 @@ class _Polynomial:
 
     __rmul__ = scale
 
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
     def __mul__(self, other):
         if not isinstance(other, _Polynomial):
             return self.scale(other)
         if type(other) is not type(self):
             raise TypeError(f"cannot multiply {type(self).__name__} by {type(other).__name__}")
-        product = self._key_product
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _add(out, product(k1, k2), c1 * c2)
-        return type(self)(out)
+        return type(self)(_product(self.terms, other.terms, self._key_product))
 
 
 _set_terms = _Polynomial.terms.__set__
@@ -235,18 +252,6 @@ class ForestPolynomial(_Polynomial):
     @classmethod
     def from_forest(cls, f, coeff=1):
         return cls({tuple(sorted(f)): coeff})
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def map_trees(self, fn) -> ForestPolynomial:
         """Apply fn to every tree, re-sort each forest and sum the coefficients;
@@ -406,14 +411,15 @@ class HopfCache:
 
 # Sizes measured with tracemalloc on Python 3.11.  Enumerated trees are the
 # tree table's own tuples, so a list of trees costs no second copy.  `dessins
-# hopf --verify --max-vertices 6` fills 22,360 entries (3,132 of them forest
+# hopf --verify --max-vertices 6` fills 22,581 entries (3,353 of them forest
 # joins) in 10.3 MiB (0.47 KiB an entry), and one pass of the hopf-identities
-# benchmark workload 54,453 in 18.7 MiB; at 7 vertices the suite fills 117,650
-# and needs no trim.  Cut lists over 103,600 trees of 4 or 5 vertices take 2
-# entries a tree (the tree with its forests, and its cut list) and 0.73 KiB an
-# entry; those of all 59,892 trees over 12 labels with at most 4 vertices fill
-# 121,997 entries in 75 MiB (0.63 KiB an entry).  So 160,000 entries keep the
-# cache under about 120 MiB, and those cut lists fit without a trim.
+# benchmark workload (seed 1) 54,905 (3,643 joins) in 19.4 MiB; at 7 vertices
+# the suite fills 129,721 (15,203 joins) in 68 MiB and needs no trim.  Cut
+# lists over 103,600 trees of 4 or 5 vertices take 2 entries a tree (the tree
+# with its forests, and its cut list) and 0.73 KiB an entry; those of all
+# 59,892 trees over 12 labels with at most 4 vertices fill 121,997 entries in
+# 75 MiB (0.63 KiB an entry).  So 160,000 entries keep the cache under about
+# 120 MiB, and those cut lists fit without a trim.
 CACHE = HopfCache(max_entries=160_000)
 
 
@@ -444,6 +450,11 @@ def _join(f: int, g: int) -> int:
         out = CACHE.put(CACHE.joins, key,
                         CACHE.trees.forest(tuple(sorted(forests[f] + forests[g]))))
     return out
+
+
+def _join_pairs(p: tuple, q: tuple) -> tuple:
+    """Product of two forest (x) forest pairs of ids."""
+    return _join(p[0], q[0]), _join(p[1], q[1])
 
 
 # --- admissible cuts --------------------------------------------------------
@@ -520,7 +531,8 @@ def _delta(f: int) -> dict:
     A tree B_j(F) with root label j over the forest F of its children follows
     the 1-cocycle recursion Delta(B_j(F)) = (B_j (x) id) Delta(F) + 1 (x) B_j(F):
     the left factors are the trunks and the right ones the pruned forests of
-    its admissible cuts.  A forest's coproduct is the product of its trees'.
+    its admissible cuts.  A forest's coproduct is the product of its trees',
+    taken by `_product` with both forests of each pair joined by `_join`.
     """
     out = CACHE.coproduct.get(f)
     if out is not None:
@@ -536,19 +548,9 @@ def _delta(f: int) -> dict:
                for (a, b), c in _delta(children).items()}
         out[(0, f)] = 1
     else:
-        # the product of the trees' coproducts; forest 0 is the unit of each join
-        forests, forest = table.forests, table.forest
         out = _delta(tids[0]) if tids else {(0, 0): 1}
         for tid in tids[1:]:
-            factor = _delta(tid).items()
-            product: dict = {}
-            for (a1, b1), c1 in out.items():
-                left, right = forests[a1], forests[b1]
-                for (a2, b2), c2 in factor:
-                    k = (forest(tuple(sorted(left + forests[a2]))) if a1 and a2 else a1 or a2,
-                         forest(tuple(sorted(right + forests[b2]))) if b1 and b2 else b1 or b2)
-                    product[k] = product.get(k, 0) + c1 * c2
-            out = product
+            out = _product(out, _delta(tid), _join_pairs)
     return CACHE.put(CACHE.coproduct, f, out)
 
 
@@ -571,11 +573,7 @@ def _antipode(f: int) -> dict:
     else:
         out = {0: 1}
         for tid in tids:
-            product: dict = {}
-            for g1, s1 in out.items():
-                for g2, s2 in _antipode(tid).items():
-                    _add(product, _join(g1, g2), s1 * s2)
-            out = product
+            out = _product(out, _antipode(tid), _join)
     return CACHE.put(CACHE.antipode, f, out)
 
 

@@ -237,7 +237,7 @@ def build_rep(char: ExponentSumCharacter, max_length: int, alphabet,
 
 # --- crossed-product relation checks ---------------------------------------------
 
-def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Report:
+def verify_crossed_relations(rep: TruncatedRep, words=None) -> Report:
     """Exact matrix identities for the crossed-product relations.
 
     Composition law and isometry hold on window-safe columns.  Conjugation by
@@ -249,8 +249,7 @@ def verify_crossed_relations(rep: TruncatedRep, words=None, trees=None) -> Repor
     """
     if words is None:
         words = [(a,) for a in rep.alphabet]
-    if trees is None:
-        trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
+    trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
     checks = []
     last = time.perf_counter()
 
@@ -329,8 +328,7 @@ class EvolutionReport:
 
 
 def time_evolution_report(rep: TruncatedRep, N: int, t: float,
-                          words=None, trees=None,
-                          group: GaloisGroup | None = None) -> EvolutionReport:
+                          words=None, group: GaloisGroup | None = None) -> EvolutionReport:
     """Conjugation by exp(itH) multiplies S_w by lambda(w)^(it) and fixes the
     diagonal operators; the Galois action commutes with the evolution.
 
@@ -340,8 +338,7 @@ def time_evolution_report(rep: TruncatedRep, N: int, t: float,
     """
     if words is None:
         words = [(a,) for a in rep.alphabet]
-    if trees is None:
-        trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
+    trees = rep.trees or tuple(hopf.leaf(a) for a in rep.alphabet)
     u = [cmath.exp(1j * t * h) for h in hamiltonian(rep, N)]
     max_dev = 0.0
     for w in words:

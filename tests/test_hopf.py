@@ -141,6 +141,18 @@ def test_coproduct_is_algebra_morphism():
     assert coproduct(a * b) == coproduct(a) * coproduct(b)
 
 
+def test_pair_polynomials_hash_negate_and_subtract_as_forest_polynomials_do():
+    t, u = chain(0, 1), leaf(2)
+    p = PairPolynomial.of((t,), (u,), 2) + PairPolynomial.of((), (t, u), Fraction(-1, 3))
+    q = PairPolynomial.of((u,), (), 5) + PairPolynomial.of((t,), (u,), 1)
+    same = PairPolynomial(dict(p.terms))
+    assert hash(same) == hash(p) and len({p, same, q}) == 2
+    assert not PairPolynomial() and p
+    assert -p == p.scale(-1)
+    assert p - q == p + q.scale(-1)
+    assert not p - same
+
+
 def test_hopf_identities_small_trees():
     for t in enumerate_trees((0, 1, 2), 4):
         assert coassociativity_holds(t)
