@@ -76,8 +76,11 @@ def _parse_betas(text):
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(beta(int(lo)), beta(int(hi)) + 1))
+            try:
+                lo, hi = map(int, chunk.split(".."))
+            except ValueError:
+                raise ValueError(f"--beta range {chunk!r} needs two integer ends") from None
+            out.extend(range(beta(lo), beta(hi) + 1))
         elif chunk:
             val = float(chunk)
             out.append(beta(int(val) if val.is_integer() else val))

@@ -6,11 +6,11 @@ Grafting joins tails in the involution of a namespaced disjoint union
 (`graphs.disjoint_union_with_maps`) and validates the result once, however
 many tails a plan joins.  A magma tree's flag graph depends only on its
 word's bracketing, so one validated graph per bracketing, built on first use
-with its index of flags by vertex, serves every lettering.  Each bracketing
-is also validated as an oriented tree and read as a word once, when its
-graph is built; a lettered tree that still has its bracketing's graph,
-orientation, root and leaf tails passes the check at once and reads its word
-by filling the bracketing with its labels.
+serves every lettering.  Each bracketing is validated as an oriented tree
+and read as a word once, when its graph is built.  Only the library links a
+tree to its bracketing, when it letters one, so a linked tree passes the
+check at once and reads its word by filling the bracketing with its labels;
+every other tree is checked and read in full.
 """
 
 from __future__ import annotations
@@ -198,12 +198,10 @@ class OrientedBinaryTree:
     one leaf, one root tail) is allowed and flagged.
 
     Trees of one bracketing share one `graph` and one `orientation` object,
-    and grafting the unit shares t2's; both are read-only.  They also share
-    `bracketing`, the cache entry they were lettered from; a tree built over
-    any other graph leaves it None.  A tree that still has its entry's graph,
-    orientation, root flag, leaf tails and degeneracy is checked and read
-    through the entry; any other tree, a `replace`d copy that changed one of
-    them included, is checked and read in full.
+    and grafting the unit shares t2's; both are read-only.  `bracketing` is
+    the cache entry a tree was lettered from.  Only the library sets it, and
+    the constructor does not take it, so a `replace`d copy or a grafted tree
+    has None and is checked and read in full.
     """
 
     graph: CombinatorialGraph
@@ -211,7 +209,7 @@ class OrientedBinaryTree:
     root_flag: str
     leaf_order: tuple[tuple[str, object], ...]   # (tail flag, label), left to right
     degenerate: bool = False
-    bracketing: _Bracketing | None = field(default=None, compare=False, repr=False)
+    bracketing: _Bracketing | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def labels(self) -> tuple:
@@ -222,8 +220,7 @@ class OrientedBinaryTree:
 class _Bracketing:
     """A bracketing's validated tree, shared by all its letterings: its word
     with every letter None, the text of that word with %s for each letter,
-    graph, orientation, root flag, left-to-right leaf tails and flags by
-    vertex."""
+    graph, orientation, root flag and left-to-right leaf tails."""
 
     skeleton: tuple | None
     text: str
@@ -231,7 +228,6 @@ class _Bracketing:
     orientation: dict[str, str]
     root: str
     tails: tuple[str, ...]
-    flags_at: dict[str, list[str]]
 
 
 def _skeleton(w, letters: list):
@@ -264,8 +260,7 @@ def _fill(skeleton, letters):
 
 # Keyed by bracketing, so Catalan(n-1) graphs serve all letterings of n
 # leaves.  1,024 entries hold every bracketing of <= 8 leaves (626 of them),
-# about 4.0 MiB with their vertex indexes, words and texts, measured with
-# tracemalloc.
+# about 3.6 MiB with their words and texts, measured with tracemalloc.
 @lru_cache(maxsize=1024)
 def _bracketing_tree(skeleton) -> _Bracketing:
     """The entry of a bracketing; the arity-1 unit's skeleton is None."""
@@ -313,30 +308,14 @@ def _new_entry(skeleton, g, orientation, root, tails) -> _Bracketing:
     _check(probe, at)
     word = _read(probe, at)
     return _Bracketing(word, word_to_text(_fill(word, repeat("%s"))), g, orientation, root,
-                       tails, at)
+                       tails)
 
 
 def _lettered(e: _Bracketing, letters) -> OrientedBinaryTree:
-    return OrientedBinaryTree(e.graph, e.orientation, e.root, tuple(zip(e.tails, letters)),
-                              degenerate=e.skeleton is None, bracketing=e)
-
-
-def _lettering(t: OrientedBinaryTree) -> tuple | None:
-    """t's labels, if t still has its bracketing entry's graph and orientation
-    (the same objects), root flag, leaf tails in order and degeneracy."""
-    e = t.bracketing
-    if (e is None or t.graph is not e.graph or t.orientation is not e.orientation
-            or t.root_flag != e.root or t.degenerate != (e.skeleton is None)
-            or len(t.leaf_order) != len(e.tails)):
-        return None
-    tails, labels = zip(*t.leaf_order)
-    return labels if tails == e.tails else None
-
-
-def _flags_at(t: OrientedBinaryTree) -> dict[str, list[str]]:
-    """The flags at each vertex of t's own graph."""
-    e = t.bracketing
-    return e.flags_at if e is not None and e.graph is t.graph else graphs.flags_by_vertex(t.graph)
+    t = OrientedBinaryTree(e.graph, e.orientation, e.root, tuple(zip(e.tails, letters)),
+                           degenerate=e.skeleton is None)
+    object.__setattr__(t, "bracketing", e)
+    return t
 
 
 def degenerate_magma_tree(label) -> OrientedBinaryTree:
@@ -357,13 +336,12 @@ def tree_to_word(t: OrientedBinaryTree):
 
     The two branches at each vertex are ordered by the position of their
     leaves in the linear leaf order; branches must cover contiguous runs.
-    A tree that still has its bracketing's entry fills the entry's word,
-    read when the entry was built, with its own labels.
+    A tree linked to its bracketing fills the word read when the bracketing
+    was built with its own labels.
     """
-    labels = _lettering(t)
-    if labels is not None:
-        return _fill(t.bracketing.skeleton, iter(labels))
-    return _read(t, _flags_at(t))
+    if t.bracketing is not None:
+        return _fill(t.bracketing.skeleton, iter(t.labels))
+    return _read(t, graphs.flags_by_vertex(t.graph))
 
 
 def _read(t: OrientedBinaryTree, at: dict[str, list[str]]):
@@ -415,10 +393,10 @@ def enumerate_magma_trees(leaves) -> list[OrientedBinaryTree]:
 
 def validate_magma_tree(t: OrientedBinaryTree) -> None:
     """Check the oriented-tree conditions; raises MalformedWord on failure.
-    A tree that still has its bracketing's entry passed them when the entry
-    was built."""
-    if _lettering(t) is None:
-        _check(t, _flags_at(t))
+    A tree linked to its bracketing passed them when the bracketing was
+    built."""
+    if t.bracketing is None:
+        _check(t, graphs.flags_by_vertex(t.graph))
 
 
 def _check(t: OrientedBinaryTree, at: dict[str, list[str]]) -> None:

@@ -180,9 +180,7 @@ class Stratum:
         return f"Stratum(labels={list(self.order)!r}, splits={sides!r})"
 
     def __setattr__(self, name, value):
-        if name != "_flag_view":
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        _set_view(self, value)
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
@@ -585,12 +583,12 @@ def compose_strata(s1: Stratum, label1, s2: Stratum, label2) -> Stratum:
     mask of the other stratum's remaining labels; the new edge's split is
     the mask of the second stratum's remaining labels.
     """
+    if label1 not in s1.order or label2 not in s2.order:
+        raise StrataError("label not present on the stratum")
     rest1 = frozenset(s1.order) - {label1}
     rest2 = frozenset(s2.order) - {label2}
     if rest1 & rest2:
         raise LabelCollision(f"shared labels {_sorted_labels(rest1 & rest2)}")
-    if label1 not in s1.order or label2 not in s2.order:
-        raise StrataError("label not present on the stratum")
     order = tuple(_sorted_labels(rest1 | rest2))
     if len(order) < 4:
         raise TooSmall("need at least 4 labels")

@@ -398,12 +398,16 @@ def test_cli_runs_without_numpy():
     (("qsm", "partition", "--json"), "--json needs the verify command"),
     (("qsm", "build", "--k", "3"), "--k 3 disagrees with the 2 fixed labels of (Z/12)*"),
     (("qsm", "partition", "--beta", "abc"), "could not convert string to float: 'abc'"),
+    (("qsm", "partition", "--beta", "1..2..3"), "--beta range '1..2..3' needs two integer ends"),
+    (("qsm", "partition", "--beta", "a..3"), "--beta range 'a..3' needs two integer ends"),
+    (("qsm", "partition", "--beta", "1.5..3"), "--beta range '1.5..3' needs two integer ends"),
     (("qsm", "gibbs", "--tree", "j13", "--beta", "1"), "label 13 is not a residue modulo 12"),
     (("qsm", "verify", "--N", "2"), "divergent series: k * N^-beta = 1 >= 1"),
     (("qsm", "gibbs", "--N", "2", "--beta", "1"), "divergent series: k * N^-beta = 1 >= 1"),
 ], ids=["n-low", "n-high", "max-vertices-high", "hopf-json-without-verify", "hopf-nothing",
         "hopf-tree-syntax", "m-high", "lmax-low", "trunc-high", "N-high", "qsm-json-build",
-        "qsm-json-partition", "k-mismatch", "beta-not-a-number", "label-off-conductor",
+        "qsm-json-partition", "k-mismatch", "beta-not-a-number", "beta-range-three-ends",
+        "beta-range-not-a-number", "beta-range-not-an-integer", "label-off-conductor",
         "verify-divergent", "gibbs-divergent"])
 def test_each_cli_refusal_prints_one_error_line(capsys, argv, message):
     assert run_cli(*argv) == 1

@@ -51,9 +51,8 @@ def ref_s_tree(graph, tail_labels):
         v, e = parent[w]
         below[v] |= below[w]
         edge_split[e] = everything ^ below[w] if below[w] & 1 else below[w]
-    t = StableSTree(order, tuple(sorted(edge_split.values())))
-    t._flag_view = (graph, tail_labels, edge_split)
-    return t
+    return strata._stratum(order, tuple(sorted(edge_split.values())),
+                           (graph, tail_labels, edge_split))
 
 
 def curve_graph(curve):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +318,21 @@ def test_a_replaced_graph_is_read_through_its_own_vertex_index():
         g.flags, renamed.values(), {f: renamed[v] for f, v in g.boundary.items()}, g.involution))
     validate_magma_tree(moved)
     assert tree_to_word(moved) == (("a", "b"), "c")
+
+
+def test_only_the_library_links_a_tree_to_its_bracketing():
+    assert "bracketing" not in inspect.signature(operads.OrientedBinaryTree).parameters
+    t = word_to_tree((("a", "b"), ("c", "d")))
+    assert t.bracketing is not None
+    same = dataclasses.replace(t)
+    upper = dataclasses.replace(t, leaf_order=tuple((f, x.upper()) for f, x in t.leaf_order))
+    unit = graft_magma(degenerate_magma_tree("u"), t, "c")
+    assert same == t
+    for copy, word in ((same, (("a", "b"), ("c", "d"))), (upper, (("A", "B"), ("C", "D"))),
+                       (unit, (("a", "b"), ("u", "d")))):
+        assert copy.bracketing is None
+        validate_magma_tree(copy)
+        assert tree_to_word(copy) == word
 
 
 def magma_words(letters):

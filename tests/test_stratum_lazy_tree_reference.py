@@ -209,7 +209,7 @@ def test_strata_cli_counts_and_poset_build_no_tree(tree_builds, tmp_path):
     assert tree_builds[0] == 0
 
 
-@pytest.mark.parametrize("name", ["tree", "order", "splits", "_tree", "other"])
+@pytest.mark.parametrize("name", ["tree", "order", "splits", "_tree", "_flag_view", "other"])
 def test_a_stratum_refuses_to_set_or_delete_any_attribute(name):
     s = divisorial_strata((1, 2, 3, 4))[0]
     with pytest.raises(FrozenInstanceError):

@@ -78,6 +78,9 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
     (strata.StrataError, "label not present",
      lambda: strata.compose_strata(s_corolla([1, 2, 3]), 9,
                                    s_corolla([4, 5, 6]), 4)),
+    (strata.StrataError, "label not present",
+     lambda: strata.compose_strata(s_corolla([1, 2, 3]), 9,
+                                   s_corolla([3, 4, 5]), 4)),
     (strata.LabelSetMismatch, "subset",
      lambda: strata.admissible_projection(s_corolla([1, 2, 3, 4]), [1, 2, 9])),
     (strata.StrataError, STABLE, lambda: strata.s_tree(TRIANGLE, _tail_labels(TRIANGLE))),
@@ -94,7 +97,8 @@ TWO_TREES = disjoint_union(ABC, graphs.validate(
 ], ids=["disconnected", "unstable", "tails-unlabelled", "labels-off-tails", "labels-repeat",
         "label-unhashable", "label-holds-unhashable", "one-label-part", "overlapping-parts", "double-point-off-curve",
         "marked-point-off-curve", "components-share-a-name",
-        "components-print-alike", "absent-grafting-label", "projection-off-stratum",
+        "components-print-alike", "absent-grafting-label",
+        "absent-grafting-label-before-collision", "projection-off-stratum",
         "cyclic", "self-loop", "parallel-edges", "empty", "two-stable-trees",
         "disconnected-before-unstable", "unstable-before-unlabelled",
         "stratum-of-a-tuple", "stratum-of-a-string-tree"])
