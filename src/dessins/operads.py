@@ -5,7 +5,7 @@ fully parenthesized binary words.
 Grafting joins tails in the involution of a namespaced disjoint union
 (`graphs.disjoint_union_with_maps`) and validates the result once, however
 many tails a plan joins.  A magma tree's flag graph depends only on its
-word's bracketing, so one validated graph per bracketing, built on first use
+word's bracketing, so one validated graph per bracketing, built on first use,
 serves every lettering.  Each bracketing is validated as an oriented tree
 and read as a word once, when its graph is built.  Only the library links a
 tree to its bracketing, when it letters one, so a linked tree passes the
@@ -336,8 +336,8 @@ def tree_to_word(t: OrientedBinaryTree):
 
     The two branches at each vertex are ordered by the position of their
     leaves in the linear leaf order; branches must cover contiguous runs.
-    A tree linked to its bracketing fills the word read when the bracketing
-    was built with its own labels.
+    A tree linked to its bracketing fills that bracketing's word, read once
+    when it was built, with its own labels.
     """
     if t.bracketing is not None:
         return _fill(t.bracketing.skeleton, iter(t.labels))
